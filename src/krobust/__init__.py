@@ -12,10 +12,11 @@ from .errors import (BadParameters, Disconnected, Infeasible,
                      MissingResidual, TooLarge, TrivialInstance, UnknownEdge)
 from .graphcore import (Edge, EdgeSet, Pair, WeightedGraph,
                         preprocess_cost_scaling)
-from .model import (CARDINALITY, MINCUT, PROBLEM_KINDS, SETCOVER,
-                    STEINERFOREST, STEINERTREE, SUBSET, CostReport,
+from .model import (CARDINALITY, KINDS, MINCUT, PROBLEM_KINDS, SETCOVER,
+                    STEINERFOREST, STEINERTREE, SUBSET, CostReport, Kind,
                     ProblemInstance, ScenarioSequence, Schedule, ThriftyPlan,
-                    UncertaintySpec, evaluate_thrifty, merge_stages)
+                    UncertaintySpec, evaluate_thrifty, merge_stages,
+                    solve_thrifty)
 from .oracle import SizeLimits, exhaustive_robcov, minimax_opt, opt_bounds
 from .setcover import SetSystem
 
@@ -23,12 +24,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BadParameters", "CARDINALITY", "CostReport", "Disconnected", "Edge",
-    "EdgeSet", "Infeasible", "InstanceFormatError", "KRobustError", "MINCUT",
-    "MalformedSchedule", "MissingResidual", "PROBLEM_KINDS", "Pair",
-    "ProblemInstance", "SETCOVER", "STEINERFOREST", "STEINERTREE", "SUBSET",
-    "ScenarioSequence", "Schedule", "SetSystem", "SizeLimits", "ThriftyPlan",
-    "TooLarge", "TrivialInstance", "UncertaintySpec", "UnknownEdge",
-    "WeightedGraph", "evaluate_thrifty", "exhaustive_robcov", "fixtures",
-    "graphcore", "merge_stages", "mincut", "minimax_opt", "opt_bounds",
-    "oracle", "preprocess_cost_scaling", "setcover", "steiner",
+    "EdgeSet", "Infeasible", "InstanceFormatError", "KINDS",
+    "KRobustError", "Kind", "MINCUT", "MalformedSchedule",
+    "MissingResidual", "PROBLEM_KINDS", "Pair", "ProblemInstance",
+    "SETCOVER", "STEINERFOREST", "STEINERTREE", "SUBSET",
+    "ScenarioSequence", "Schedule", "SetSystem", "SizeLimits",
+    "ThriftyPlan", "TooLarge", "TrivialInstance", "UncertaintySpec",
+    "UnknownEdge", "WeightedGraph", "evaluate_thrifty",
+    "exhaustive_robcov", "fixtures", "graphcore", "merge_stages", "mincut",
+    "minimax_opt", "opt_bounds", "oracle", "preprocess_cost_scaling",
+    "setcover", "solve_thrifty", "steiner",
 ]

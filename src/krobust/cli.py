@@ -16,14 +16,13 @@ import json
 import sys
 from fractions import Fraction
 
-from . import mincut, setcover, steiner
 from .errors import (BadParameters, InstanceFormatError, KRobustError,
                      TooLarge, TrivialInstance)
 from .fixtures import gen_lowerbound_allstages, gen_random, gen_subset_krobust_bad
 from .graphcore import WeightedGraph
-from .model import (CARDINALITY, MINCUT, PROBLEM_KINDS, SETCOVER,
-                    STEINERFOREST, STEINERTREE, SUBSET, ProblemInstance,
-                    Schedule, UncertaintySpec, evaluate_thrifty,
+from .model import (CARDINALITY, KINDS, MINCUT, PROBLEM_KINDS, SETCOVER,
+                    STEINERFOREST, SUBSET, ProblemInstance, Schedule,
+                    UncertaintySpec, evaluate_thrifty, require_live,
                     validate_schedule)
 from .oracle import (SizeLimits, exhaustive_robcov, minimax_opt, opt_bounds,
                      partwise_minimax)
@@ -195,48 +194,23 @@ def serialize_instance(inst: ProblemInstance) -> dict:
 
 # ------------------------------------------------------------------ commands
 
-def _trivial_check(inst: ProblemInstance) -> None:
-    kT = inst.schedule.k[inst.schedule.horizon]
-    if kT == 0:
-        raise TrivialInstance("k_T = 0: nothing is ever required")
-    if inst.kind == STEINERTREE and kT <= 1:
-        raise TrivialInstance("k_T <= 1: a lone vertex needs no connection")
-
-
 def _run_solver(inst: ProblemInstance, beta, guess, preprocess: bool,
                 merge_r):
+    if guess is not None and preprocess:
+        raise BadParameters(
+            "--guess cannot be combined with --preprocess cost-scaling")
     if inst.uncertainty.kind == SUBSET:
         raise BadParameters(
             "thrifty solvers handle the cardinality adversary only; "
             "use the oracle subcommand for part-structured uncertainty")
-    _trivial_check(inst)
+    require_live(inst.kind, inst.schedule)
     validate_schedule(inst.schedule, len(inst.units()))
-    kind = inst.kind
-    if kind == SETCOVER and preprocess:
-        raise BadParameters("cost scaling applies to graph problems only")
-    if guess is not None:
-        if kind == SETCOVER:
-            plan = setcover.thrifty_plan(inst.payload, inst.schedule, guess, beta)
-        elif kind == MINCUT:
-            plan = mincut.thrifty_plan(inst.payload, inst.schedule, guess, beta)
-        elif kind == STEINERTREE:
-            plan = steiner.thrifty_tree_plan(inst.payload, inst.schedule,
-                                             guess, beta)
-        else:
-            plan = steiner.thrifty_forest_plan(inst.payload, inst.payload.pairs,
-                                               inst.schedule, guess, beta)
-        return plan, evaluate_thrifty(plan, inst.schedule, inst.units())
-    if kind == SETCOVER:
-        return setcover.solve(inst.payload, inst.schedule, beta)
-    if kind == MINCUT:
-        return mincut.solve(inst.payload, inst.schedule, beta,
-                            preprocess=preprocess, merge_r=merge_r)
-    if kind == STEINERTREE:
-        return steiner.solve_tree(inst.payload, inst.schedule, beta,
-                                  preprocess=preprocess, merge_r=merge_r)
-    return steiner.solve_forest(inst.payload, inst.payload.pairs,
-                                inst.schedule, beta,
-                                preprocess=preprocess, merge_r=merge_r)
+    spec = KINDS[inst.kind]
+    if guess is None:
+        return spec.solve(inst.payload, inst.schedule, beta, preprocess,
+                          merge_r)
+    plan = spec.plan(inst.payload, inst.schedule, guess, beta, None)
+    return plan, evaluate_thrifty(plan, inst.schedule, inst.units())
 
 
 def _solve_report(plan, report) -> dict:
@@ -342,7 +316,7 @@ def cmd_oracle(args) -> int:
 def _compare_one(inst: ProblemInstance, limits) -> tuple[dict, str | None]:
     """One comparison document plus a diagnostic if the invariant chain broke."""
     try:
-        _trivial_check(inst)
+        require_live(inst.kind, inst.schedule)
     except TrivialInstance:
         return ({"opt": "0", "algo": "0", "ratio": "n/a",
                  "exhaustive_algo": "0",
@@ -400,6 +374,18 @@ def _frac_arg(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}")
 
 
+def _frac_at_least(low: int):
+    """An exact-rational argument type that rejects values below low."""
+
+    def parse(text: str) -> Fraction:
+        value = _frac_arg(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text!r}")
+        return value
+
+    return parse
+
+
 def _limits_arg(text: str) -> SizeLimits:
     try:
         units, actions, horizon = (int(x) for x in text.split(","))
@@ -419,15 +405,15 @@ def _days_arg(text: str) -> tuple[int, ...]:
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--beta-override", type=_frac_arg, default=None,
+    p.add_argument("--beta-override", type=_frac_at_least(0), default=None,
                    dest="beta_override",
                    help="replace the per-problem threshold constant")
-    p.add_argument("--guess", type=_frac_arg, default=None,
+    p.add_argument("--guess", type=_frac_at_least(0), default=None,
                    help="skip the doubling grid and use this single guess")
     p.add_argument("--preprocess", choices=("none", "cost-scaling"),
                    default="none",
                    help="graph problems: scale costs and merge stages first")
-    p.add_argument("--merge-r", type=_frac_arg, default=Fraction(2),
+    p.add_argument("--merge-r", type=_frac_at_least(1), default=Fraction(2),
                    dest="merge_r",
                    help="inflation ratio kept by stage merging (default 2)")
 

@@ -25,12 +25,12 @@ class UnknownEdge(KRobustError):
     """An edge id does not exist in the graph."""
 
 
-class Disconnected(KRobustError):
-    """Vertices or terminal pairs that must be connected are not."""
-
-
 class Infeasible(KRobustError):
     """The instance admits no feasible solution (e.g. an uncoverable element)."""
+
+
+class Disconnected(Infeasible):
+    """Vertices or terminal pairs that must be connected are not."""
 
 
 class TooLarge(KRobustError):

@@ -97,6 +97,10 @@ class WeightedGraph:
         by_id = {e.eid: e for e in self.edges}
         return EdgeSet(ids, sum((by_id[i].cost for i in ids), Fraction(0)))
 
+    def actions(self) -> tuple[tuple[int, Fraction], ...]:
+        """(edge id, cost) for every purchasable edge."""
+        return tuple((e.eid, e.cost) for e in self.edges)
+
     def adjacency(self) -> list[list[Edge]]:
         adj: list[list[Edge]] = [[] for _ in range(self.n)]
         for e in self.edges:
@@ -136,16 +140,6 @@ def shortest_paths(g: WeightedGraph, sources: Iterable[int]
                 pred[w] = e
                 heapq.heappush(heap, (nd, w))
     return dist, pred
-
-
-UNREACHABLE = float("inf")
-
-
-def shortest_dist(g: WeightedGraph, source: int) -> dict:
-    """Single-source distances over all vertices; unreachable ones map to the
-    UNREACHABLE marker (the only non-rational value this package emits)."""
-    dist = shortest_paths(g, [source])[0]
-    return {v: dist.get(v, UNREACHABLE) for v in range(g.n)}
 
 
 def path_edges(pred: dict[int, Edge], sources: set[int], target: int) -> list[int]:

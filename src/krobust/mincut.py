@@ -5,19 +5,20 @@ separates a net of hard-to-cut vertices from the root, and on the critical
 day each still-active vertex buys its own minimum cut in what is left of the
 graph.  Residual cuts of different vertices may share edges, so evaluated
 worst cases are upper bounds (plans are always marked conservative).
+Once cost scaling has contracted edges, a vertex acts through its
+representative, the vertex it was merged into.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
 from fractions import Fraction
 
 from .errors import Infeasible
 from .graphcore import (WeightedGraph, delete_or_contract, min_cut,
                         preprocess_cost_scaling)
-from .model import (MINCUT, CostReport, Schedule, ThriftyPlan, argmin_stage,
-                    evaluate_thrifty, free_plan, guess_grid, threshold_tau,
-                    trivial_plan, validate_schedule)
+from .model import (KINDS, MINCUT, CostReport, Kind, Schedule, ThriftyPlan,
+                    argmin_stage, scaled_candidates, solve_thrifty,
+                    threshold_tau)
 
 BETA = Fraction(50)
 
@@ -28,131 +29,97 @@ def _require_root(g: WeightedGraph) -> int:
     return g.root
 
 
+def _reps(g: WeightedGraph, root: int) -> dict[int, int]:
+    """Each unit's representative vertex; vertices merged into the root are
+    not units."""
+    return {v: g.representative(v) for v in range(g.n)
+            if g.representative(v) != root}
+
+
 def units_of(g: WeightedGraph) -> tuple[int, ...]:
-    root = _require_root(g)
-    return tuple(v for v in range(g.n) if v != root)
+    return tuple(_reps(g, _require_root(g)))
 
 
-def build_net(g: WeightedGraph, root: int, threshold: Fraction) -> frozenset[int]:
-    """Non-root vertices whose min cut from the root strictly exceeds the
-    threshold (the solvers pass 2*T*tau)."""
-    return frozenset(v for v in range(g.n) if v != root
-                     and min_cut(g, root, [v])[0] > threshold)
+def _root_cuts(g: WeightedGraph, root: int, reps) -> dict[int, Fraction]:
+    return {r: min_cut(g, root, [r])[0] for r in sorted(set(reps))}
+
+
+def build_net(g: WeightedGraph, root: int, threshold: Fraction,
+              cuts: dict[int, Fraction] | None = None) -> frozenset[int]:
+    """Units whose representative's min cut from the root strictly exceeds
+    the threshold (the solvers pass 2*T*tau).  cuts, when given, holds those
+    cut values by representative."""
+    reps = _reps(g, root)
+    if cuts is None:
+        cuts = _root_cuts(g, root, reps.values())
+    return frozenset(v for v, r in reps.items() if cuts[r] > threshold)
 
 
 def thrifty_plan(g: WeightedGraph, schedule: Schedule, guess: Fraction,
-                 beta: Fraction | None = None) -> ThriftyPlan:
-    """Build the two-day plan for one guess of the optimal value."""
+                 beta: Fraction | None = None,
+                 cuts: dict[int, Fraction] | None = None) -> ThriftyPlan:
+    """Build the two-day plan for one guess of the optimal value; cuts are
+    the per-representative root cuts, computed here when not given."""
     root = _require_root(g)
     if beta is None:
         beta = BETA
     tau = threshold_tau(guess, schedule, beta)
-    net = build_net(g, root, 2 * schedule.horizon * tau)
-    day0_cost, day0 = min_cut(g, root, net)
+    net = build_net(g, root, 2 * schedule.horizon * tau, cuts)
+    reps = _reps(g, root)
+    day0_cost, day0 = min_cut(g, root, {reps[v] for v in net})
     rest = delete_or_contract(g, day0.ids, "delete")
-    residuals = {}
-    actions = {}
-    for v in units_of(g):
-        value, cut = min_cut(rest, root, [v])
-        residuals[v] = value
-        actions[v] = tuple(sorted(cut.ids))
+    residual = {r: min_cut(rest, root, [r]) for r in sorted(set(reps.values()))}
     return ThriftyPlan(guess=Fraction(guess), beta=Fraction(beta), tau=tau,
                        critical_day=argmin_stage(schedule), net=net,
                        day0_purchase=tuple(sorted(day0.ids)),
-                       day0_cost=day0_cost, residuals=residuals,
-                       residual_actions=actions, conservative=True)
+                       day0_cost=day0_cost,
+                       residuals={v: residual[r][0] for v, r in reps.items()},
+                       residual_actions={v: tuple(sorted(residual[r][1].ids))
+                                         for v, r in reps.items()},
+                       conservative=True)
+
+
+def _bounds(g: WeightedGraph):
+    """The costliest single-unit root cut and the cut of every unit; the
+    single-unit cuts are shared with every plan."""
+    root = _require_root(g)
+    reps = _reps(g, root).values()
+    cuts = _root_cuts(g, root, reps)
+    ub, ub_set = min_cut(g, root, reps)
+    return max(cuts.values()), ub, sorted(ub_set.ids), cuts
+
+
+def _scale(g: WeightedGraph, schedule: Schedule, f_guess: int, merge_r):
+    """Cost scaling under edge f_guess.  Raises Infeasible when the guess
+    contracts a unit into the root, meaning every cut for it would need a
+    costlier edge."""
+    pre = preprocess_cost_scaling(g, schedule, MINCUT, f_guess, merge_r)
+    for v in units_of(g):
+        if pre.graph.representative(v) == pre.graph.root:
+            raise Infeasible(f"vertex {v} is only separable by costlier edges")
+    return pre
 
 
 def _preprocessed_candidates(g: WeightedGraph, schedule: Schedule,
                              f_guess: int, beta: Fraction, merge_r):
-    """All grid plans for one guess of the costliest edge ever bought.
-
-    Plans are phrased in original terms: prepaid cheap edges join the day-0
-    purchase, residuals of a merged-away vertex are those of its surviving
-    representative, and the critical day is mapped back to the original
-    schedule.  Raises Infeasible when the guess contracts a unit into the
-    root, meaning every cut for it would need a costlier edge.
-    """
-    pre = preprocess_cost_scaling(g, schedule, MINCUT, f_guess, merge_r)
-    pg, ps = pre.graph, pre.schedule
-    root = pg.representative(_require_root(g))
-    units = units_of(g)
-    reps = {}
-    for v in units:
-        rv = pg.representative(v)
-        if rv == root:
-            raise Infeasible(f"vertex {v} is only separable by costlier edges")
-        reps[v] = rv
-    rep_set = sorted(set(reps.values()))
-    base_cuts = {r: min_cut(pg, root, [r])[0] for r in rep_set}
-    lb = max(base_cuts.values())
-    ub_cost, ub_set = min_cut(pg, root, rep_set)
-    out = []
-    if ub_cost == 0:
-        plan = free_plan(units, sorted(pre.prepaid.ids | ub_set.ids),
-                         pre.kept_days[argmin_stage(ps)])
-        return [replace(plan, preprocess_f=f_guess)]
-    for guess in guess_grid(lb, ub_cost):
-        tau = threshold_tau(guess, ps, beta)
-        net_reps = frozenset(r for r in rep_set
-                             if base_cuts[r] > 2 * ps.horizon * tau)
-        day0_cost, day0 = min_cut(pg, root, net_reps)
-        rest = delete_or_contract(pg, day0.ids, "delete")
-        rep_res = {r: min_cut(rest, root, [r]) for r in rep_set}
-        residuals = {v: rep_res[reps[v]][0] for v in units}
-        actions = {v: tuple(sorted(rep_res[reps[v]][1].ids)) for v in units}
-        out.append(ThriftyPlan(
-            guess=Fraction(guess), beta=Fraction(beta), tau=tau,
-            critical_day=pre.kept_days[argmin_stage(ps)],
-            net=frozenset(v for v in units if reps[v] in net_reps),
-            day0_purchase=tuple(sorted(pre.prepaid.ids | day0.ids)),
-            day0_cost=pre.prepaid.cost + day0_cost,
-            residuals=residuals, residual_actions=actions,
-            conservative=True, preprocess_f=f_guess))
-    return out
+    """All grid plans for one guess of the costliest edge ever bought."""
+    return scaled_candidates(MINCUT, g, schedule, f_guess, beta, merge_r)
 
 
 def solve(g: WeightedGraph, schedule: Schedule, beta: Fraction | None = None,
           preprocess: bool = False, merge_r=2) -> tuple[ThriftyPlan, CostReport]:
     """Best evaluated plan over the doubling guess grid.
 
-    With preprocess=True the grid is additionally run once per guess of the
-    costliest edge, after cost scaling; guesses that cannot stay feasible are
+    With preprocess=True the grid runs once per guess of the costliest edge
+    instead, after cost scaling; guesses that cannot stay feasible are
     skipped (the costliest edge of the graph always can).
     """
-    root = _require_root(g)
-    units = units_of(g)
-    validate_schedule(schedule, len(units))
-    if beta is None:
-        beta = BETA
-    if schedule.k[schedule.horizon] == 0:
-        plan = trivial_plan(units)
-        return plan, evaluate_thrifty(plan, schedule, units)
-    ub_cost, ub_set = min_cut(g, root, units)
-    if ub_cost == 0:
-        plan = free_plan(units, sorted(ub_set.ids), argmin_stage(schedule))
-        return plan, evaluate_thrifty(plan, schedule, units)
-    candidates = []
-    if preprocess:
-        seen_costs = set()
-        for e in sorted(g.edges, key=lambda e: (e.cost, e.eid)):
-            if e.cost in seen_costs:
-                continue
-            seen_costs.add(e.cost)
-            try:
-                candidates.extend(
-                    _preprocessed_candidates(g, schedule, e.eid, beta, merge_r))
-            except Infeasible:
-                continue
-    else:
-        lb = max(min_cut(g, root, [v])[0] for v in units)
-        for guess in guess_grid(lb, ub_cost):
-            candidates.append(thrifty_plan(g, schedule, guess, beta))
-    best: tuple[ThriftyPlan, CostReport] | None = None
-    for plan in candidates:
-        report = evaluate_thrifty(plan, schedule, units)
-        if best is None or report.robcov < best[1].robcov:
-            best = (plan, report)
-    if best is None:
-        raise Infeasible("no feasible plan under any cost guess")
-    return best
+    return solve_thrifty(MINCUT, g, schedule, beta, preprocess, merge_r)
+
+
+KINDS[MINCUT] = Kind(
+    units=units_of,
+    bounds=_bounds,
+    plan=lambda *args: thrifty_plan(*args),
+    solve=lambda *args: solve(*args),
+    scale=_scale)

@@ -4,20 +4,22 @@ A problem runs over days 0..T.  Day 0 is fully uncertain; on each later day i
 the adversary reveals a set A_i and only units inside every revealed set so
 far remain active.  Purchases on day i cost their base price times the
 inflation lam[i].  The solvers in the sibling modules act on day 0 and on one
-critical later day; everything here is solver-agnostic.
+critical later day; everything here is solver-agnostic, including the one
+thrifty driver they all run through and the registry of their Kind records.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
-from .errors import MalformedSchedule, MissingResidual, TrivialInstance
+from .errors import (BadParameters, Infeasible, MalformedSchedule,
+                     MissingResidual, TrivialInstance)
 
 if TYPE_CHECKING:
-    from .graphcore import WeightedGraph
+    from .graphcore import PreprocessResult, WeightedGraph
     from .setcover import SetSystem
 
 CARDINALITY = "cardinality"
@@ -253,14 +255,8 @@ def evaluate_thrifty(plan: ThriftyPlan, schedule: Schedule,
 
 
 def trivial_plan(units: Iterable) -> ThriftyPlan:
-    """Empty plan used when k_T = 0: nothing is ever required."""
-    units = tuple(units)
-    return ThriftyPlan(guess=Fraction(0), beta=Fraction(0), tau=Fraction(0),
-                       critical_day=0, net=frozenset(), day0_purchase=(),
-                       day0_cost=Fraction(0),
-                       residuals={u: Fraction(0) for u in units},
-                       residual_actions={u: () for u in units},
-                       conservative=False)
+    """Empty plan used when k_T leaves nothing to pay for."""
+    return free_plan(units, (), 0, net=())
 
 
 def free_plan(units: Iterable, purchase: Iterable[int], critical_day: int,
@@ -297,6 +293,118 @@ PROBLEM_KINDS = (SETCOVER, MINCUT, STEINERTREE, STEINERFOREST)
 
 
 @dataclass(frozen=True)
+class Kind:
+    """How one covering problem plugs into the thrifty driver.
+
+    units(payload) lists the ground units.  bounds(payload) returns the grid
+    endpoints (a proven lower bound on the adaptive optimum and the cost of a
+    day-0 solution covering every unit), that solution's action ids, and the
+    guess-independent work that plan(payload, schedule, guess, beta, shared)
+    receives as shared.  solve is the public per-kind entry point.  For
+    graph problems, scale(payload, schedule, f_guess, merge_r) cost-scales
+    the instance under a guess of the costliest edge ever bought and raises
+    Infeasible when that guess cannot stay feasible.  min_live is the
+    largest k_T for which the instance is trivial.
+    """
+
+    units: Callable
+    bounds: Callable
+    plan: Callable
+    solve: Callable
+    scale: Callable | None = None
+    min_live: int = 0
+
+
+KINDS: dict[str, Kind] = {}
+"""Problem kind name -> its Kind record; each solver module adds its own."""
+
+
+def require_live(kind: str, schedule: Schedule) -> None:
+    """Raise TrivialInstance when k_T is at most the kind's min_live."""
+    kT = schedule.k[schedule.horizon]
+    if kT <= KINDS[kind].min_live:
+        raise TrivialInstance(f"k_T = {kT}: nothing is ever required")
+
+
+def _candidates(spec: Kind, payload, schedule: Schedule,
+                beta) -> list[ThriftyPlan]:
+    """One plan per grid guess, or the day-0 plan when covering all is free."""
+    lb, ub, purchase, shared = spec.bounds(payload)
+    if ub == 0:
+        return [free_plan(spec.units(payload), purchase,
+                          argmin_stage(schedule))]
+    return [spec.plan(payload, schedule, guess, beta, shared)
+            for guess in guess_grid(lb, ub)]
+
+
+def _reframe(inner: ThriftyPlan, pre: "PreprocessResult") -> ThriftyPlan:
+    """Restate a plan computed on a preprocessed instance in original terms:
+    prepaid edges join day 0 and its cost, action lists drop them, and the
+    critical day is mapped back to original day numbering."""
+    owned = pre.prepaid.ids
+    return replace(
+        inner,
+        critical_day=pre.kept_days[inner.critical_day],
+        day0_purchase=tuple(sorted(owned | set(inner.day0_purchase))),
+        day0_cost=pre.prepaid.cost + inner.day0_cost,
+        residual_actions={u: tuple(i for i in acts if i not in owned)
+                          for u, acts in inner.residual_actions.items()},
+        preprocess_f=pre.f_guess)
+
+
+def scaled_candidates(kind: str, payload, schedule: Schedule, f_guess: int,
+                      beta, merge_r) -> list[ThriftyPlan]:
+    """All grid plans for one guess of the costliest edge ever bought, in
+    original terms.  Raises Infeasible when the guess cannot stay feasible."""
+    spec = KINDS[kind]
+    pre = spec.scale(payload, schedule, f_guess, merge_r)
+    return [_reframe(plan, pre)
+            for plan in _candidates(spec, pre.graph, pre.schedule, beta)]
+
+
+def solve_thrifty(kind: str, payload, schedule: Schedule, beta=None,
+                  preprocess: bool = False,
+                  merge_r=2) -> tuple[ThriftyPlan, CostReport]:
+    """Best evaluated plan over the doubling guess grid; ties keep the
+    smaller guess.
+
+    With preprocess=True the grid runs once per distinct edge cost instead,
+    on the instance cost-scaled under the first edge of that cost as the
+    costliest one ever bought.  Guesses that cannot stay feasible are
+    skipped.  If none is left (a graph without edges, or a disconnected
+    one) the plain grid decides: it returns the free plan or raises the
+    instance's own error.
+    """
+    spec = KINDS[kind]
+    if preprocess and spec.scale is None:
+        raise BadParameters("cost scaling applies to graph problems only")
+    units = spec.units(payload)
+    validate_schedule(schedule, len(units))
+    candidates: list[ThriftyPlan] = []
+    if schedule.k[schedule.horizon] <= spec.min_live:
+        candidates.append(trivial_plan(units))
+    elif preprocess:
+        seen_costs = set()
+        for e in sorted(payload.edges, key=lambda e: (e.cost, e.eid)):
+            if e.cost in seen_costs:
+                continue
+            seen_costs.add(e.cost)
+            try:
+                candidates.extend(scaled_candidates(
+                    kind, payload, schedule, e.eid, beta, merge_r))
+            except Infeasible:
+                continue
+    if not candidates:
+        candidates = _candidates(spec, payload, schedule, beta)
+    best: tuple[ThriftyPlan, CostReport] | None = None
+    for plan in candidates:
+        report = evaluate_thrifty(plan, schedule, units)
+        if best is None or report.robcov < best[1].robcov:
+            best = (plan, report)
+    return best
+
+
+@dataclass(frozen=True)
 class ProblemInstance:
     """One covering problem plus its schedule and uncertainty model.
 
@@ -311,12 +419,4 @@ class ProblemInstance:
     uncertainty: UncertaintySpec = field(default_factory=UncertaintySpec)
 
     def units(self) -> tuple:
-        if self.kind == SETCOVER:
-            return tuple(range(1, self.payload.universe_size + 1))
-        if self.kind == MINCUT:
-            return tuple(v for v in range(self.payload.n) if v != self.payload.root)
-        if self.kind == STEINERTREE:
-            return tuple(range(self.payload.n))
-        if self.kind == STEINERFOREST:
-            return tuple(p.pid for p in self.payload.pairs)
-        raise ValueError(f"unknown problem kind {self.kind!r}")
+        return KINDS[self.kind].units(self.payload)

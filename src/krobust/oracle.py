@@ -14,16 +14,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Mapping
 
-from .errors import BadParameters, Infeasible, TooLarge, TrivialInstance
-from .graphcore import (UnionFind, WeightedGraph, gw_steiner_forest, min_cut,
-                        mst_steiner_tree, shortest_paths)
-from .model import (CARDINALITY, MINCUT, SETCOVER, STEINERFOREST, STEINERTREE,
-                    SUBSET, ProblemInstance, Schedule, ThriftyPlan,
-                    UncertaintySpec)
-from .setcover import SetSystem, greedy_cover
+from .errors import BadParameters, Infeasible, TooLarge
+from .graphcore import UnionFind, WeightedGraph
+from .model import (KINDS, MINCUT, SETCOVER, STEINERTREE, SUBSET,
+                    ProblemInstance, Schedule, ThriftyPlan, require_live)
+from .setcover import SetSystem
 
 _INF = float("inf")
 
@@ -174,16 +173,9 @@ class _Game:
         self.units = tuple(instance.units())
         self.uidx = {u: i for i, u in enumerate(self.units)}
         self.schedule = instance.schedule
-        payload = instance.payload
-        if self.kind == SETCOVER:
-            self.action_ids = tuple(range(len(payload.sets)))
-            self.costs = tuple(c for _, c in payload.sets)
-            self.cover = tuple(
-                sum(1 << self.uidx[e] for e in members if e in self.uidx)
-                for members, _ in payload.sets)
-        else:
-            self.action_ids = tuple(e.eid for e in payload.edges)
-            self.costs = tuple(e.cost for e in payload.edges)
+        actions = instance.payload.actions()
+        self.action_ids = tuple(aid for aid, _ in actions)
+        self.costs = tuple(cost for _, cost in actions)
         limits.check(len(self.units), len(self.action_ids),
                      self.schedule.horizon)
         self.masks = []
@@ -200,6 +192,12 @@ class _Game:
             self.parts_mask = tuple(
                 sum(1 << self.uidx[u] for u in part)
                 for part in instance.uncertainty.parts)
+
+    @cached_property
+    def cover(self) -> tuple[int, ...]:
+        """Set cover only: the unit mask each set covers."""
+        return tuple(sum(1 << self.uidx[e] for e in members if e in self.uidx)
+                     for members, _ in self.inst.payload.sets)
 
     def unit_set(self, mask: int) -> frozenset:
         return frozenset(self.units[i] for i in range(len(self.units))
@@ -380,14 +378,9 @@ def exhaustive_robcov(instance: ProblemInstance, plan: ThriftyPlan,
                       limits: SizeLimits | None = None) -> Fraction:
     """Exact worst case of executing a two-day plan: maximize over reachable
     critical-day active sets, charging each bought action once."""
-    lim = _limits(limits)
-    n_actions = (len(instance.payload.sets) if instance.kind == SETCOVER
-                 else len(instance.payload.edges))
-    lim.check(len(instance.units()), n_actions, instance.schedule.horizon)
-    if instance.kind == SETCOVER:
-        price = {sid: c for sid, (_, c) in enumerate(instance.payload.sets)}
-    else:
-        price = {e.eid: e.cost for e in instance.payload.edges}
+    price = dict(instance.payload.actions())
+    _limits(limits).check(len(instance.units()), len(price),
+                          instance.schedule.horizon)
     j = plan.critical_day
     worst = Fraction(0)
     for active in _reachable_actives(instance, j):
@@ -423,43 +416,9 @@ def check_plan_feasible(instance: ProblemInstance, plan: ThriftyPlan,
 def opt_bounds(instance: ProblemInstance) -> tuple[Fraction, Fraction]:
     """Grid endpoints: a proven lower bound on the adaptive optimum and the
     cost of a feasible day-0-only solution."""
-    sched = instance.schedule
-    if sched.k[sched.horizon] == 0:
-        raise TrivialInstance("k_T = 0: nothing is ever required")
-    kind = instance.kind
-    if kind == SETCOVER:
-        system: SetSystem = instance.payload
-        units = instance.units()
-        lb = max(system.minset_cost[e] for e in units)
-        _, ub = greedy_cover(system, units)
-        return lb, ub
-    g: WeightedGraph = instance.payload
-    if kind == MINCUT:
-        units = instance.units()
-        lb = max(min_cut(g, g.root, [v])[0] for v in units)
-        ub, _ = min_cut(g, g.root, units)
-        return lb, ub
-    if kind == STEINERTREE:
-        if sched.k[sched.horizon] <= 1:
-            raise TrivialInstance(
-                "k_T <= 1: a lone vertex needs no connection")
-        lb = Fraction(0)
-        for u in range(g.n):
-            dist, _ = shortest_paths(g, [u])
-            for v in range(u + 1, g.n):
-                if v not in dist:
-                    raise Infeasible(f"vertices {u} and {v} are not connected")
-                lb = max(lb, dist[v])
-        return lb, mst_steiner_tree(g, range(g.n)).cost
-    if kind == STEINERFOREST:
-        lb = Fraction(0)
-        for p in g.pairs:
-            dist, _ = shortest_paths(g, [p.s])
-            if p.t not in dist:
-                raise Infeasible(f"pair {p.pid} cannot be connected")
-            lb = max(lb, dist[p.t])
-        return lb, gw_steiner_forest(g, g.pairs).cost
-    raise ValueError(f"unknown problem kind {kind!r}")
+    require_live(instance.kind, instance.schedule)
+    lb, ub, _, _ = KINDS[instance.kind].bounds(instance.payload)
+    return lb, ub
 
 
 # ------------------------------------- partitioned single-survivor instances

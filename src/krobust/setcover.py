@@ -12,9 +12,8 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .errors import Infeasible
-from .model import (CostReport, Schedule, ThriftyPlan, argmin_stage,
-                    evaluate_thrifty, free_plan, guess_grid, ln_upper,
-                    threshold_tau, trivial_plan, validate_schedule)
+from .model import (KINDS, SETCOVER, CostReport, Kind, Schedule, ThriftyPlan,
+                    argmin_stage, ln_upper, solve_thrifty, threshold_tau)
 
 
 @dataclass(frozen=True)
@@ -53,6 +52,10 @@ class SetSystem:
 
     def elements(self) -> tuple[int, ...]:
         return tuple(range(1, self.universe_size + 1))
+
+    def actions(self) -> tuple[tuple[int, Fraction], ...]:
+        """(set id, cost) for every purchasable set."""
+        return tuple((sid, cost) for sid, (_, cost) in enumerate(self.sets))
 
     def covered_by(self, set_ids: Iterable[int]) -> frozenset[int]:
         out: set[int] = set()
@@ -126,30 +129,26 @@ def thrifty_plan(system: SetSystem, schedule: Schedule, guess: Fraction,
                        conservative=conservative)
 
 
-def solve(system: SetSystem, schedule: Schedule,
-          beta: Fraction | None = None) -> tuple[ThriftyPlan, CostReport]:
-    """Try every guess on the doubling grid and keep the best evaluated plan.
-
-    Guesses run from the largest per-element minimum cover cost up to the
-    greedy cover of the whole universe; ties prefer the smaller guess.
-    """
-    validate_schedule(schedule, system.universe_size)
+def _bounds(system: SetSystem):
+    """The costliest cheapest-set price and the greedy cover of everything."""
     units = system.elements()
-    if schedule.k[schedule.horizon] == 0:
-        plan = trivial_plan(units)
-        return plan, evaluate_thrifty(plan, schedule, units)
-    lb = max(system.minset_cost[e] for e in units) if units else Fraction(0)
     all_ids, ub = greedy_cover(system, units)
-    if ub == 0:
-        # everything is free: buy the full cover on day 0
-        assert system.covered_by(all_ids) >= set(units)
-        plan = free_plan(units, all_ids, argmin_stage(schedule))
-        return plan, evaluate_thrifty(plan, schedule, units)
-    best: tuple[ThriftyPlan, CostReport] | None = None
-    for guess in guess_grid(lb, ub):
-        plan = thrifty_plan(system, schedule, guess, beta)
-        report = evaluate_thrifty(plan, schedule, units)
-        if best is None or report.robcov < best[1].robcov:
-            best = (plan, report)
-    assert best is not None
-    return best
+    return max(system.minset_cost[e] for e in units), ub, all_ids, None
+
+
+def solve(system: SetSystem, schedule: Schedule, beta: Fraction | None = None,
+          preprocess: bool = False,
+          merge_r=2) -> tuple[ThriftyPlan, CostReport]:
+    """Best evaluated plan over the doubling grid, which runs from the
+    largest per-element minimum cover cost up to the greedy cover of the
+    whole universe.  Cost scaling applies to graph problems only, so
+    preprocess=True raises BadParameters."""
+    return solve_thrifty(SETCOVER, system, schedule, beta, preprocess, merge_r)
+
+
+KINDS[SETCOVER] = Kind(
+    units=SetSystem.elements,
+    bounds=_bounds,
+    plan=lambda system, schedule, guess, beta, _: thrifty_plan(
+        system, schedule, guess, beta),
+    solve=lambda *args: solve(*args))

@@ -13,17 +13,14 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 from .errors import Disconnected, TrivialInstance
-from .graphcore import (EdgeSet, Pair, PreprocessResult, UnionFind,
-                        WeightedGraph, gw_steiner_forest, mst_steiner_tree,
-                        path_edges, preprocess_cost_scaling, shortest_paths,
-                        zero_edges)
-from .model import (STEINERFOREST, STEINERTREE, CostReport, Schedule,
-                    ThriftyPlan, argmin_stage, evaluate_thrifty, free_plan,
-                    guess_grid, threshold_tau, trivial_plan,
-                    validate_schedule)
+from .graphcore import (EdgeSet, Pair, UnionFind, WeightedGraph,
+                        gw_steiner_forest, mst_steiner_tree, path_edges,
+                        preprocess_cost_scaling, shortest_paths, zero_edges)
+from .model import (KINDS, STEINERFOREST, STEINERTREE, CostReport, Kind,
+                    Schedule, ThriftyPlan, argmin_stage, solve_thrifty,
+                    threshold_tau)
 
 BETA = Fraction(10)
 
@@ -223,42 +220,30 @@ def thrifty_forest_plan(g: WeightedGraph, pairs, schedule: Schedule,
                        residual_actions=actions, conservative=True)
 
 
-def _reframe(inner: ThriftyPlan, pre: PreprocessResult) -> ThriftyPlan:
-    """Restate a plan computed on a preprocessed instance in original terms:
-    prepaid edges join day 0, action lists drop them, and the critical day is
-    mapped back to original day numbering."""
-    owned = pre.prepaid.ids
-    return replace(
-        inner,
-        critical_day=pre.kept_days[inner.critical_day],
-        day0_purchase=tuple(sorted(owned | set(inner.day0_purchase))),
-        day0_cost=pre.prepaid.cost + inner.day0_cost,
-        residual_actions={u: tuple(i for i in acts if i not in owned)
-                          for u, acts in inner.residual_actions.items()},
-        preprocess_f=pre.f_guess)
-
-
-def _distinct_cost_edges(g: WeightedGraph):
-    seen = set()
-    for e in sorted(g.edges, key=lambda e: (e.cost, e.eid)):
-        if e.cost not in seen:
-            seen.add(e.cost)
-            yield e.eid
-
-
-def _tree_candidates(g: WeightedGraph, schedule: Schedule, beta):
-    dists = {v: shortest_paths(g, [v])[0] for v in range(g.n)}
+def _tree_bounds(g: WeightedGraph):
+    """The largest vertex-pair distance and the Steiner tree on all
+    vertices."""
     lb = Fraction(0)
     for u in range(g.n):
+        dist, _ = shortest_paths(g, [u])
         for v in range(u + 1, g.n):
-            if v not in dists[u]:
+            if v not in dist:
                 raise Disconnected(f"vertices {u} and {v} are not connected")
-            lb = max(lb, dists[u][v])
+            lb = max(lb, dist[v])
     ub = mst_steiner_tree(g, range(g.n))
-    if ub.cost == 0:
-        return [free_plan(range(g.n), sorted(ub.ids), argmin_stage(schedule))]
-    return [thrifty_tree_plan(g, schedule, guess, beta)
-            for guess in guess_grid(lb, ub.cost)]
+    return lb, ub.cost, sorted(ub.ids), None
+
+
+def _forest_bounds(g: WeightedGraph):
+    """The largest pair distance and the Steiner forest on all pairs."""
+    lb = Fraction(0)
+    for p in g.pairs:
+        dist, _ = shortest_paths(g, [p.s])
+        if p.t not in dist:
+            raise Disconnected(f"pair {p.pid} cannot be connected")
+        lb = max(lb, dist[p.t])
+    ub = gw_steiner_forest(g, g.pairs)
+    return lb, ub.cost, sorted(ub.ids), None
 
 
 def solve_tree(g: WeightedGraph, schedule: Schedule,
@@ -267,42 +252,7 @@ def solve_tree(g: WeightedGraph, schedule: Schedule,
                merge_r=2) -> tuple[ThriftyPlan, CostReport]:
     """Best evaluated tree plan over the doubling guess grid (and, with
     preprocess=True, over every guess of the costliest edge after scaling)."""
-    validate_schedule(schedule, g.n)
-    units = tuple(range(g.n))
-    if beta is None:
-        beta = BETA
-    if schedule.k[schedule.horizon] <= 1:
-        plan = trivial_plan(units)
-        return plan, evaluate_thrifty(plan, schedule, units)
-    candidates: list[ThriftyPlan] = []
-    if preprocess:
-        for eid in _distinct_cost_edges(g):
-            pre = preprocess_cost_scaling(g, schedule, STEINERTREE, eid,
-                                          merge_r)
-            try:
-                inner = _tree_candidates(pre.graph, pre.schedule, beta)
-            except Disconnected:
-                continue
-            candidates.extend(_reframe(p, pre) for p in inner)
-    else:
-        candidates = _tree_candidates(g, schedule, beta)
-    return _best(candidates, schedule, units)
-
-
-def _forest_candidates(g: WeightedGraph, plist: Sequence[Pair],
-                       schedule: Schedule, beta):
-    lb = Fraction(0)
-    for p in plist:
-        dist, _ = shortest_paths(g, [p.s])
-        if p.t not in dist:
-            raise Disconnected(f"pair {p.pid} cannot be connected")
-        lb = max(lb, dist[p.t])
-    ub = gw_steiner_forest(g, plist)
-    if ub.cost == 0:
-        return [free_plan((p.pid for p in plist), sorted(ub.ids),
-                          argmin_stage(schedule))]
-    return [thrifty_forest_plan(g, plist, schedule, guess, beta)
-            for guess in guess_grid(lb, ub.cost)]
+    return solve_thrifty(STEINERTREE, g, schedule, beta, preprocess, merge_r)
 
 
 def solve_forest(g: WeightedGraph, pairs, schedule: Schedule,
@@ -311,36 +261,25 @@ def solve_forest(g: WeightedGraph, pairs, schedule: Schedule,
                  merge_r=2) -> tuple[ThriftyPlan, CostReport]:
     """Best evaluated forest plan over the doubling guess grid (and, with
     preprocess=True, over every guess of the costliest edge after scaling)."""
-    plist = _pairs_of(g, pairs)
-    units = tuple(p.pid for p in plist)
-    validate_schedule(schedule, len(units))
-    if beta is None:
-        beta = BETA
-    if schedule.k[schedule.horizon] == 0:
-        plan = trivial_plan(units)
-        return plan, evaluate_thrifty(plan, schedule, units)
-    candidates: list[ThriftyPlan] = []
-    if preprocess:
-        for eid in _distinct_cost_edges(g):
-            pre = preprocess_cost_scaling(g, schedule, STEINERFOREST, eid,
-                                          merge_r)
-            try:
-                inner = _forest_candidates(pre.graph, plist, pre.schedule, beta)
-            except Disconnected:
-                continue
-            candidates.extend(_reframe(p, pre) for p in inner)
-    else:
-        candidates = _forest_candidates(g, plist, schedule, beta)
-    return _best(candidates, schedule, units)
+    return solve_thrifty(STEINERFOREST, replace(g, pairs=_pairs_of(g, pairs)),
+                         schedule, beta, preprocess, merge_r)
 
 
-def _best(candidates: Iterable[ThriftyPlan], schedule: Schedule,
-          units) -> tuple[ThriftyPlan, CostReport]:
-    best = None
-    for plan in candidates:
-        report = evaluate_thrifty(plan, schedule, units)
-        if best is None or report.robcov < best[1].robcov:
-            best = (plan, report)
-    if best is None:
-        raise Disconnected("no feasible plan under any cost guess")
-    return best
+KINDS[STEINERTREE] = Kind(
+    units=lambda g: tuple(range(g.n)),
+    bounds=_tree_bounds,
+    plan=lambda g, schedule, guess, beta, _: thrifty_tree_plan(
+        g, schedule, guess, beta),
+    solve=lambda *args: solve_tree(*args),
+    scale=lambda g, schedule, f_guess, merge_r: preprocess_cost_scaling(
+        g, schedule, STEINERTREE, f_guess, merge_r),
+    min_live=1)
+
+KINDS[STEINERFOREST] = Kind(
+    units=lambda g: tuple(p.pid for p in g.pairs),
+    bounds=_forest_bounds,
+    plan=lambda g, schedule, guess, beta, _: thrifty_forest_plan(
+        g, g.pairs, schedule, guess, beta),
+    solve=lambda g, *args: solve_forest(g, g.pairs, *args),
+    scale=lambda g, schedule, f_guess, merge_r: preprocess_cost_scaling(
+        g, schedule, STEINERFOREST, f_guess, merge_r))

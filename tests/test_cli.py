@@ -95,6 +95,27 @@ def test_solve_flags(allstages, capsys):
     assert doc["witness"] == []
 
 
+@pytest.mark.parametrize("flags,named", [
+    (["--preprocess", "cost-scaling", "--merge-r", "1/2"], ["--merge-r"]),
+    (["--guess", "-1"], ["--guess"]),
+    (["--beta-override", "-1"], ["--beta-override"]),
+    (["--guess", "3", "--preprocess", "cost-scaling"],
+     ["--guess", "--preprocess"]),
+])
+def test_solve_rejects_bad_flag_values(tmp_path, capsys, flags, named):
+    path = gen_file(tmp_path, capsys, "--kind", "steinertree", "--n", "5",
+                    "--actions", "8", "--horizon", "2", "--seed", "1")
+    try:
+        rc = main(["solve", path, *flags])
+    except SystemExit as exc:   # argparse rejects a flag value this way
+        rc = exc.code
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert "Traceback" not in captured.err
+    for flag in named:
+        assert flag in captured.err
+
+
 def test_solve_rejects_preprocess_for_sets(allstages, capsys):
     rc, _, err = run(capsys, "solve", allstages, "--preprocess", "cost-scaling")
     assert rc == 2 and "graph problems only" in err

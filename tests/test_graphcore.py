@@ -8,7 +8,6 @@ import pytest
 from krobust.errors import Disconnected, UnknownEdge
 from krobust.fixtures import gen_random
 from krobust.graphcore import (
-    UNREACHABLE,
     UnionFind,
     WeightedGraph,
     delete_or_contract,
@@ -17,7 +16,6 @@ from krobust.graphcore import (
     mst_steiner_tree,
     path_edges,
     preprocess_cost_scaling,
-    shortest_dist,
     shortest_paths,
     zero_edges,
 )
@@ -63,12 +61,6 @@ def test_shortest_paths_and_reconstruction():
     # multi-source takes the nearer origin
     dist2, _ = shortest_paths(g, [0, 3])
     assert dist2[2] == 1
-
-
-def test_shortest_dist_marks_unreachable():
-    g = WeightedGraph.build(4, [(0, 1, 1), (2, 3, 1)])
-    d = shortest_dist(g, 0)
-    assert d[1] == 1 and d[2] is UNREACHABLE and d[3] is UNREACHABLE
 
 
 def test_min_cut_triangle():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from krobust.errors import Infeasible
-from krobust.graphcore import WeightedGraph
+from krobust.graphcore import WeightedGraph, preprocess_cost_scaling
 from krobust.mincut import (
     _preprocessed_candidates,
     build_net,
@@ -13,7 +13,8 @@ from krobust.mincut import (
     thrifty_plan,
     units_of,
 )
-from krobust.model import MINCUT, Schedule
+from krobust.model import MINCUT, ProblemInstance, Schedule
+from krobust.oracle import exhaustive_robcov, minimax_opt
 
 F = Fraction
 
@@ -92,6 +93,31 @@ def test_solve_with_preprocess_matches_plain():
     assert plain.robcov == 101
     assert report.robcov == 101
     assert plan.preprocess_f == 0
+
+
+def test_preprocess_contraction_moves_the_root():
+    g = WeightedGraph.build(3, [(1, 0, 100), (1, 2, 1)], root=0)
+    sched = Schedule.of([2, 1], [1, 2])
+    # contracting the pricey edge merges the root into vertex 1
+    assert preprocess_cost_scaling(g, sched, MINCUT, 1, 2).graph.root == 1
+    with pytest.raises(Infeasible, match="vertex 1 is only separable"):
+        _preprocessed_candidates(g, sched, 1, F(50), 2)
+    plan, report = solve(g, sched, preprocess=True)
+    assert report.robcov == 101
+    assert plan.preprocess_f == 0
+
+
+def test_preprocess_free_plan_pays_prepaid_edges():
+    # guessing the pricey edge prepays both cheap edges, after which the
+    # scaled graph cuts for free; day 0 still pays for the prepaid edges
+    g = WeightedGraph.build(3, [(0, 1, 1), (1, 2, 100), (0, 2, 1)], root=0)
+    sched = Schedule.of([2, 1], [1, 2])
+    plan, report = solve(g, sched, preprocess=True)
+    inst = ProblemInstance(MINCUT, g, sched)
+    opt, _ = minimax_opt(inst)
+    assert report.robcov == 2
+    assert opt == 2
+    assert exhaustive_robcov(inst, plan) == 2
 
 
 def test_plan_invariants_on_random_batch(solved_batches):
