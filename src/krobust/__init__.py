@@ -8,8 +8,9 @@ Fraction; nothing is ever rounded.
 
 from . import fixtures, graphcore, mincut, oracle, setcover, steiner
 from .errors import (BadParameters, Disconnected, Infeasible,
-                     InstanceFormatError, KRobustError, MalformedSchedule,
-                     MissingResidual, TooLarge, TrivialInstance, UnknownEdge)
+                     InstanceFormatError, InvariantViolation, KRobustError,
+                     MalformedSchedule, MissingResidual, TooLarge,
+                     TrivialInstance, UnknownEdge)
 from .graphcore import (Edge, EdgeSet, Pair, WeightedGraph,
                         preprocess_cost_scaling)
 from .model import (CARDINALITY, KINDS, MINCUT, PROBLEM_KINDS, SETCOVER,
@@ -24,8 +25,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BadParameters", "CARDINALITY", "CostReport", "Disconnected", "Edge",
-    "EdgeSet", "Infeasible", "InstanceFormatError", "KINDS",
-    "KRobustError", "Kind", "MINCUT", "MalformedSchedule",
+    "EdgeSet", "Infeasible", "InstanceFormatError", "InvariantViolation",
+    "KINDS", "KRobustError", "Kind", "MINCUT", "MalformedSchedule",
     "MissingResidual", "PROBLEM_KINDS", "Pair", "ProblemInstance",
     "SETCOVER", "STEINERFOREST", "STEINERTREE", "SUBSET",
     "ScenarioSequence", "Schedule", "SetSystem", "SizeLimits",

@@ -16,8 +16,8 @@ import json
 import sys
 from fractions import Fraction
 
-from .errors import (BadParameters, InstanceFormatError, KRobustError,
-                     TooLarge, TrivialInstance)
+from .errors import (BadParameters, InstanceFormatError, InvariantViolation,
+                     KRobustError, TooLarge, TrivialInstance)
 from .fixtures import gen_lowerbound_allstages, gen_random, gen_subset_krobust_bad
 from .graphcore import WeightedGraph
 from .model import (CARDINALITY, KINDS, MINCUT, PROBLEM_KINDS, SETCOVER,
@@ -277,6 +277,10 @@ def cmd_evaluate(args) -> int:
 
 def cmd_oracle(args) -> int:
     inst = parse_instance(load_document(args.instance))
+    T = inst.schedule.horizon
+    bad = sorted(d for d in set(args.inactive_days) if not 0 <= d <= T)
+    if bad:
+        raise BadParameters(f"--inactive-days {bad} outside days 0..{T}")
     try:
         opt, trace = minimax_opt(inst, args.limits,
                                  full_adversary=args.full_adversary,
@@ -503,6 +507,9 @@ def main(argv=None) -> int:
     except InstanceFormatError as exc:
         print(f"bad instance: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except InvariantViolation as exc:
+        print(f"invariant violation: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
     except KRobustError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -48,3 +48,7 @@ class InstanceFormatError(KRobustError):
         super().__init__(f"{path}: {message}")
         self.path = path
         self.detail = message
+
+
+class InvariantViolation(KRobustError):
+    """An internal guarantee of an algorithm failed to hold."""

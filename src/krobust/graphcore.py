@@ -11,9 +11,9 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import Collection, Iterable, NamedTuple, Sequence
 
-from .errors import Disconnected, UnknownEdge
+from .errors import Disconnected, InvariantViolation, UnknownEdge
 from .model import MINCUT, Schedule, merge_stages
 
 
@@ -231,8 +231,32 @@ def min_cut(g: WeightedGraph, root: int, terminals: Iterable[int]
     cut_ids = frozenset(e.eid for e in g.edges
                         if (e.u in reach) != (e.v in reach))
     es = g.edge_set(cut_ids)
-    assert es.cost == flow, "max-flow value must match the recovered cut"
+    if es.cost != flow:
+        raise InvariantViolation(
+            f"max-flow value {flow} differs from the recovered cut {es.cost}")
     return flow, es
+
+
+def separates(g: WeightedGraph, root: int, ids: Collection[int],
+              targets: Collection[int]) -> bool:
+    """Whether removing the listed edges leaves every target unreachable
+    from the root."""
+    adj: list[list[int]] = [[] for _ in range(g.n)]
+    for e in g.edges:
+        if e.eid not in ids:
+            adj[e.u].append(e.v)
+            adj[e.v].append(e.u)
+    seen = {root}
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        if v in targets:
+            return False
+        for w in adj[v]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return True
 
 
 class UnionFind:
@@ -307,6 +331,15 @@ def mst_steiner_tree(g: WeightedGraph, terminals: Iterable[int]) -> EdgeSet:
             break
         chosen.remove(drop)
     return g.edge_set(chosen)
+
+
+def connects(g: WeightedGraph, ids: Collection[int], pairs) -> bool:
+    """Whether the listed edges join the two ends of every (s, t) pair."""
+    uf = UnionFind(g.n)
+    for e in g.edges:
+        if e.eid in ids:
+            uf.union(e.u, e.v)
+    return all(uf.find(s) == uf.find(t) for s, t in pairs)
 
 
 def _forest_connects(g: WeightedGraph, kept: set[int], pairs: Sequence[Pair]) -> bool:

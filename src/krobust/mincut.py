@@ -15,10 +15,9 @@ from fractions import Fraction
 
 from .errors import Infeasible
 from .graphcore import (WeightedGraph, delete_or_contract, min_cut,
-                        preprocess_cost_scaling)
+                        preprocess_cost_scaling, separates)
 from .model import (KINDS, MINCUT, CostReport, Kind, Schedule, ThriftyPlan,
-                    argmin_stage, scaled_candidates, solve_thrifty,
-                    threshold_tau)
+                    argmin_stage, solve_thrifty, threshold_tau)
 
 BETA = Fraction(50)
 
@@ -100,12 +99,6 @@ def _scale(g: WeightedGraph, schedule: Schedule, f_guess: int, merge_r):
     return pre
 
 
-def _preprocessed_candidates(g: WeightedGraph, schedule: Schedule,
-                             f_guess: int, beta: Fraction, merge_r):
-    """All grid plans for one guess of the costliest edge ever bought."""
-    return scaled_candidates(MINCUT, g, schedule, f_guess, beta, merge_r)
-
-
 def solve(g: WeightedGraph, schedule: Schedule, beta: Fraction | None = None,
           preprocess: bool = False, merge_r=2) -> tuple[ThriftyPlan, CostReport]:
     """Best evaluated plan over the doubling guess grid.
@@ -122,4 +115,5 @@ KINDS[MINCUT] = Kind(
     bounds=_bounds,
     plan=lambda *args: thrifty_plan(*args),
     solve=lambda *args: solve(*args),
+    covers=lambda g, ids, units: separates(g, g.root, ids, units),
     scale=_scale)

@@ -300,7 +300,9 @@ class Kind:
     endpoints (a proven lower bound on the adaptive optimum and the cost of a
     day-0 solution covering every unit), that solution's action ids, and the
     guess-independent work that plan(payload, schedule, guess, beta, shared)
-    receives as shared.  solve is the public per-kind entry point.  For
+    receives as shared.  solve is the public per-kind entry point.
+    covers(payload, ids, units) tells whether the owned action ids cover
+    the active units; the exact oracle checks every strategy with it.  For
     graph problems, scale(payload, schedule, f_guess, merge_r) cost-scales
     the instance under a guess of the costliest edge ever bought and raises
     Infeasible when that guess cannot stay feasible.  min_live is the
@@ -311,6 +313,7 @@ class Kind:
     bounds: Callable
     plan: Callable
     solve: Callable
+    covers: Callable
     scale: Callable | None = None
     min_live: int = 0
 

@@ -19,9 +19,9 @@ from itertools import combinations
 from typing import Iterable, Mapping
 
 from .errors import BadParameters, Infeasible, TooLarge
-from .graphcore import UnionFind, WeightedGraph
-from .model import (KINDS, MINCUT, SETCOVER, STEINERTREE, SUBSET,
-                    ProblemInstance, Schedule, ThriftyPlan, require_live)
+from .graphcore import WeightedGraph, connects, separates
+from .model import (KINDS, SETCOVER, STEINERTREE, SUBSET, ProblemInstance,
+                    Schedule, ThriftyPlan, require_live)
 from .setcover import SetSystem
 
 _INF = float("inf")
@@ -44,48 +44,30 @@ class SizeLimits:
             raise TooLarge(f"horizon {horizon} exceeds limit {self.max_horizon}")
 
 
-def _limits(limits: SizeLimits | None) -> SizeLimits:
-    return limits if limits is not None else SizeLimits()
-
-
 # ---------------------------------------------------------------- exact optima
+
+def _cheapest(actions, ok, limits: SizeLimits | None) -> Fraction:
+    """Minimum total cost of an action subset whose ids satisfy ok, by
+    enumeration."""
+    (limits or SizeLimits()).check(0, len(actions), 0)
+    best = _INF
+    for mask in range(1 << len(actions)):
+        chosen = [a for i, a in enumerate(actions) if mask >> i & 1]
+        cost = sum((c for _, c in chosen), Fraction(0))
+        if cost < best and ok([aid for aid, _ in chosen]):
+            best = cost
+    if best is _INF:
+        raise Infeasible("no action subset is feasible")
+    return best
+
 
 def exact_cover(system: SetSystem, targets: Iterable[int],
                 limits: SizeLimits | None = None) -> Fraction:
     """Minimum cost of a subcollection covering the targets, by enumeration."""
-    lim = _limits(limits)
-    lim.check(0, len(system.sets), 0)
     want = frozenset(targets)
-    best = _INF
-    for mask in range(1 << len(system.sets)):
-        cost = Fraction(0)
-        covered: set[int] = set()
-        for sid in range(len(system.sets)):
-            if mask >> sid & 1:
-                members, c = system.sets[sid]
-                cost += c
-                covered.update(members)
-        if want <= covered and cost < best:
-            best = cost
-    if best is _INF:
-        raise Infeasible("no subcollection covers the targets")
-    return best
-
-
-def _edge_subset_minimum(g: WeightedGraph, limits: SizeLimits | None,
-                         ok) -> Fraction:
-    lim = _limits(limits)
-    lim.check(0, len(g.edges), 0)
-    best = _INF
-    edges = g.edges
-    for mask in range(1 << len(edges)):
-        chosen = [e for i, e in enumerate(edges) if mask >> i & 1]
-        cost = sum((e.cost for e in chosen), Fraction(0))
-        if cost < best and ok(chosen):
-            best = cost
-    if best is _INF:
-        raise Infeasible("no edge subset is feasible")
-    return best
+    return _cheapest(system.actions(),
+                     lambda ids: KINDS[SETCOVER].covers(system, ids, want),
+                     limits)
 
 
 def exact_steiner(g: WeightedGraph, terminals: Iterable[int],
@@ -94,15 +76,9 @@ def exact_steiner(g: WeightedGraph, terminals: Iterable[int],
     term = sorted(set(terminals))
     if len(term) <= 1:
         return Fraction(0)
-
-    def ok(chosen) -> bool:
-        uf = UnionFind(g.n)
-        for e in chosen:
-            uf.union(e.u, e.v)
-        r = uf.find(term[0])
-        return all(uf.find(t) == r for t in term[1:])
-
-    return _edge_subset_minimum(g, limits, ok)
+    return _cheapest(g.actions(),
+                     lambda ids: KINDS[STEINERTREE].covers(g, ids, term),
+                     limits)
 
 
 def exact_forest(g: WeightedGraph, pairs,
@@ -111,14 +87,7 @@ def exact_forest(g: WeightedGraph, pairs,
     plist = [(p[0], p[1]) for p in pairs]
     if all(s == t for s, t in plist):
         return Fraction(0)
-
-    def ok(chosen) -> bool:
-        uf = UnionFind(g.n)
-        for e in chosen:
-            uf.union(e.u, e.v)
-        return all(uf.find(s) == uf.find(t) for s, t in plist)
-
-    return _edge_subset_minimum(g, limits, ok)
+    return _cheapest(g.actions(), lambda ids: connects(g, ids, plist), limits)
 
 
 def exact_cut(g: WeightedGraph, root: int, terminals: Iterable[int],
@@ -128,25 +97,8 @@ def exact_cut(g: WeightedGraph, root: int, terminals: Iterable[int],
     term = sorted(set(terminals))
     if not term:
         return Fraction(0)
-
-    def ok(chosen) -> bool:
-        dropped = {e.eid for e in chosen}
-        adj = [[] for _ in range(g.n)]
-        for e in g.edges:
-            if e.eid not in dropped:
-                adj[e.u].append(e.v)
-                adj[e.v].append(e.u)
-        seen = {root}
-        queue = [root]
-        while queue:
-            v = queue.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return not any(t in seen for t in term)
-
-    return _edge_subset_minimum(g, limits, ok)
+    return _cheapest(g.actions(), lambda ids: separates(g, root, ids, term),
+                     limits)
 
 
 # ------------------------------------------------------------- the exact game
@@ -166,8 +118,7 @@ class TraceNode:
 class _Game:
     """Bitmask encoding of one instance for the backward-induction solver."""
 
-    def __init__(self, instance: ProblemInstance, limits: SizeLimits,
-                 build_masks: bool = True):
+    def __init__(self, instance: ProblemInstance):
         self.inst = instance
         self.kind = instance.kind
         self.units = tuple(instance.units())
@@ -176,22 +127,25 @@ class _Game:
         actions = instance.payload.actions()
         self.action_ids = tuple(aid for aid, _ in actions)
         self.costs = tuple(cost for _, cost in actions)
-        limits.check(len(self.units), len(self.action_ids),
-                     self.schedule.horizon)
-        self.masks = []
-        if build_masks:
-            n = len(self.action_ids)
-            for mask in range(1 << n):
-                cost = sum((self.costs[i] for i in range(n) if mask >> i & 1),
-                           Fraction(0))
-                self.masks.append((cost, mask))
-            self.masks.sort(key=lambda cm: (cm[0], cm[1]))
         self.full_units = (1 << len(self.units)) - 1
         self.parts_mask = None
         if instance.uncertainty.kind == SUBSET:
             self.parts_mask = tuple(
                 sum(1 << self.uidx[u] for u in part)
                 for part in instance.uncertainty.parts)
+
+    def check(self, limits: SizeLimits | None) -> None:
+        (limits or SizeLimits()).check(len(self.units), len(self.action_ids),
+                                       self.schedule.horizon)
+
+    @cached_property
+    def masks(self) -> list[tuple[Fraction, int]]:
+        """Every owned-action mask with its cost, cheapest first."""
+        n = len(self.action_ids)
+        return sorted(
+            (sum((self.costs[i] for i in range(n) if mask >> i & 1),
+                 Fraction(0)), mask)
+            for mask in range(1 << n))
 
     @cached_property
     def cover(self) -> tuple[int, ...]:
@@ -215,37 +169,9 @@ class _Game:
         return cov
 
     def feasible(self, owned: int, active: int) -> bool:
-        if self.kind == SETCOVER:
-            return active & ~self.covered_mask(owned) == 0
-        g: WeightedGraph = self.inst.payload
-        owned_ids = {self.action_ids[i] for i in range(len(self.action_ids))
-                     if owned >> i & 1}
-        if self.kind == MINCUT:
-            adj = [[] for _ in range(g.n)]
-            for e in g.edges:
-                if e.eid not in owned_ids:
-                    adj[e.u].append(e.v)
-                    adj[e.v].append(e.u)
-            seen = {g.root}
-            queue = [g.root]
-            while queue:
-                v = queue.pop()
-                for w in adj[v]:
-                    if w not in seen:
-                        seen.add(w)
-                        queue.append(w)
-            return not any(v in seen for v in self.unit_set(active))
-        uf = UnionFind(g.n)
-        by_id = {e.eid: e for e in g.edges}
-        for eid in owned_ids:
-            e = by_id[eid]
-            uf.union(e.u, e.v)
-        if self.kind == STEINERTREE:
-            verts = sorted(self.unit_set(active))
-            return all(uf.find(v) == uf.find(verts[0]) for v in verts)
-        pid_map = {p.pid: p for p in g.pairs}
-        return all(uf.find(pid_map[pid].s) == uf.find(pid_map[pid].t)
-                   for pid in self.unit_set(active))
+        ids = {aid for i, aid in enumerate(self.action_ids) if owned >> i & 1}
+        return KINDS[self.kind].covers(self.inst.payload, ids,
+                                       self.unit_set(active))
 
     def moves(self, next_day: int, active: int, full: bool) -> list[int]:
         """Adversary's reachable next active-unit masks."""
@@ -305,7 +231,8 @@ def minimax_opt(instance: ProblemInstance, limits: SizeLimits | None = None,
     enumerates every reachable next active set instead of only the
     maximal-cardinality ones (the values agree — kept for spot checks).
     """
-    game = _Game(instance, _limits(limits))
+    game = _Game(instance)
+    game.check(limits)
     sched = game.schedule
     T = sched.horizon
     forbidden = frozenset(inactive_days)
@@ -361,17 +288,19 @@ def minimax_opt(instance: ProblemInstance, limits: SizeLimits | None = None,
 
 # -------------------------------------------------- plan evaluation & checking
 
-def _reachable_actives(instance: ProblemInstance, upto_day: int) -> set:
-    """All active sets the adversary can realize by the given day."""
-    game = _Game(instance, SizeLimits(max_units=10 ** 9, max_actions=10 ** 9,
-                                      max_horizon=10 ** 9), build_masks=False)
+def _triggered(instance: ProblemInstance, plan: ThriftyPlan,
+               limits: SizeLimits | None):
+    """Each active set the adversary can leave on the plan's critical day,
+    with the residual action ids it triggers."""
+    game = _Game(instance)
+    game.check(limits)
     frontier = {game.full_units}
-    for day in range(1, upto_day + 1):
-        nxt = set()
-        for active in frontier:
-            nxt.update(game.moves(day, active, True))
-        frontier = nxt
-    return {game.unit_set(m) for m in frontier}
+    for day in range(1, plan.critical_day + 1):
+        frontier = {move for active in frontier
+                    for move in game.moves(day, active, True)}
+    for mask in frontier:
+        active = game.unit_set(mask)
+        yield active, {i for u in active for i in plan.residual_actions[u]}
 
 
 def exhaustive_robcov(instance: ProblemInstance, plan: ThriftyPlan,
@@ -379,17 +308,10 @@ def exhaustive_robcov(instance: ProblemInstance, plan: ThriftyPlan,
     """Exact worst case of executing a two-day plan: maximize over reachable
     critical-day active sets, charging each bought action once."""
     price = dict(instance.payload.actions())
-    _limits(limits).check(len(instance.units()), len(price),
-                          instance.schedule.horizon)
-    j = plan.critical_day
-    worst = Fraction(0)
-    for active in _reachable_actives(instance, j):
-        ids = set()
-        for u in active:
-            ids.update(plan.residual_actions[u])
-        cost = sum((price[i] for i in ids), Fraction(0))
-        worst = max(worst, cost)
-    return plan.day0_cost + instance.schedule.lam[j] * worst
+    worst = max((sum((price[i] for i in ids), Fraction(0))
+                 for _, ids in _triggered(instance, plan, limits)),
+                default=Fraction(0))
+    return plan.day0_cost + instance.schedule.lam[plan.critical_day] * worst
 
 
 def check_plan_feasible(instance: ProblemInstance, plan: ThriftyPlan,
@@ -398,19 +320,9 @@ def check_plan_feasible(instance: ProblemInstance, plan: ThriftyPlan,
     reachable critical-day active set, day-0 plus the triggered residual
     actions must already cover it (coverage is monotone, so later shrinking
     cannot break it)."""
-    lim = _limits(limits)
-    game = _Game(instance, lim)
-    day0 = set(plan.day0_purchase)
-    aidx = {aid: i for i, aid in enumerate(game.action_ids)}
-    for active in _reachable_actives(instance, plan.critical_day):
-        ids = set(day0)
-        for u in active:
-            ids.update(plan.residual_actions[u])
-        owned = sum(1 << aidx[i] for i in ids)
-        amask = sum(1 << game.uidx[u] for u in active)
-        if not game.feasible(owned, amask):
-            return False
-    return True
+    covers = KINDS[instance.kind].covers
+    return all(covers(instance.payload, ids.union(plan.day0_purchase), active)
+               for active, ids in _triggered(instance, plan, limits))
 
 
 def opt_bounds(instance: ProblemInstance) -> tuple[Fraction, Fraction]:

@@ -151,4 +151,6 @@ KINDS[SETCOVER] = Kind(
     bounds=_bounds,
     plan=lambda system, schedule, guess, beta, _: thrifty_plan(
         system, schedule, guess, beta),
-    solve=lambda *args: solve(*args))
+    solve=lambda *args: solve(*args),
+    covers=lambda system, ids, units: all(
+        any(u in system.sets[sid][0] for sid in ids) for u in units))

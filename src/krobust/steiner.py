@@ -13,9 +13,10 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import pairwise
 
-from .errors import Disconnected, TrivialInstance
-from .graphcore import (EdgeSet, Pair, UnionFind, WeightedGraph,
+from .errors import Disconnected, InvariantViolation, TrivialInstance
+from .graphcore import (EdgeSet, Pair, UnionFind, WeightedGraph, connects,
                         gw_steiner_forest, mst_steiner_tree, path_edges,
                         preprocess_cost_scaling, shortest_paths, zero_edges)
 from .model import (KINDS, STEINERFOREST, STEINERTREE, CostReport, Kind,
@@ -73,10 +74,12 @@ def thrifty_tree_plan(g: WeightedGraph, schedule: Schedule, guess: Fraction,
     for v in range(g.n):
         if v not in dist:
             raise Disconnected(f"vertex {v} cannot reach the net")
+        if dist[v] > radius:
+            raise InvariantViolation(
+                f"vertex {v} lies beyond the net radius {radius}")
         residuals[v] = dist[v]
         path = path_edges(pred, set(net), v)
         actions[v] = tuple(sorted(set(path) - day0.ids))
-        assert dist[v] <= radius, "net maximality bounds every residual"
     return ThriftyPlan(guess=Fraction(guess), beta=Fraction(beta), tau=tau,
                        critical_day=argmin_stage(schedule), net=net,
                        day0_purchase=tuple(sorted(day0.ids)),
@@ -184,7 +187,10 @@ def sfnet_build(g: WeightedGraph, pairs, gamma: Fraction) -> SfnetResult:
         dx, pred = shortest_paths(g, [x])
         ids.update(path_edges(pred, {x}, w))
     net = frozenset(sg | so)
-    assert len(sb) <= len(net) and len(links) <= 2 * len(net)
+    if len(sb) > len(net) or len(links) > 2 * len(net):
+        raise InvariantViolation(
+            f"net of {len(net)} pairs has {len(sb)} unwitnessed pairs "
+            f"and {len(links)} links")
     return SfnetResult(gamma=gamma, net=net, sr=frozenset(sr),
                        sg=frozenset(sg), so=frozenset(so), sb=frozenset(sb),
                        sf_links=tuple(links),
@@ -209,10 +215,12 @@ def thrifty_forest_plan(g: WeightedGraph, pairs, schedule: Schedule,
         dist, pred = shortest_paths(zeroed, [p.s])
         if p.t not in dist:
             raise Disconnected(f"pair {p.pid} cannot be connected")
+        if dist[p.t] > 4 * gamma:
+            raise InvariantViolation(
+                f"pair {p.pid} lies beyond 4*gamma = {4 * gamma}")
         residuals[p.pid] = dist[p.t]
         path = path_edges(pred, {p.s}, p.t)
         actions[p.pid] = tuple(sorted(set(path) - day0.ids))
-        assert dist[p.t] <= 4 * gamma, "loop exit bounds every residual"
     return ThriftyPlan(guess=Fraction(guess), beta=Fraction(beta), tau=tau,
                        critical_day=argmin_stage(schedule), net=built.net,
                        day0_purchase=tuple(sorted(day0.ids)),
@@ -271,6 +279,7 @@ KINDS[STEINERTREE] = Kind(
     plan=lambda g, schedule, guess, beta, _: thrifty_tree_plan(
         g, schedule, guess, beta),
     solve=lambda *args: solve_tree(*args),
+    covers=lambda g, ids, units: connects(g, ids, pairwise(sorted(units))),
     scale=lambda g, schedule, f_guess, merge_r: preprocess_cost_scaling(
         g, schedule, STEINERTREE, f_guess, merge_r),
     min_live=1)
@@ -281,5 +290,7 @@ KINDS[STEINERFOREST] = Kind(
     plan=lambda g, schedule, guess, beta, _: thrifty_forest_plan(
         g, g.pairs, schedule, guess, beta),
     solve=lambda g, *args: solve_forest(g, g.pairs, *args),
+    covers=lambda g, ids, units: connects(
+        g, ids, [(p.s, p.t) for p in g.pairs if p.pid in units]),
     scale=lambda g, schedule, f_guess, merge_r: preprocess_cost_scaling(
         g, schedule, STEINERFOREST, f_guess, merge_r))

@@ -2,22 +2,15 @@
 
 import pytest
 
-from krobust import mincut, setcover, steiner
 from krobust.fixtures import gen_random
-from krobust.model import MINCUT, PROBLEM_KINDS, SETCOVER, STEINERTREE
+from krobust.model import KINDS, PROBLEM_KINDS
 
 BATCH = 100
 
 
 def solve_instance(inst):
-    """Dispatch to the matching thrifty solver; returns (plan, report)."""
-    if inst.kind == SETCOVER:
-        return setcover.solve(inst.payload, inst.schedule)
-    if inst.kind == MINCUT:
-        return mincut.solve(inst.payload, inst.schedule)
-    if inst.kind == STEINERTREE:
-        return steiner.solve_tree(inst.payload, inst.schedule)
-    return steiner.solve_forest(inst.payload, inst.payload.pairs, inst.schedule)
+    """Run the matching thrifty solver; returns (plan, report)."""
+    return KINDS[inst.kind].solve(inst.payload, inst.schedule)
 
 
 def tiny_batch(kind, count=BATCH):

@@ -281,3 +281,23 @@ def test_graph_field_rules(tmp_path, capsys):
 def test_missing_file(capsys):
     rc, _, err = run(capsys, "solve", "/nonexistent/path.json")
     assert rc == 2 and "cannot read input" in err
+
+
+@pytest.mark.parametrize("days", ["9", "-1", "0,3"])
+def test_oracle_rejects_out_of_range_inactive_days(allstages, capsys, days):
+    rc, out, err = run(capsys, "oracle", allstages, "--inactive-days", days)
+    assert rc == 2 and out == ""
+    assert "--inactive-days" in err
+
+
+def test_invariant_violation_exits_5(allstages, capsys, monkeypatch):
+    from krobust import setcover
+    from krobust.errors import InvariantViolation
+
+    def broken(*args):
+        raise InvariantViolation("residual exceeds its bound")
+
+    monkeypatch.setattr(setcover, "solve", broken)
+    rc, out, err = run(capsys, "solve", allstages)
+    assert rc == 5 and out == ""
+    assert "invariant violation: residual exceeds its bound" in err

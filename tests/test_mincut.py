@@ -7,13 +7,12 @@ import pytest
 from krobust.errors import Infeasible
 from krobust.graphcore import WeightedGraph, preprocess_cost_scaling
 from krobust.mincut import (
-    _preprocessed_candidates,
     build_net,
     solve,
     thrifty_plan,
     units_of,
 )
-from krobust.model import MINCUT, ProblemInstance, Schedule
+from krobust.model import MINCUT, ProblemInstance, Schedule, scaled_candidates
 from krobust.oracle import exhaustive_robcov, minimax_opt
 
 F = Fraction
@@ -76,8 +75,8 @@ def test_preprocess_guess_can_be_infeasible():
     sched = Schedule.of([2, 1], [1, 2])
     # guessing the cheap edge as costliest contracts vertex 1 into the root
     with pytest.raises(Infeasible, match="separable"):
-        _preprocessed_candidates(g, sched, 1, F(50), 2)
-    plans = _preprocessed_candidates(g, sched, 0, F(50), 2)
+        scaled_candidates(MINCUT, g, sched, 1, F(50), 2)
+    plans = scaled_candidates(MINCUT, g, sched, 0, F(50), 2)
     assert len(plans) == 1
     assert plans[0].preprocess_f == 0
     # the cheap edge is prepaid into day 0
@@ -101,7 +100,7 @@ def test_preprocess_contraction_moves_the_root():
     # contracting the pricey edge merges the root into vertex 1
     assert preprocess_cost_scaling(g, sched, MINCUT, 1, 2).graph.root == 1
     with pytest.raises(Infeasible, match="vertex 1 is only separable"):
-        _preprocessed_candidates(g, sched, 1, F(50), 2)
+        scaled_candidates(MINCUT, g, sched, 1, F(50), 2)
     plan, report = solve(g, sched, preprocess=True)
     assert report.robcov == 101
     assert plan.preprocess_f == 0

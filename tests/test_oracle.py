@@ -1,5 +1,6 @@
 """Exact minimax oracle, exhaustive plan evaluation, and bounds."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -260,3 +261,19 @@ def test_solver_plans_feasible_on_sample(tiny_batches):
         for inst in insts[:10]:
             plan, _ = solve_instance(inst)
             assert check_plan_feasible(inst, plan)
+
+
+@pytest.mark.parametrize("kind", [MINCUT, STEINERTREE, STEINERFOREST])
+def test_check_plan_feasible_rejects_empty_purchases(kind):
+    checked = 0
+    for seed in range(12):
+        inst = gen_random(kind, 3 + seed % 3, 6, 1 + seed % 2, seed)
+        plan, report = solve_instance(inst)
+        if report.robcov == 0:
+            continue
+        assert check_plan_feasible(inst, plan)
+        empty = replace(plan, day0_purchase=(),
+                        residual_actions={u: () for u in inst.units()})
+        assert not check_plan_feasible(inst, empty)
+        checked += 1
+    assert checked >= 6
