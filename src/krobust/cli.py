@@ -204,7 +204,6 @@ def _run_solver(inst: ProblemInstance, beta, guess, preprocess: bool,
             "thrifty solvers handle the cardinality adversary only; "
             "use the oracle subcommand for part-structured uncertainty")
     require_live(inst.kind, inst.schedule)
-    validate_schedule(inst.schedule, len(inst.units()))
     spec = KINDS[inst.kind]
     if guess is None:
         return spec.solve(inst.payload, inst.schedule, beta, preprocess,

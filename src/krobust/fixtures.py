@@ -14,9 +14,8 @@ from fractions import Fraction
 
 from .errors import BadParameters
 from .graphcore import WeightedGraph
-from .model import (MINCUT, PROBLEM_KINDS, SETCOVER, STEINERFOREST,
-                    STEINERTREE, SUBSET, ProblemInstance, Schedule,
-                    UncertaintySpec)
+from .model import (MINCUT, PROBLEM_KINDS, SETCOVER, STEINERTREE, SUBSET,
+                    ProblemInstance, Schedule, UncertaintySpec)
 from .setcover import SetSystem
 
 

@@ -109,16 +109,9 @@ class WeightedGraph:
         return adj
 
 
-def _ids_of(es) -> frozenset[int]:
-    if isinstance(es, EdgeSet):
-        return es.ids
-    return frozenset(es)
-
-
-def shortest_paths(g: WeightedGraph, sources: Iterable[int]
-                   ) -> tuple[dict[int, Fraction], dict[int, Edge]]:
-    """Multi-source Dijkstra.  Returns (distance, predecessor edge) maps;
-    unreachable vertices are simply absent from the distance map."""
+def _dijkstra(g: WeightedGraph, sources: Iterable[int],
+              target: int | None = None
+              ) -> tuple[dict[int, Fraction], dict[int, Edge]]:
     dist: dict[int, Fraction] = {}
     pred: dict[int, Edge] = {}
     heap = []
@@ -131,6 +124,8 @@ def shortest_paths(g: WeightedGraph, sources: Iterable[int]
         d, v = heapq.heappop(heap)
         if v in done:
             continue
+        if v == target:
+            break
         done.add(v)
         for e in adj[v]:
             w = e.v if e.u == v else e.u
@@ -140,6 +135,19 @@ def shortest_paths(g: WeightedGraph, sources: Iterable[int]
                 pred[w] = e
                 heapq.heappush(heap, (nd, w))
     return dist, pred
+
+
+def shortest_paths(g: WeightedGraph, sources: Iterable[int]
+                   ) -> tuple[dict[int, Fraction], dict[int, Edge]]:
+    """Multi-source Dijkstra.  Returns (distance, predecessor edge) maps;
+    unreachable vertices are simply absent from the distance map."""
+    return _dijkstra(g, sources)
+
+
+def distance(g: WeightedGraph, s: int, t: int) -> Fraction | None:
+    """Shortest s-t distance, or None when t is unreachable; the search
+    stops as soon as t is settled."""
+    return _dijkstra(g, [s], t)[0].get(t)
 
 
 def path_edges(pred: dict[int, Edge], sources: set[int], target: int) -> list[int]:
@@ -413,7 +421,7 @@ def gw_steiner_forest(g: WeightedGraph, pairs: Iterable[Pair]) -> EdgeSet:
 
 def zero_edges(g: WeightedGraph, es) -> WeightedGraph:
     """Copy of the graph with the listed edges' costs set to zero."""
-    ids = _ids_of(es)
+    ids = frozenset(es)
     missing = ids - g.edge_ids()
     if missing:
         raise UnknownEdge(f"edge ids {sorted(missing)} not in graph")
@@ -429,7 +437,7 @@ def delete_or_contract(g: WeightedGraph, es, mode: str) -> WeightedGraph:
     satisfied and terminals merged into the root show up through the rep map.
     Edge ids of surviving edges are unchanged.
     """
-    ids = _ids_of(es)
+    ids = frozenset(es)
     missing = ids - g.edge_ids()
     if missing:
         raise UnknownEdge(f"edge ids {sorted(missing)} not in graph")

@@ -280,10 +280,15 @@ def minimax_opt(instance: ProblemInstance, limits: SizeLimits | None = None,
                          purchase=game.action_set(mask), value=val,
                          children=kids)
 
-    opt = value(0, game.full_units, 0)
-    if opt is _INF or opt == _INF:
-        raise Infeasible("no strategy is feasible for every scenario")
-    return opt, trace(0, game.full_units, 0)
+    try:
+        opt = value(0, game.full_units, 0)
+        if opt is _INF or opt == _INF:
+            raise Infeasible("no strategy is feasible for every scenario")
+        return opt, trace(0, game.full_units, 0)
+    finally:
+        # the recursive closures hold their own cells: break that cycle so
+        # the memo and the game are freed without a cyclic collection
+        del value, trace
 
 
 # -------------------------------------------------- plan evaluation & checking

@@ -10,13 +10,12 @@ distance; active pairs later buy their own shortest connecting path.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import pairwise
 
 from .errors import Disconnected, InvariantViolation, TrivialInstance
-from .graphcore import (EdgeSet, Pair, UnionFind, WeightedGraph, connects,
+from .graphcore import (Edge, EdgeSet, WeightedGraph, connects, distance,
                         gw_steiner_forest, mst_steiner_tree, path_edges,
                         preprocess_cost_scaling, shortest_paths, zero_edges)
 from .model import (KINDS, STEINERFOREST, STEINERTREE, CostReport, Kind,
@@ -24,18 +23,6 @@ from .model import (KINDS, STEINERFOREST, STEINERTREE, CostReport, Kind,
                     threshold_tau)
 
 BETA = Fraction(10)
-
-
-def _pairs_of(g: WeightedGraph, pairs) -> tuple[Pair, ...]:
-    if pairs is None:
-        return g.pairs
-    out = []
-    for i, p in enumerate(pairs):
-        if isinstance(p, Pair):
-            out.append(p)
-        else:
-            out.append(Pair(int(p[0]), int(p[1]), int(p[2]) if len(p) > 2 else i + 1))
-    return tuple(out)
 
 
 def ball_packing_net(g: WeightedGraph, radius: Fraction) -> frozenset[int]:
@@ -109,83 +96,52 @@ class SfnetResult:
     e_alg: EdgeSet
 
 
-def _quotient_dist(g: WeightedGraph, uf: UnionFind, s: int, t: int):
-    """Distance from s to t in g with identified vertices merged; None if
-    unreachable."""
-    src, dst = uf.find(s), uf.find(t)
-    if src == dst:
-        return Fraction(0)
-    dist = {src: Fraction(0)}
-    heap = [(Fraction(0), src)]
-    adj = g.adjacency()
-    members: dict[int, list[int]] = {}
-    for v in range(g.n):
-        members.setdefault(uf.find(v), []).append(v)
-    done = set()
-    while heap:
-        d, r = heapq.heappop(heap)
-        if r in done:
-            continue
-        done.add(r)
-        if r == dst:
-            return d
-        for v in members.get(r, ()):
-            for e in adj[v]:
-                w = e.v if e.u == v else e.u
-                rw = uf.find(w)
-                nd = d + e.cost
-                if rw not in dist or nd < dist[rw]:
-                    dist[rw] = nd
-                    heapq.heappush(heap, (nd, rw))
-    return None
-
-
 def sfnet_build(g: WeightedGraph, pairs, gamma: Fraction) -> SfnetResult:
     """Build the near-maximal net: repeatedly take the smallest-id pair whose
     endpoint distance, with previously taken pairs and links identified,
     still exceeds 4*gamma; record its endpoints as witnesses unless they sit
     within 2*gamma of an existing witness, in which case they attach to it
-    as a link."""
+    as a link.  Identified vertices are joined by zero-cost glue edges."""
     gamma = Fraction(gamma)
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
-    plist = _pairs_of(g, pairs)
-    uf = UnionFind(g.n)
+    plist = sorted(pairs, key=lambda p: p.pid)
+    glued = g
     sr: set[int] = set()
     sg: set[int] = set()
     so: set[int] = set()
     sb: set[int] = set()
     links: list[tuple[int, int]] = []
+    link_ids: set[int] = set()
     witnesses: list[int] = []
     while True:
         pick = None
-        for p in sorted(plist, key=lambda p: p.pid):
+        for p in plist:
             if p.pid in sr:
                 continue
-            d = _quotient_dist(g, uf, p.s, p.t)
+            d = distance(glued, p.s, p.t)
             if d is None or d > 4 * gamma:
                 pick = p
                 break
         if pick is None:
             break
         sr.add(pick.pid)
-        uf.union(pick.s, pick.t)
+        glue = [Edge(pick.s, pick.t, Fraction(0), -1)]
         delta = 0
         for x in (pick.s, pick.t):
-            dx, _ = shortest_paths(g, [x])
+            dx, pred = shortest_paths(g, [x])
             near = [w for w in witnesses if w in dx and dx[w] < 2 * gamma]
             if near:
                 w = min(near)
                 links.append((x, w))
-                uf.union(x, w)
+                link_ids.update(path_edges(pred, {x}, w))
+                glue.append(Edge(x, w, Fraction(0), -1))
             else:
                 witnesses.append(x)
                 delta += 1
         {0: sb, 1: so, 2: sg}[delta].add(pick.pid)
-    ids = set(gw_steiner_forest(g, [p for p in plist if p.pid in sr]).ids)
-    for x, w in links:
-        dx, pred = shortest_paths(g, [x])
-        ids.update(path_edges(pred, {x}, w))
+        glued = replace(glued, edges=glued.edges + tuple(glue))
+    ids = link_ids | gw_steiner_forest(g, [p for p in plist if p.pid in sr]).ids
     net = frozenset(sg | so)
     if len(sb) > len(net) or len(links) > 2 * len(net):
         raise InvariantViolation(
@@ -201,7 +157,7 @@ def thrifty_forest_plan(g: WeightedGraph, pairs, schedule: Schedule,
                         guess: Fraction,
                         beta: Fraction | None = None) -> ThriftyPlan:
     """Two-day Steiner forest plan for one guess of the optimal value."""
-    plist = _pairs_of(g, pairs)
+    plist = tuple(pairs)
     if beta is None:
         beta = BETA
     tau = threshold_tau(guess, schedule, beta)
@@ -269,7 +225,7 @@ def solve_forest(g: WeightedGraph, pairs, schedule: Schedule,
                  merge_r=2) -> tuple[ThriftyPlan, CostReport]:
     """Best evaluated forest plan over the doubling guess grid (and, with
     preprocess=True, over every guess of the costliest edge after scaling)."""
-    return solve_thrifty(STEINERFOREST, replace(g, pairs=_pairs_of(g, pairs)),
+    return solve_thrifty(STEINERFOREST, replace(g, pairs=tuple(pairs)),
                          schedule, beta, preprocess, merge_r)
 
 

@@ -11,6 +11,7 @@ from krobust.graphcore import (
     UnionFind,
     WeightedGraph,
     delete_or_contract,
+    distance,
     gw_steiner_forest,
     min_cut,
     mst_steiner_tree,
@@ -235,3 +236,29 @@ def test_preprocess_merge_ratio():
     pre = preprocess_cost_scaling(g, sched, STEINERTREE, f_guess=1, merge_r=3)
     assert pre.schedule.lam == (F(1), F(4))
     assert pre.kept_days == (0, 2)
+
+
+def test_distance_matches_shortest_paths():
+    checked = 0
+    for seed in range(24):
+        kind = (MINCUT, STEINERTREE)[seed % 2]
+        g = gen_random(kind, 3 + seed % 5, 6 + seed % 4, 1, seed).payload
+        for s in range(g.n):
+            dist, _ = shortest_paths(g, [s])
+            for t in range(g.n):
+                assert distance(g, s, t) == dist.get(t)
+                checked += 1
+    assert checked > 300
+
+
+def test_distance_zero_costs_and_unreachable():
+    g = WeightedGraph.build(4, [(0, 1, 0), (1, 2, 3), (0, 2, 5), (2, 3, 0)])
+    assert distance(g, 2, 2) == 0
+    assert distance(g, 0, 1) == 0
+    assert distance(g, 0, 3) == 3
+    assert distance(g, 3, 1) == 3
+    split = WeightedGraph.build(4, [(0, 1, 1), (2, 3, 1)])
+    assert distance(split, 0, 0) == 0
+    assert distance(split, 0, 1) == 1
+    assert distance(split, 0, 3) is None
+    assert distance(split, 3, 0) is None

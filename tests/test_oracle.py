@@ -1,5 +1,6 @@
 """Exact minimax oracle, exhaustive plan evaluation, and bounds."""
 
+import gc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -277,3 +278,36 @@ def test_check_plan_feasible_rejects_empty_purchases(kind):
         assert not check_plan_feasible(inst, empty)
         checked += 1
     assert checked >= 6
+
+
+def _collected_after(call):
+    """Objects a cyclic collection finds right after one call, gc off."""
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("kind,args", [
+    (SETCOVER, (5, 8, 2, 3)),
+    (MINCUT, (3, 5, 2, 4)),
+    (STEINERTREE, (4, 6, 2, 1)),
+    (STEINERFOREST, (4, 6, 2, 1)),
+])
+def test_minimax_opt_leaves_no_reference_cycle(kind, args):
+    # the memo and the game are freed by reference counting alone
+    inst = gen_random(kind, *args)
+    assert _collected_after(lambda: minimax_opt(inst)) == 0
+
+
+def test_minimax_opt_infeasible_leaves_no_reference_cycle():
+    def call():
+        try:
+            minimax_opt(_sc_hand(), inactive_days=(0, 1))
+        except Infeasible:
+            return
+        raise AssertionError("expected Infeasible")
+    assert _collected_after(call) == 0

@@ -5,8 +5,10 @@ from fractions import Fraction
 import pytest
 
 from krobust.errors import Disconnected, TrivialInstance
-from krobust.graphcore import WeightedGraph, shortest_paths, zero_edges
-from krobust.model import STEINERFOREST, STEINERTREE, Schedule
+from krobust.graphcore import UnionFind, WeightedGraph, shortest_paths, zero_edges
+from krobust.model import (STEINERFOREST, STEINERTREE, Schedule, guess_grid,
+                           threshold_tau)
+from krobust.oracle import opt_bounds
 from krobust.steiner import (
     ball_packing_net,
     sfnet_build,
@@ -169,3 +171,59 @@ def test_plan_invariants_on_random_batches(solved_batches):
                 dist, _ = shortest_paths(zeroed, plan.net)
                 for v in range(g.n):
                     assert plan.residuals[v] == dist[v]
+
+
+def _identified_distances(g, joined):
+    """All-pairs distances between the union-find classes of the joined
+    vertex pairs, by Floyd-Warshall; unreachable classes are absent."""
+    uf = UnionFind(g.n)
+    for a, b in joined:
+        uf.union(a, b)
+    dist = {(r, r): F(0) for r in {uf.find(v) for v in range(g.n)}}
+    for e in g.edges:
+        ru, rv = uf.find(e.u), uf.find(e.v)
+        if ru != rv and dist.get((ru, rv), e.cost) >= e.cost:
+            dist[ru, rv] = dist[rv, ru] = e.cost
+    roots = sorted({r for r, _ in dist})
+    for k in roots:
+        for i in roots:
+            for j in roots:
+                if (i, k) in dist and (k, j) in dist:
+                    via = dist[i, k] + dist[k, j]
+                    if dist.get((i, j), via) >= via:
+                        dist[i, j] = via
+    return lambda s, t: dist.get((uf.find(s), uf.find(t)))
+
+
+def _forest_net_runs(insts):
+    """(graph, gamma) for every guess-grid run of the forest net builder,
+    plus gammas of a quarter edge cost, small enough to pick several pairs
+    and make links."""
+    for inst in insts:
+        g, sched = inst.payload, inst.schedule
+        for gamma in sorted({e.cost / 4 for e in g.edges}):
+            yield g, gamma
+        if sched.k[sched.horizon] == 0:
+            continue
+        lb, ub = opt_bounds(inst)
+        if ub == 0:
+            continue
+        for guess in guess_grid(lb, ub):
+            yield g, 2 * sched.horizon * threshold_tau(guess, sched, F(10))
+
+
+def test_sfnet_leaves_every_other_pair_within_4_gamma(tiny_batches):
+    # once the picked pairs and the links are identified, no pair outside
+    # sr is more than 4*gamma apart: the net is maximal
+    runs = several = 0
+    for g, gamma in _forest_net_runs(tiny_batches[STEINERFOREST]):
+        built = sfnet_build(g, g.pairs, gamma)
+        joined = [(p.s, p.t) for p in g.pairs if p.pid in built.sr]
+        dist = _identified_distances(g, joined + list(built.sf_links))
+        for p in g.pairs:
+            if p.pid not in built.sr:
+                d = dist(p.s, p.t)
+                assert d is not None and d <= 4 * gamma
+        runs += 1
+        several += len(built.sr) > 1
+    assert runs >= 700 and several >= 100
