@@ -116,9 +116,10 @@ def parse_instance(doc) -> ProblemInstance:
         for i, raw in enumerate(_list(doc.get("sets"), "sets")):
             if not isinstance(raw, dict):
                 raise InstanceFormatError(f"sets[{i}]", "expected an object")
-            members = [_int(e, f"sets[{i}].members[{j}]")
-                       for j, e in enumerate(_list(raw.get("members"),
-                                                   f"sets[{i}].members"))]
+            members = _list(raw.get("members"), f"sets[{i}].members")
+            for j, e in enumerate(members):
+                if type(e) is not int:
+                    _int(e, f"sets[{i}].members[{j}]")
             sets.append((frozenset(members), _frac(raw.get("cost"),
                                                    f"sets[{i}].cost")))
         payload = SetSystem.build(schedule.k[0], sets)

@@ -8,8 +8,9 @@ and contraction.
 
 from __future__ import annotations
 
+import functools
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Collection, Iterable, NamedTuple, Sequence
 
@@ -48,7 +49,9 @@ class WeightedGraph:
 
     root is set for cut instances, pairs for forest instances.  rep carries
     the vertex-merge map after contraction (identity when None); merged-away
-    vertex ids keep existing so ids stay stable.
+    vertex ids keep existing so ids stay stable.  _memo holds the results
+    of the memoised primitives; it takes no part in equality, hashing or
+    repr, and every derived graph starts with an empty one.
     """
 
     n: int
@@ -56,6 +59,8 @@ class WeightedGraph:
     root: int | None = None
     pairs: tuple[Pair, ...] = ()
     rep: tuple[int, ...] | None = None
+    _memo: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     @staticmethod
     def build(n: int, edges: Iterable, root: int | None = None,
@@ -109,6 +114,24 @@ class WeightedGraph:
         return adj
 
 
+def _memoised(fn):
+    """Keep fn's results on the graph: it is immutable, so a result depends
+    only on the graph and the other arguments.  An int argument keys as it
+    is; any other is read once into a frozenset, which is both its key and
+    what fn receives.  Results are shared and must not be mutated."""
+
+    @functools.wraps(fn)
+    def cached(g: WeightedGraph, *args):
+        args = tuple(a if isinstance(a, int) else frozenset(a) for a in args)
+        key = (fn, *args)
+        memo = g._memo
+        if key not in memo:
+            memo[key] = fn(g, *args)
+        return memo[key]
+
+    return cached
+
+
 def _dijkstra(g: WeightedGraph, sources: Iterable[int],
               target: int | None = None
               ) -> tuple[dict[int, Fraction], dict[int, Edge]]:
@@ -137,6 +160,7 @@ def _dijkstra(g: WeightedGraph, sources: Iterable[int],
     return dist, pred
 
 
+@_memoised
 def shortest_paths(g: WeightedGraph, sources: Iterable[int]
                    ) -> tuple[dict[int, Fraction], dict[int, Edge]]:
     """Multi-source Dijkstra.  Returns (distance, predecessor edge) maps;
@@ -144,6 +168,7 @@ def shortest_paths(g: WeightedGraph, sources: Iterable[int]
     return _dijkstra(g, sources)
 
 
+@_memoised
 def distance(g: WeightedGraph, s: int, t: int) -> Fraction | None:
     """Shortest s-t distance, or None when t is unreachable; the search
     stops as soon as t is settled."""
@@ -161,6 +186,7 @@ def path_edges(pred: dict[int, Edge], sources: set[int], target: int) -> list[in
     return out
 
 
+@_memoised
 def min_cut(g: WeightedGraph, root: int, terminals: Iterable[int]
             ) -> tuple[Fraction, EdgeSet]:
     """Cheapest edge set separating every terminal from the root.
@@ -420,11 +446,14 @@ def gw_steiner_forest(g: WeightedGraph, pairs: Iterable[Pair]) -> EdgeSet:
 
 
 def zero_edges(g: WeightedGraph, es) -> WeightedGraph:
-    """Copy of the graph with the listed edges' costs set to zero."""
+    """Copy of the graph with the listed edges' costs set to zero; the
+    graph itself when none is listed."""
     ids = frozenset(es)
     missing = ids - g.edge_ids()
     if missing:
         raise UnknownEdge(f"edge ids {sorted(missing)} not in graph")
+    if not ids:
+        return g
     edges = tuple(Edge(e.u, e.v, Fraction(0), e.eid) if e.eid in ids else e
                   for e in g.edges)
     return WeightedGraph(g.n, edges, g.root, g.pairs, g.rep)
@@ -435,13 +464,16 @@ def delete_or_contract(g: WeightedGraph, es, mode: str) -> WeightedGraph:
 
     Contraction never fails: pairs whose endpoints merge become trivially
     satisfied and terminals merged into the root show up through the rep map.
-    Edge ids of surviving edges are unchanged.
+    Edge ids of surviving edges are unchanged.  Deleting nothing returns
+    the graph itself.
     """
     ids = frozenset(es)
     missing = ids - g.edge_ids()
     if missing:
         raise UnknownEdge(f"edge ids {sorted(missing)} not in graph")
     if mode == "delete":
+        if not ids:
+            return g
         edges = tuple(e for e in g.edges if e.eid not in ids)
         return WeightedGraph(g.n, edges, g.root, g.pairs, g.rep)
     if mode != "contract":

@@ -35,16 +35,18 @@ class SetSystem:
         for sid, (members, cost) in enumerate(norm):
             if cost < 0:
                 raise Infeasible(f"set {sid} has negative cost")
-            for e in members:
-                if not 1 <= e <= universe_size:
-                    raise Infeasible(f"set {sid} contains unknown element {e}")
+            if members and not 1 <= min(members) <= max(members) <= universe_size:
+                e = next(e for e in members if not 1 <= e <= universe_size)
+                raise Infeasible(f"set {sid} contains unknown element {e}")
+        # sets in (cost, id) order, as the sort is stable: the first set to
+        # reach an element is its cheapest, ties to the smallest id
         minset_cost: dict[int, Fraction] = {}
         minset_id: dict[int, int] = {}
-        for sid, (members, cost) in enumerate(norm):
-            for e in members:
-                if e not in minset_cost or cost < minset_cost[e]:
-                    minset_cost[e] = cost
-                    minset_id[e] = sid
+        for sid in sorted(range(len(norm)), key=lambda sid: norm[sid][1]):
+            members, cost = norm[sid]
+            new = members.difference(minset_id)
+            minset_cost.update(dict.fromkeys(new, cost))
+            minset_id.update(dict.fromkeys(new, sid))
         for e in range(1, universe_size + 1):
             if e not in minset_cost:
                 raise Infeasible(f"element {e} is not covered by any set")

@@ -1,9 +1,12 @@
 """Session-wide instance batches shared by the unit and acceptance tests."""
 
+from fractions import Fraction
+
 import pytest
 
 from krobust.fixtures import gen_random
-from krobust.model import KINDS, PROBLEM_KINDS
+from krobust.model import KINDS, PROBLEM_KINDS, guess_grid, threshold_tau
+from krobust.oracle import opt_bounds
 
 BATCH = 100
 
@@ -22,6 +25,24 @@ def tiny_batch(kind, count=BATCH):
         horizon = 1 + seed % 3
         out.append(gen_random(kind, n, actions, horizon, seed))
     return out
+
+
+def forest_net_runs(insts):
+    """(graph, gamma) for every guess-grid run of the forest net builder,
+    plus gammas of a quarter edge cost, small enough to pick several pairs
+    and make links."""
+    for inst in insts:
+        g, sched = inst.payload, inst.schedule
+        for gamma in sorted({e.cost / 4 for e in g.edges}):
+            yield g, gamma
+        if sched.k[sched.horizon] == 0:
+            continue
+        lb, ub = opt_bounds(inst)
+        if ub == 0:
+            continue
+        for guess in guess_grid(lb, ub):
+            yield g, 2 * sched.horizon * threshold_tau(guess, sched,
+                                                       Fraction(10))
 
 
 @pytest.fixture(scope="session")

@@ -27,10 +27,8 @@ from krobust.model import (
     SETCOVER,
     STEINERFOREST,
     STEINERTREE,
-    guess_grid,
     harmonic,
     ln_upper,
-    threshold_tau,
 )
 from krobust.oracle import (
     SizeLimits,
@@ -40,12 +38,11 @@ from krobust.oracle import (
     exact_steiner,
     exhaustive_robcov,
     minimax_opt,
-    opt_bounds,
     partwise_minimax,
     scripted_worst_case,
 )
 from krobust.steiner import sfnet_build, solve_forest, solve_tree
-from conftest import solve_instance
+from conftest import forest_net_runs, solve_instance
 
 F = Fraction
 WIDE = SizeLimits(max_units=64, max_actions=12, max_horizon=9)
@@ -165,32 +162,25 @@ def test_criterion_5_primitives_match_exhaustive_search():
 
 
 def test_criterion_6_forest_net_structure(tiny_batches):
+    # the grid runs, plus quarter-edge-cost gammas that pick several pairs
     checked = 0
-    for inst in tiny_batches[STEINERFOREST]:
-        g, sched = inst.payload, inst.schedule
-        if sched.k[sched.horizon] == 0:
-            continue
-        lb, ub = opt_bounds(inst)
-        if ub == 0:
-            continue
-        for guess in guess_grid(lb, ub):
-            gamma = 2 * sched.horizon * threshold_tau(guess, sched, F(10))
-            built = sfnet_build(g, g.pairs, gamma)
-            assert built.sr == built.sg | built.so | built.sb
-            assert built.net == built.sg | built.so
-            assert len(built.sb) <= len(built.net)
-            assert len(built.sf_links) <= 2 * len(built.net)
-            by_pid = {p.pid: p for p in g.pairs}
-            for pid in built.sr:
-                p = by_pid[pid]
-                dist, _ = shortest_paths(g, [p.s])
-                assert dist[p.t] > 4 * gamma
-            if built.net:
-                net_pairs = [by_pid[pid] for pid in built.net]
-                assert exact_forest(g, net_pairs, WIDE) >= len(built.net) * gamma
-            checked += 1
+    for g, gamma in forest_net_runs(tiny_batches[STEINERFOREST]):
+        built = sfnet_build(g, g.pairs, gamma)
+        assert built.sr == built.sg | built.so | built.sb
+        assert built.net == built.sg | built.so
+        assert len(built.sb) <= len(built.net)
+        assert len(built.sf_links) <= 2 * len(built.net)
+        by_pid = {p.pid: p for p in g.pairs}
+        for pid in built.sr:
+            p = by_pid[pid]
+            dist, _ = shortest_paths(g, [p.s])
+            assert dist[p.t] > 4 * gamma
+        if built.net:
+            net_pairs = [by_pid[pid] for pid in built.net]
+            assert exact_forest(g, net_pairs, WIDE) >= len(built.net) * gamma
+        checked += 1
     assert checked >= 100
-    print(f"\n  net structure verified on {checked} (instance, guess) runs")
+    print(f"\n  net structure verified on {checked} (instance, gamma) runs")
 
 
 def test_criterion_7_evaluation_is_exact_or_upper(solved_batches):

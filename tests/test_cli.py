@@ -247,6 +247,8 @@ def test_rejects_float_literals(tmp_path, capsys):
     (lambda d: d["schedule"].update(T="1"), "schedule.T"),
     (lambda d: d["sets"][0].update(cost=None), "sets[0].cost"),
     (lambda d: d["sets"][1]["members"].append("x"), "sets[1].members[1]"),
+    pytest.param(lambda d: d["sets"][1]["members"].append(True),
+                 "sets[1].members[1]", id="bool-member"),
     (lambda d: d["schedule"].update({"lambda": ["1", "3/0"]}),
      "schedule.lambda[1]"),
 ])

@@ -1,10 +1,12 @@
 """Graph primitives: shortest paths, min-cut, Steiner heuristics, surgery."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from krobust import graphcore
 from krobust.errors import Disconnected, UnknownEdge
 from krobust.fixtures import gen_random
 from krobust.graphcore import (
@@ -20,8 +22,9 @@ from krobust.graphcore import (
     shortest_paths,
     zero_edges,
 )
-from krobust.model import MINCUT, STEINERTREE, Schedule
-from krobust.oracle import SizeLimits, exact_cut, exact_steiner
+from krobust.model import (KINDS, MINCUT, STEINERFOREST, STEINERTREE, Schedule,
+                           guess_grid, solve_thrifty)
+from krobust.oracle import SizeLimits, exact_cut, exact_steiner, opt_bounds
 
 F = Fraction
 
@@ -262,3 +265,59 @@ def test_distance_zero_costs_and_unreachable():
     assert distance(split, 0, 1) == 1
     assert distance(split, 0, 3) is None
     assert distance(split, 3, 0) is None
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_tree_solve_searches_each_source_set_once(monkeypatch, seed):
+    # n searches for the bounds, which the nets and the MST closures reuse,
+    # plus one residual search per guess
+    inst = gen_random(STEINERTREE, 12, 36, 3, seed)
+    lb, ub = opt_bounds(inst)
+    g = replace(inst.payload)
+    searches = []
+    search = graphcore._dijkstra
+
+    def counted(*args):
+        searches.append(args[1])
+        return search(*args)
+
+    monkeypatch.setattr(graphcore, "_dijkstra", counted)
+    KINDS[STEINERTREE].solve(g, inst.schedule)
+    assert len(searches) <= g.n + len(guess_grid(lb, ub))
+
+
+@pytest.mark.parametrize("kind", [MINCUT, STEINERTREE, STEINERFOREST])
+def test_solves_leave_memoised_results_intact(kind):
+    # memoised results are shared between callers, so no caller may
+    # mutate one
+    for seed in range(4):
+        inst = gen_random(kind, 7, 14, 2, seed)
+        g = inst.payload
+        for preprocess in (False, True):
+            solve_thrifty(kind, g, inst.schedule, None, preprocess)
+        assert g._memo
+        for (fn, *args), result in g._memo.items():
+            assert fn(replace(g), *args) == result, (fn.__name__, args)
+
+
+def test_memo_is_private_to_each_graph():
+    g = _triangle()
+    assert shortest_paths(g, [1, 2]) == shortest_paths(g, (2, 1, 1))
+    assert min_cut(g, 0, [1, 2]) == min_cut(g, 0, {2, 1})
+    assert distance(g, 1, 2) == 3
+    assert len(g._memo) == 3
+    fresh = replace(g)
+    assert fresh._memo == {}
+    assert fresh == g and hash(fresh) == hash(g) and repr(fresh) == repr(g)
+    assert zero_edges(g, ()) is g
+    assert delete_or_contract(g, (), "delete") is g
+    assert delete_or_contract(g, (), "contract").rep == (0, 1, 2)
+    assert zero_edges(g, [0])._memo == {}
+    assert delete_or_contract(g, [0], "delete")._memo == {}
+    with pytest.raises(UnknownEdge):
+        zero_edges(g, [9])
+    with pytest.raises(UnknownEdge):
+        delete_or_contract(g, [9], "delete")
+    # a one-shot iterable is read once, for the key and the search alike
+    assert shortest_paths(fresh, (v for v in [2, 1])) == shortest_paths(g, [1, 2])
+    assert min_cut(fresh, 0, iter([2, 1])) == min_cut(g, 0, [1, 2])

@@ -1,5 +1,6 @@
 """Set system construction, greedy cover, and the thrifty set cover solver."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,22 @@ def test_build_tracks_cheapest_set():
     assert sys_.minset_id == {1: 0, 2: 1}
     assert sys_.elements() == (1, 2)
     assert sys_.covered_by([1, 2]) == frozenset({1, 2})
+
+
+def test_build_cheapest_set_matches_brute_force():
+    rng = random.Random(5)
+    costs = (0, 0, 1, 1, 2, F(1, 2), F(3, 2))
+    for _ in range(300):
+        size = rng.randint(1, 10)
+        sets = [(frozenset(rng.sample(range(1, size + 1), rng.randint(0, size))),
+                 rng.choice(costs)) for _ in range(rng.randint(0, 9))]
+        sets.insert(rng.randint(0, len(sets)),
+                    (frozenset(range(1, size + 1)), rng.choice(costs)))
+        sys_ = SetSystem.build(size, sets)
+        for e in sys_.elements():
+            cost, sid = min((F(c), sid) for sid, (members, c) in enumerate(sets)
+                            if e in members)
+            assert (sys_.minset_cost[e], sys_.minset_id[e]) == (cost, sid)
 
 
 @pytest.mark.parametrize("sets,universe,msg", [

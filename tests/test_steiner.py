@@ -6,9 +6,7 @@ import pytest
 
 from krobust.errors import Disconnected, TrivialInstance
 from krobust.graphcore import UnionFind, WeightedGraph, shortest_paths, zero_edges
-from krobust.model import (STEINERFOREST, STEINERTREE, Schedule, guess_grid,
-                           threshold_tau)
-from krobust.oracle import opt_bounds
+from krobust.model import STEINERFOREST, STEINERTREE, Schedule
 from krobust.steiner import (
     ball_packing_net,
     sfnet_build,
@@ -17,6 +15,7 @@ from krobust.steiner import (
     thrifty_forest_plan,
     thrifty_tree_plan,
 )
+from conftest import forest_net_runs
 
 F = Fraction
 
@@ -195,28 +194,11 @@ def _identified_distances(g, joined):
     return lambda s, t: dist.get((uf.find(s), uf.find(t)))
 
 
-def _forest_net_runs(insts):
-    """(graph, gamma) for every guess-grid run of the forest net builder,
-    plus gammas of a quarter edge cost, small enough to pick several pairs
-    and make links."""
-    for inst in insts:
-        g, sched = inst.payload, inst.schedule
-        for gamma in sorted({e.cost / 4 for e in g.edges}):
-            yield g, gamma
-        if sched.k[sched.horizon] == 0:
-            continue
-        lb, ub = opt_bounds(inst)
-        if ub == 0:
-            continue
-        for guess in guess_grid(lb, ub):
-            yield g, 2 * sched.horizon * threshold_tau(guess, sched, F(10))
-
-
 def test_sfnet_leaves_every_other_pair_within_4_gamma(tiny_batches):
     # once the picked pairs and the links are identified, no pair outside
     # sr is more than 4*gamma apart: the net is maximal
     runs = several = 0
-    for g, gamma in _forest_net_runs(tiny_batches[STEINERFOREST]):
+    for g, gamma in forest_net_runs(tiny_batches[STEINERFOREST]):
         built = sfnet_build(g, g.pairs, gamma)
         joined = [(p.s, p.t) for p in g.pairs if p.pid in built.sr]
         dist = _identified_distances(g, joined + list(built.sf_links))
