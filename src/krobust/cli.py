@@ -209,7 +209,7 @@ def _run_solver(inst: ProblemInstance, beta, guess, preprocess: bool,
     if guess is None:
         return spec.solve(inst.payload, inst.schedule, beta, preprocess,
                           merge_r)
-    plan = spec.plan(inst.payload, inst.schedule, guess, beta, None)
+    plan = spec.plan(inst.payload, inst.schedule, guess, beta)
     return plan, evaluate_thrifty(plan, inst.schedule, inst.units())
 
 
@@ -378,15 +378,17 @@ def _frac_arg(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}")
 
 
-def _frac_at_least(low: int):
-    """An exact-rational argument type that rejects values below low."""
+def _at_least(low: int, convert=_frac_arg):
+    """An argument type that reads a value with convert, an exact rational
+    by default, and rejects values below low."""
 
-    def parse(text: str) -> Fraction:
-        value = _frac_arg(text)
+    def parse(text: str):
+        value = convert(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {text!r}")
         return value
 
+    parse.__name__ = convert.__name__   # argparse names it in its errors
     return parse
 
 
@@ -409,15 +411,15 @@ def _days_arg(text: str) -> tuple[int, ...]:
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--beta-override", type=_frac_at_least(0), default=None,
+    p.add_argument("--beta-override", type=_at_least(0), default=None,
                    dest="beta_override",
                    help="replace the per-problem threshold constant")
-    p.add_argument("--guess", type=_frac_at_least(0), default=None,
+    p.add_argument("--guess", type=_at_least(0), default=None,
                    help="skip the doubling grid and use this single guess")
     p.add_argument("--preprocess", choices=("none", "cost-scaling"),
                    default="none",
                    help="graph problems: scale costs and merge stages first")
-    p.add_argument("--merge-r", type=_frac_at_least(1), default=Fraction(2),
+    p.add_argument("--merge-r", type=_at_least(1), default=Fraction(2),
                    dest="merge_r",
                    help="inflation ratio kept by stage merging (default 2)")
 
@@ -483,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="instance JSON file (omit with --batch)")
     p.add_argument("--limits", type=_limits_arg, default=None,
                    help="exhaustive-search caps as units,actions,horizon")
-    p.add_argument("--batch", type=int, default=None,
+    p.add_argument("--batch", type=_at_least(1, int), default=None,
                    help="compare this many seeded random instances")
     p.add_argument("--kind", choices=PROBLEM_KINDS, default=None,
                    help="problem kind for --batch")

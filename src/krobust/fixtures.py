@@ -14,8 +14,8 @@ from fractions import Fraction
 
 from .errors import BadParameters
 from .graphcore import WeightedGraph
-from .model import (MINCUT, PROBLEM_KINDS, SETCOVER, STEINERTREE, SUBSET,
-                    ProblemInstance, Schedule, UncertaintySpec)
+from .model import (KINDS, MINCUT, PROBLEM_KINDS, SETCOVER, STEINERFOREST,
+                    SUBSET, ProblemInstance, Schedule, UncertaintySpec)
 from .setcover import SetSystem
 
 
@@ -141,29 +141,22 @@ def gen_random(kind: str, n: int, actions: int, horizon: int,
                 members[rng.randrange(actions)].add(e)
         payload = SetSystem.build(
             n, [(frozenset(m), _rand_cost(rng)) for m in members])
-        k0 = n
-    elif kind == MINCUT:
-        payload = WeightedGraph.build(n, _rand_graph(rng, n, actions), root=0)
-        k0 = n - 1
-    elif kind == STEINERTREE:
-        payload = WeightedGraph.build(n, _rand_graph(rng, n, actions))
-        k0 = n
-    else:
-        npairs = max(1, n // 2)
+    elif kind == STEINERFOREST:
         pairs = []
-        for _ in range(npairs):
+        for _ in range(max(1, n // 2)):
             s = rng.randrange(n)
             t = (s + rng.randrange(1, n)) % n
             pairs.append((s, t))
         payload = WeightedGraph.build(n, _rand_graph(rng, n, actions),
                                       pairs=pairs)
-        k0 = npairs
+    else:
+        payload = WeightedGraph.build(n, _rand_graph(rng, n, actions),
+                                      root=0 if kind == MINCUT else None)
 
     lams = [Fraction(1)]
     for _ in range(horizon):
         lams.append(lams[-1] * rng.choice((2, 3)))
-    lo = 2 if kind == STEINERTREE else 1
-    k = [k0]
+    k = [len(KINDS[kind].units(payload))]
     for _ in range(horizon):
-        k.append(rng.randint(lo, k[-1]))
+        k.append(rng.randint(KINDS[kind].min_live + 1, k[-1]))
     return ProblemInstance(kind, payload, Schedule.of(k, lams))

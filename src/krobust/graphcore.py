@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Collection, Iterable, NamedTuple, Sequence
 
 from .errors import Disconnected, InvariantViolation, UnknownEdge
-from .model import MINCUT, Schedule, merge_stages
+from .model import Schedule, merge_stages
 
 
 class Edge(NamedTuple):
@@ -47,11 +47,12 @@ class EdgeSet:
 class WeightedGraph:
     """Undirected multigraph on vertices 0..n-1.
 
-    root is set for cut instances, pairs for forest instances.  rep carries
-    the vertex-merge map after contraction (identity when None); merged-away
-    vertex ids keep existing so ids stay stable.  _memo holds the results
-    of the memoised primitives; it takes no part in equality, hashing or
-    repr, and every derived graph starts with an empty one.
+    root is set exactly for cut instances (preprocess_cost_scaling reads it
+    so), pairs for forest instances.  rep carries the vertex-merge map after
+    contraction (identity when None); merged-away vertex ids keep existing
+    so ids stay stable.  _memo holds the results of the memoised
+    primitives; it takes no part in equality, hashing or repr, and every
+    derived graph starts with an empty one.
     """
 
     n: int
@@ -506,26 +507,28 @@ class PreprocessResult:
     f_guess: int
 
 
-def preprocess_cost_scaling(g: WeightedGraph, schedule: Schedule, kind: str,
+def preprocess_cost_scaling(g: WeightedGraph, schedule: Schedule,
                             f_guess: int, merge_r=2) -> PreprocessResult:
     """Scale the instance under a guess f of the costliest edge ever bought.
 
-    Edges pricier than c_f are deleted (contracted for cuts: they are treated
-    as uncuttable), edges cheaper than c_f/n^2 are prepaid on day 0 and then
-    zeroed (deleted for cuts).  Days whose inflation exceeds n^2 times the
+    Edges pricier than c_f are deleted, edges cheaper than c_f/n^2 are
+    prepaid on day 0 and then zeroed.  A rooted graph is a cut instance, so
+    there the pricier edges are contracted (they are treated as uncuttable)
+    and the cheaper ones deleted.  Days whose inflation exceeds n^2 times the
     remaining cost spread are dropped, and the rest is merged down to a
     doubling inflation subsequence.  The surviving cost spread is at most n^2
     and the merged horizon is at most log2 of the largest kept inflation.
     """
     cf = g.edge_by_id(f_guess).cost
     n2 = Fraction(g.n * g.n)
+    cut = g.root is not None
     high = [e.eid for e in g.edges if e.cost > cf]
     if high:
-        g = delete_or_contract(g, high, "contract" if kind == MINCUT else "delete")
+        g = delete_or_contract(g, high, "contract" if cut else "delete")
     low = [e.eid for e in g.edges if e.cost < cf / n2]
     prepaid = g.edge_set(low)
     if low:
-        g = delete_or_contract(g, low, "delete") if kind == MINCUT else zero_edges(g, low)
+        g = delete_or_contract(g, low, "delete") if cut else zero_edges(g, low)
     priced = [e.cost for e in g.edges if e.cost > 0]
     horizon = schedule.horizon
     if priced:

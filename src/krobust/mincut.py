@@ -43,27 +43,23 @@ def _root_cuts(g: WeightedGraph, root: int, reps) -> dict[int, Fraction]:
     return {r: min_cut(g, root, [r])[0] for r in sorted(set(reps))}
 
 
-def build_net(g: WeightedGraph, root: int, threshold: Fraction,
-              cuts: dict[int, Fraction] | None = None) -> frozenset[int]:
+def build_net(g: WeightedGraph, root: int,
+              threshold: Fraction) -> frozenset[int]:
     """Units whose representative's min cut from the root strictly exceeds
-    the threshold (the solvers pass 2*T*tau).  cuts, when given, holds those
-    cut values by representative."""
+    the threshold (the solvers pass 2*T*tau)."""
     reps = _reps(g, root)
-    if cuts is None:
-        cuts = _root_cuts(g, root, reps.values())
+    cuts = _root_cuts(g, root, reps.values())
     return frozenset(v for v, r in reps.items() if cuts[r] > threshold)
 
 
 def thrifty_plan(g: WeightedGraph, schedule: Schedule, guess: Fraction,
-                 beta: Fraction | None = None,
-                 cuts: dict[int, Fraction] | None = None) -> ThriftyPlan:
-    """Build the two-day plan for one guess of the optimal value; cuts are
-    the per-representative root cuts, computed here when not given."""
+                 beta: Fraction | None = None) -> ThriftyPlan:
+    """Build the two-day plan for one guess of the optimal value."""
     root = _require_root(g)
     if beta is None:
         beta = BETA
     tau = threshold_tau(guess, schedule, beta)
-    net = build_net(g, root, 2 * schedule.horizon * tau, cuts)
+    net = build_net(g, root, 2 * schedule.horizon * tau)
     reps = _reps(g, root)
     day0_cost, day0 = min_cut(g, root, {reps[v] for v in net})
     rest = delete_or_contract(g, day0.ids, "delete")
@@ -79,20 +75,19 @@ def thrifty_plan(g: WeightedGraph, schedule: Schedule, guess: Fraction,
 
 
 def _bounds(g: WeightedGraph):
-    """The costliest single-unit root cut and the cut of every unit; the
-    single-unit cuts are shared with every plan."""
+    """The costliest single-unit root cut and the cut of every unit."""
     root = _require_root(g)
     reps = _reps(g, root).values()
     cuts = _root_cuts(g, root, reps)
     ub, ub_set = min_cut(g, root, reps)
-    return max(cuts.values()), ub, sorted(ub_set.ids), cuts
+    return max(cuts.values()), ub, sorted(ub_set.ids)
 
 
 def _scale(g: WeightedGraph, schedule: Schedule, f_guess: int, merge_r):
     """Cost scaling under edge f_guess.  Raises Infeasible when the guess
     contracts a unit into the root, meaning every cut for it would need a
     costlier edge."""
-    pre = preprocess_cost_scaling(g, schedule, MINCUT, f_guess, merge_r)
+    pre = preprocess_cost_scaling(g, schedule, f_guess, merge_r)
     for v in units_of(g):
         if pre.graph.representative(v) == pre.graph.root:
             raise Infeasible(f"vertex {v} is only separable by costlier edges")

@@ -298,15 +298,16 @@ class Kind:
 
     units(payload) lists the ground units.  bounds(payload) returns the grid
     endpoints (a proven lower bound on the adaptive optimum and the cost of a
-    day-0 solution covering every unit), that solution's action ids, and the
-    guess-independent work that plan(payload, schedule, guess, beta, shared)
-    receives as shared.  solve is the public per-kind entry point.
-    covers(payload, ids, units) tells whether the owned action ids cover
-    the active units; the exact oracle checks every strategy with it.  For
-    graph problems, scale(payload, schedule, f_guess, merge_r) cost-scales
-    the instance under a guess of the costliest edge ever bought and raises
-    Infeasible when that guess cannot stay feasible.  min_live is the
-    largest k_T for which the instance is trivial.
+    day-0 solution covering every unit) and that solution's action ids;
+    plan(payload, schedule, guess, beta) builds the plan for one guess.
+    solve is the public per-kind entry point.  covers(payload, ids, units)
+    tells whether the owned action ids cover the active units; the exact
+    oracle checks every strategy with it.  For graph problems,
+    scale(payload, schedule, f_guess, merge_r) cost-scales the instance
+    under a guess of the costliest edge ever bought and raises Infeasible
+    when that guess cannot stay feasible.  A graph payload has a root
+    exactly when it is a cut instance.  min_live is the largest k_T for
+    which the instance is trivial.
     """
 
     units: Callable
@@ -332,11 +333,11 @@ def require_live(kind: str, schedule: Schedule) -> None:
 def _candidates(spec: Kind, payload, schedule: Schedule,
                 beta) -> list[ThriftyPlan]:
     """One plan per grid guess, or the day-0 plan when covering all is free."""
-    lb, ub, purchase, shared = spec.bounds(payload)
+    lb, ub, purchase = spec.bounds(payload)
     if ub == 0:
         return [free_plan(spec.units(payload), purchase,
                           argmin_stage(schedule))]
-    return [spec.plan(payload, schedule, guess, beta, shared)
+    return [spec.plan(payload, schedule, guess, beta)
             for guess in guess_grid(lb, ub)]
 
 

@@ -334,7 +334,7 @@ def opt_bounds(instance: ProblemInstance) -> tuple[Fraction, Fraction]:
     """Grid endpoints: a proven lower bound on the adaptive optimum and the
     cost of a feasible day-0-only solution."""
     require_live(instance.kind, instance.schedule)
-    lb, ub, _, _ = KINDS[instance.kind].bounds(instance.payload)
+    lb, ub, _ = KINDS[instance.kind].bounds(instance.payload)
     return lb, ub
 
 

@@ -135,7 +135,7 @@ def _bounds(system: SetSystem):
     """The costliest cheapest-set price and the greedy cover of everything."""
     units = system.elements()
     all_ids, ub = greedy_cover(system, units)
-    return max(system.minset_cost[e] for e in units), ub, all_ids, None
+    return max(system.minset_cost[e] for e in units), ub, all_ids
 
 
 def solve(system: SetSystem, schedule: Schedule, beta: Fraction | None = None,
@@ -151,8 +151,7 @@ def solve(system: SetSystem, schedule: Schedule, beta: Fraction | None = None,
 KINDS[SETCOVER] = Kind(
     units=SetSystem.elements,
     bounds=_bounds,
-    plan=lambda system, schedule, guess, beta, _: thrifty_plan(
-        system, schedule, guess, beta),
+    plan=lambda *args: thrifty_plan(*args),
     solve=lambda *args: solve(*args),
     covers=lambda system, ids, units: all(
         any(u in system.sets[sid][0] for sid in ids) for u in units))

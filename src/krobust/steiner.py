@@ -153,21 +153,21 @@ def sfnet_build(g: WeightedGraph, pairs, gamma: Fraction) -> SfnetResult:
                        witnesses=frozenset(witnesses), e_alg=g.edge_set(ids))
 
 
-def thrifty_forest_plan(g: WeightedGraph, pairs, schedule: Schedule,
+def thrifty_forest_plan(g: WeightedGraph, schedule: Schedule,
                         guess: Fraction,
                         beta: Fraction | None = None) -> ThriftyPlan:
-    """Two-day Steiner forest plan for one guess of the optimal value."""
-    plist = tuple(pairs)
+    """Two-day Steiner forest plan for one guess of the optimal value,
+    connecting the graph's pairs."""
     if beta is None:
         beta = BETA
     tau = threshold_tau(guess, schedule, beta)
     gamma = 2 * schedule.horizon * tau
-    built = sfnet_build(g, plist, gamma)
+    built = sfnet_build(g, g.pairs, gamma)
     day0 = built.e_alg
     zeroed = zero_edges(g, day0.ids)
     residuals = {}
     actions = {}
-    for p in plist:
+    for p in g.pairs:
         dist, pred = shortest_paths(zeroed, [p.s])
         if p.t not in dist:
             raise Disconnected(f"pair {p.pid} cannot be connected")
@@ -195,7 +195,7 @@ def _tree_bounds(g: WeightedGraph):
                 raise Disconnected(f"vertices {u} and {v} are not connected")
             lb = max(lb, dist[v])
     ub = mst_steiner_tree(g, range(g.n))
-    return lb, ub.cost, sorted(ub.ids), None
+    return lb, ub.cost, sorted(ub.ids)
 
 
 def _forest_bounds(g: WeightedGraph):
@@ -207,7 +207,7 @@ def _forest_bounds(g: WeightedGraph):
             raise Disconnected(f"pair {p.pid} cannot be connected")
         lb = max(lb, dist[p.t])
     ub = gw_steiner_forest(g, g.pairs)
-    return lb, ub.cost, sorted(ub.ids), None
+    return lb, ub.cost, sorted(ub.ids)
 
 
 def solve_tree(g: WeightedGraph, schedule: Schedule,
@@ -219,34 +219,31 @@ def solve_tree(g: WeightedGraph, schedule: Schedule,
     return solve_thrifty(STEINERTREE, g, schedule, beta, preprocess, merge_r)
 
 
-def solve_forest(g: WeightedGraph, pairs, schedule: Schedule,
+def solve_forest(g: WeightedGraph, schedule: Schedule,
                  beta: Fraction | None = None,
                  preprocess: bool = False,
                  merge_r=2) -> tuple[ThriftyPlan, CostReport]:
-    """Best evaluated forest plan over the doubling guess grid (and, with
-    preprocess=True, over every guess of the costliest edge after scaling)."""
-    return solve_thrifty(STEINERFOREST, replace(g, pairs=tuple(pairs)),
-                         schedule, beta, preprocess, merge_r)
+    """Best evaluated forest plan for the graph's pairs over the doubling
+    guess grid (and, with preprocess=True, over every guess of the
+    costliest edge after scaling)."""
+    return solve_thrifty(STEINERFOREST, g, schedule, beta, preprocess,
+                         merge_r)
 
 
 KINDS[STEINERTREE] = Kind(
     units=lambda g: tuple(range(g.n)),
     bounds=_tree_bounds,
-    plan=lambda g, schedule, guess, beta, _: thrifty_tree_plan(
-        g, schedule, guess, beta),
+    plan=lambda *args: thrifty_tree_plan(*args),
     solve=lambda *args: solve_tree(*args),
     covers=lambda g, ids, units: connects(g, ids, pairwise(sorted(units))),
-    scale=lambda g, schedule, f_guess, merge_r: preprocess_cost_scaling(
-        g, schedule, STEINERTREE, f_guess, merge_r),
+    scale=lambda *args: preprocess_cost_scaling(*args),
     min_live=1)
 
 KINDS[STEINERFOREST] = Kind(
     units=lambda g: tuple(p.pid for p in g.pairs),
     bounds=_forest_bounds,
-    plan=lambda g, schedule, guess, beta, _: thrifty_forest_plan(
-        g, g.pairs, schedule, guess, beta),
-    solve=lambda g, *args: solve_forest(g, g.pairs, *args),
+    plan=lambda *args: thrifty_forest_plan(*args),
+    solve=lambda *args: solve_forest(*args),
     covers=lambda g, ids, units: connects(
         g, ids, [(p.s, p.t) for p in g.pairs if p.pid in units]),
-    scale=lambda g, schedule, f_guess, merge_r: preprocess_cost_scaling(
-        g, schedule, STEINERFOREST, f_guess, merge_r))
+    scale=lambda *args: preprocess_cost_scaling(*args))

@@ -204,19 +204,15 @@ def test_criterion_8_preprocessing_postconditions(tiny_batches):
                          (STEINERFOREST, solve_forest)):
         for inst in tiny_batches[kind][:25]:
             g, sched = inst.payload, inst.schedule
-            if kind == STEINERFOREST:
-                plain = solver(g, g.pairs, sched)[1]
-                pre = solver(g, g.pairs, sched, preprocess=True)[1]
-            else:
-                plain = solver(g, sched)[1]
-                pre = solver(g, sched, preprocess=True)[1]
+            plain = solver(g, sched)[1]
+            pre = solver(g, sched, preprocess=True)[1]
             assert pre.robcov <= 4 * plain.robcov
             band_checked += 1
         for inst in tiny_batches[kind][:10]:
             g, sched = inst.payload, inst.schedule
             for cost in sorted({e.cost for e in g.edges}):
                 eid = min(e.eid for e in g.edges if e.cost == cost)
-                res = preprocess_cost_scaling(g, sched, kind, eid)
+                res = preprocess_cost_scaling(g, sched, eid)
                 priced = [e.cost for e in res.graph.edges if e.cost > 0]
                 if priced:
                     assert max(priced) / min(priced) <= g.n * g.n

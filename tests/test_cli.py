@@ -234,6 +234,15 @@ def test_compare_batch_argument_errors(allstages, capsys):
     assert rc == 2 and "instance file or --batch" in err
 
 
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_compare_batch_below_one_is_rejected(capsys, count):
+    with pytest.raises(SystemExit) as exc:   # argparse rejects the value
+        main(["compare", "--batch", count, "--kind", "setcover"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "--batch" in captured.err and "Traceback" not in captured.err
+
+
 def test_rejects_float_literals(tmp_path, capsys):
     path = tmp_path / "f.json"
     path.write_text(json.dumps(SC_HAND).replace('"5/2"', "2.5"))

@@ -210,7 +210,7 @@ def test_cut_monotone_under_surgery():
 def test_preprocess_deletes_high_prepays_low():
     g = WeightedGraph.build(4, [(0, 1, 1), (1, 2, 1000), (2, 3, 1)])
     sched = Schedule.of([4, 2, 1], [1, 2, 32])
-    pre = preprocess_cost_scaling(g, sched, STEINERTREE, f_guess=0)
+    pre = preprocess_cost_scaling(g, sched, f_guess=0)
     assert pre.graph.edge_ids() == frozenset({0, 2})
     assert pre.prepaid.ids == frozenset() and pre.prepaid.cost == 0
     # spread is 1 so day 2 (lam 32 > 16) is dropped
@@ -218,7 +218,7 @@ def test_preprocess_deletes_high_prepays_low():
     assert pre.schedule.lam == (F(1), F(2))
     assert pre.f_guess == 0
 
-    pre2 = preprocess_cost_scaling(g, sched, STEINERTREE, f_guess=1)
+    pre2 = preprocess_cost_scaling(g, sched, f_guess=1)
     assert pre2.prepaid.ids == frozenset({0, 2}) and pre2.prepaid.cost == 2
     assert pre2.graph.edge_by_id(0).cost == 0
     assert pre2.graph.edge_by_id(1).cost == 1000
@@ -227,7 +227,7 @@ def test_preprocess_deletes_high_prepays_low():
 def test_preprocess_contracts_for_cuts():
     g = WeightedGraph.build(3, [(0, 1, 1), (0, 2, 2), (1, 2, 40)], root=0)
     sched = Schedule.of([2, 2, 1], [1, 2, 4])
-    pre = preprocess_cost_scaling(g, sched, MINCUT, f_guess=1)
+    pre = preprocess_cost_scaling(g, sched, f_guess=1)
     assert pre.graph.representative(1) == pre.graph.representative(2)
     assert pre.graph.edge_ids() == frozenset({0, 1})
     assert pre.kept_days == (0, 1, 2)
@@ -236,7 +236,7 @@ def test_preprocess_contracts_for_cuts():
 def test_preprocess_merge_ratio():
     g = WeightedGraph.build(3, [(0, 1, 1), (1, 2, 2)])
     sched = Schedule.of([3, 2, 2, 1], [1, 2, 4, 8])
-    pre = preprocess_cost_scaling(g, sched, STEINERTREE, f_guess=1, merge_r=3)
+    pre = preprocess_cost_scaling(g, sched, f_guess=1, merge_r=3)
     assert pre.schedule.lam == (F(1), F(4))
     assert pre.kept_days == (0, 2)
 

@@ -98,7 +98,7 @@ def test_preprocess_contraction_moves_the_root():
     g = WeightedGraph.build(3, [(1, 0, 100), (1, 2, 1)], root=0)
     sched = Schedule.of([2, 1], [1, 2])
     # contracting the pricey edge merges the root into vertex 1
-    assert preprocess_cost_scaling(g, sched, MINCUT, 1, 2).graph.root == 1
+    assert preprocess_cost_scaling(g, sched, 1, 2).graph.root == 1
     with pytest.raises(Infeasible, match="vertex 1 is only separable"):
         scaled_candidates(MINCUT, g, sched, 1, F(50), 2)
     plan, report = solve(g, sched, preprocess=True)

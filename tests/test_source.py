@@ -6,6 +6,12 @@ import inspect
 import types
 from pathlib import Path
 
+import pytest
+
+from krobust.fixtures import gen_random
+from krobust.model import (KINDS, MINCUT, PROBLEM_KINDS, SETCOVER,
+                           STEINERFOREST, STEINERTREE)
+
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "krobust"
 
 
@@ -82,3 +88,61 @@ def test_traced_names_exist_with_matching_keyers():
         fn = getattr(importlib.import_module(f"krobust.{layer}"), name)
         assert (list(inspect.signature(keyer).parameters)
                 == list(inspect.signature(fn).parameters)), qualified
+
+
+# the solve entry and the plan builder the tracer times for each kind
+TRACED_SOLVE = {SETCOVER: ("setcover.solve", "setcover.thrifty_plan"),
+                MINCUT: ("mincut.solve", "mincut.thrifty_plan"),
+                STEINERTREE: ("steiner.solve_tree", "steiner.thrifty_tree_plan"),
+                STEINERFOREST: ("steiner.solve_forest",
+                                "steiner.thrifty_forest_plan")}
+
+
+@pytest.mark.parametrize("kind", PROBLEM_KINDS)
+def test_kind_records_reach_the_traced_names(kind):
+    # the tracer rebinds module attributes, so a Kind field that holds a
+    # traced function itself, not a lambda that looks it up, goes unseen
+    tracer = _tracer()
+    spec, inst = KINDS[kind], gen_random(kind, 6, 12, 2, 1)
+    names = TRACED_SOLVE[kind]
+    recorder = tracer.Recorder()
+    with tracer.traced(recorder):
+        spec.solve(inst.payload, inst.schedule)
+        if spec.scale is not None:
+            spec.solve(inst.payload, inst.schedule, None, True)
+            names += ("graphcore.preprocess_cost_scaling",)
+    assert all(recorder.calls[name] > 0 for name in names), recorder.calls
+
+
+KIND_NAMES = {"SETCOVER", "MINCUT", "STEINERTREE", "STEINERFOREST"}
+# only the document schema, the random generator and the game's set cover
+# pruning tell the kinds apart by name; everything else asks KINDS
+KIND_CHECKS_ALLOWED = ("cli.parse_instance", "cli.serialize_instance",
+                       "fixtures.gen_random", "oracle._Game.useful",
+                       "oracle._Game.memo_key")
+
+
+def _kind_checks(node, scope):
+    """(scope, line) of every comparison with a problem-kind constant."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Compare) and any(
+                isinstance(x, ast.Name) and x.id in KIND_NAMES
+                for x in (child.left, *child.comparators)):
+            yield scope, child.lineno
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef)):
+            inner = f"{scope}.{child.name}"
+        yield from _kind_checks(child, inner)
+
+
+def test_kind_checks_only_where_allowed():
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert sources
+    hits = [f"{scope}:{line}"
+            for path in sources
+            for scope, line in _kind_checks(ast.parse(path.read_text()),
+                                            path.stem)
+            if not any(scope == ok or scope.startswith(ok + ".")
+                       for ok in KIND_CHECKS_ALLOWED)]
+    assert hits == []

@@ -4,9 +4,12 @@ from fractions import Fraction
 
 import pytest
 
+from krobust import graphcore
 from krobust.errors import Disconnected, TrivialInstance
+from krobust.fixtures import gen_random
 from krobust.graphcore import UnionFind, WeightedGraph, shortest_paths, zero_edges
-from krobust.model import STEINERFOREST, STEINERTREE, Schedule
+from krobust.model import STEINERFOREST, STEINERTREE, ProblemInstance, Schedule
+from krobust.oracle import opt_bounds
 from krobust.steiner import (
     ball_packing_net,
     sfnet_build,
@@ -101,7 +104,7 @@ def test_forest_plan_values():
     g = WeightedGraph.build(4, [(i, i + 1, 1) for i in range(3)],
                             pairs=[(0, 3), (1, 2)])
     sched = Schedule.of([2, 1], [1, 2])
-    plan = thrifty_forest_plan(g, g.pairs, sched, F(3))
+    plan = thrifty_forest_plan(g, sched, F(3))
     assert plan.net == frozenset()
     assert plan.day0_purchase == ()
     assert plan.residuals == {1: 3, 2: 1}
@@ -111,7 +114,7 @@ def test_forest_plan_values():
 def test_forest_plan_disconnected():
     g = WeightedGraph.build(4, [(0, 1, 1), (2, 3, 1)], pairs=[(0, 2)])
     with pytest.raises(Disconnected):
-        thrifty_forest_plan(g, g.pairs, Schedule.of([1, 1], [1, 2]), F(1))
+        thrifty_forest_plan(g, Schedule.of([1, 1], [1, 2]), F(1))
 
 
 def test_solve_tree_path():
@@ -137,21 +140,40 @@ def test_solve_tree_trivial_and_disconnected():
 def test_solve_forest_path():
     g = WeightedGraph.build(4, [(i, i + 1, 1) for i in range(3)],
                             pairs=[(0, 3), (1, 2)])
-    plan, report = solve_forest(g, g.pairs, Schedule.of([2, 1], [1, 2]))
+    plan, report = solve_forest(g, Schedule.of([2, 1], [1, 2]))
     assert report.robcov == 4
     assert report.witness == (1, 2)
-    _, trivial = solve_forest(g, g.pairs, Schedule.of([2, 0], [1, 2]))
+    _, trivial = solve_forest(g, Schedule.of([2, 0], [1, 2]))
     assert trivial.robcov == 0
 
 
 def test_solve_forest_preprocess():
     g = WeightedGraph.build(4, [(0, 1, 1), (1, 2, 50), (2, 3, 1)],
                             pairs=[(0, 1), (2, 3)])
-    plain_plan, plain = solve_forest(g, g.pairs, Schedule.of([2, 1], [1, 2]))
-    plan, report = solve_forest(g, g.pairs, Schedule.of([2, 1], [1, 2]),
+    plain_plan, plain = solve_forest(g, Schedule.of([2, 1], [1, 2]))
+    plan, report = solve_forest(g, Schedule.of([2, 1], [1, 2]),
                                 preprocess=True)
     assert report.robcov <= plain.robcov
     assert plan.preprocess_f is not None
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_forest_solve_shares_its_memo_with_opt_bounds(monkeypatch, seed):
+    # the solver reads the graph's own pairs, so the grid bounds it
+    # computed are memoised on the graph that opt_bounds is given
+    inst = gen_random(STEINERFOREST, 8, 16, 2, seed)
+    g, sched = inst.payload, inst.schedule
+    solve_forest(g, sched)
+    searches = []
+    search = graphcore._dijkstra
+
+    def counted(*args):
+        searches.append(args[1])
+        return search(*args)
+
+    monkeypatch.setattr(graphcore, "_dijkstra", counted)
+    opt_bounds(ProblemInstance(STEINERFOREST, g, sched))
+    assert searches == []
 
 
 def test_plan_invariants_on_random_batches(solved_batches):
