@@ -37,19 +37,29 @@ EXIT_INVARIANT = 5
 
 # ------------------------------------------------------------- document I/O
 
-def _frac(value, path: str) -> Fraction:
+def _in_range(value, path: str, low, high):
+    """value, if low <= value <= high; a bound of None is open."""
+    if low is not None and value < low or high is not None and value > high:
+        want = (f"at least {low}" if high is None else
+                f"{low}" if low == high else f"in {low}..{high}")
+        raise InstanceFormatError(path, f"must be {want}, got {value}")
+    return value
+
+
+def _frac(value, path: str, low=None, high=None) -> Fraction:
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise InstanceFormatError(path, f"expected an exact rational, got {value!r}")
     try:
-        return Fraction(str(value))
+        frac = Fraction(str(value))
     except (ValueError, ZeroDivisionError) as exc:
         raise InstanceFormatError(path, f"bad rational {value!r} ({exc})") from None
+    return _in_range(frac, path, low, high)
 
 
-def _int(value, path: str) -> int:
+def _int(value, path: str, low=None, high=None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise InstanceFormatError(path, f"expected an integer, got {value!r}")
-    return value
+    return _in_range(value, path, low, high)
 
 
 def _list(value, path: str) -> list:
@@ -83,10 +93,11 @@ def parse_instance(doc) -> ProblemInstance:
     sched_doc = doc.get("schedule")
     if not isinstance(sched_doc, dict):
         raise InstanceFormatError("schedule", "expected an object")
-    T = _int(sched_doc.get("T"), "schedule.T")
-    k = [_int(x, f"schedule.k[{i}]")
+    T = _int(sched_doc.get("T"), "schedule.T", 0)
+    k = [_int(x, f"schedule.k[{i}]", 0)
          for i, x in enumerate(_list(sched_doc.get("k"), "schedule.k"))]
-    lams = [_frac(x, f"schedule.lambda[{i}]")
+    # inflations start at 1 and never fall, so each one is at least 1
+    lams = [_frac(x, f"schedule.lambda[{i}]", 1, 1 if i == 0 else None)
             for i, x in enumerate(_list(sched_doc.get("lambda"), "schedule.lambda"))]
     if len(k) != T + 1:
         raise InstanceFormatError("schedule.k", f"need {T + 1} entries for T={T}")
@@ -116,12 +127,12 @@ def parse_instance(doc) -> ProblemInstance:
         for i, raw in enumerate(_list(doc.get("sets"), "sets")):
             if not isinstance(raw, dict):
                 raise InstanceFormatError(f"sets[{i}]", "expected an object")
+            cost = _frac(raw.get("cost"), f"sets[{i}].cost", 0)
             members = _list(raw.get("members"), f"sets[{i}].members")
             for j, e in enumerate(members):
-                if type(e) is not int:
-                    _int(e, f"sets[{i}].members[{j}]")
-            sets.append((frozenset(members), _frac(raw.get("cost"),
-                                                   f"sets[{i}].cost")))
+                if type(e) is not int or not 1 <= e <= schedule.k[0]:
+                    _int(e, f"sets[{i}].members[{j}]", 1, schedule.k[0])
+            sets.append((frozenset(members), cost))
         payload = SetSystem.build(schedule.k[0], sets)
     else:
         gdoc = doc.get("graph")

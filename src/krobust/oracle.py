@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
+from math import lcm
 from typing import Iterable, Mapping
 
 from .errors import BadParameters, Infeasible, TooLarge
@@ -46,19 +47,33 @@ class SizeLimits:
 
 # ---------------------------------------------------------------- exact optima
 
+def _scaled(values) -> tuple[int, tuple[int, ...]]:
+    """L, the LCM of the values' denominators, and each value times L as an
+    int.  Scaling by a positive constant keeps every order and tie."""
+    fracs = [Fraction(v) for v in values]
+    scale = lcm(*(v.denominator for v in fracs))
+    return scale, tuple(v.numerator * (scale // v.denominator) for v in fracs)
+
+
+def _by_cost(costs: tuple[int, ...]) -> list[tuple[int, int]]:
+    """Every action mask with its total int cost, cheapest first (ties to
+    the smaller mask)."""
+    totals = [0] * (1 << len(costs))
+    for mask in range(1, len(totals)):
+        low = mask & -mask
+        totals[mask] = totals[mask ^ low] + costs[low.bit_length() - 1]
+    return sorted(zip(totals, range(len(totals))))
+
+
 def _cheapest(actions, ok, limits: SizeLimits | None) -> Fraction:
-    """Minimum total cost of an action subset whose ids satisfy ok, by
-    enumeration."""
+    """Minimum total cost of an action subset whose ids satisfy ok: the
+    first subset in cheapest-first order that passes."""
     (limits or SizeLimits()).check(0, len(actions), 0)
-    best = _INF
-    for mask in range(1 << len(actions)):
-        chosen = [a for i, a in enumerate(actions) if mask >> i & 1]
-        cost = sum((c for _, c in chosen), Fraction(0))
-        if cost < best and ok([aid for aid, _ in chosen]):
-            best = cost
-    if best is _INF:
-        raise Infeasible("no action subset is feasible")
-    return best
+    scale, costs = _scaled(cost for _, cost in actions)
+    for cost, mask in _by_cost(costs):
+        if ok([aid for i, (aid, _) in enumerate(actions) if mask >> i & 1]):
+            return Fraction(cost, scale)
+    raise Infeasible("no action subset is feasible")
 
 
 def exact_cover(system: SetSystem, targets: Iterable[int],
@@ -116,7 +131,14 @@ class TraceNode:
 
 
 class _Game:
-    """Bitmask encoding of one instance for the backward-induction solver."""
+    """Bitmask encoding of one instance for the backward-induction solver.
+
+    Money is integer: action costs are scaled by the LCM of their
+    denominators and inflations by the LCM of theirs, so every value the
+    search compares is an int in units of 1/money_scale.  Moves and
+    coverage checks are pure functions of their masks and are cached here,
+    so the caches live exactly as long as the game.
+    """
 
     def __init__(self, instance: ProblemInstance):
         self.inst = instance
@@ -126,26 +148,29 @@ class _Game:
         self.schedule = instance.schedule
         actions = instance.payload.actions()
         self.action_ids = tuple(aid for aid, _ in actions)
-        self.costs = tuple(cost for _, cost in actions)
+        cost_scale, self.costs = _scaled(cost for _, cost in actions)
+        lam_scale, self.lam = _scaled(self.schedule.lam)
+        self.money_scale = cost_scale * lam_scale
         self.full_units = (1 << len(self.units)) - 1
         self.parts_mask = None
         if instance.uncertainty.kind == SUBSET:
             self.parts_mask = tuple(
                 sum(1 << self.uidx[u] for u in part)
                 for part in instance.uncertainty.parts)
+        self.move_cache: dict = {}
+        self.feasible_cache: dict = {}
 
     def check(self, limits: SizeLimits | None) -> None:
         (limits or SizeLimits()).check(len(self.units), len(self.action_ids),
                                        self.schedule.horizon)
 
+    def money(self, value: int) -> Fraction:
+        return Fraction(value, self.money_scale)
+
     @cached_property
-    def masks(self) -> list[tuple[Fraction, int]]:
-        """Every owned-action mask with its cost, cheapest first."""
-        n = len(self.action_ids)
-        return sorted(
-            (sum((self.costs[i] for i in range(n) if mask >> i & 1),
-                 Fraction(0)), mask)
-            for mask in range(1 << n))
+    def masks(self) -> list[tuple[int, int]]:
+        """Every owned-action mask with its scaled cost, cheapest first."""
+        return _by_cost(self.costs)
 
     @cached_property
     def cover(self) -> tuple[int, ...]:
@@ -169,19 +194,32 @@ class _Game:
         return cov
 
     def feasible(self, owned: int, active: int) -> bool:
-        ids = {aid for i, aid in enumerate(self.action_ids) if owned >> i & 1}
-        return KINDS[self.kind].covers(self.inst.payload, ids,
-                                       self.unit_set(active))
+        key = owned << len(self.units) | active
+        got = self.feasible_cache.get(key)
+        if got is None:
+            ids = {aid for i, aid in enumerate(self.action_ids)
+                   if owned >> i & 1}
+            got = self.feasible_cache[key] = KINDS[self.kind].covers(
+                self.inst.payload, ids, self.unit_set(active))
+        return got
 
-    def moves(self, next_day: int, active: int, full: bool) -> list[int]:
-        """Adversary's reachable next active-unit masks."""
+    def moves(self, next_day: int, active: int, full: bool) -> tuple[int, ...]:
+        """Adversary's reachable next active-unit masks, ascending."""
+        key = next_day, active, full
+        got = self.move_cache.get(key)
+        if got is None:
+            got = self.move_cache[key] = tuple(
+                sorted(self._reachable(next_day, active, full)))
+        return got
+
+    def _reachable(self, next_day: int, active: int, full: bool) -> set[int]:
         bits = [i for i in range(len(self.units)) if active >> i & 1]
         k = self.schedule.k[next_day]
+        out = set()
         if self.parts_mask is not None:
             part = self.parts_mask[next_day - 1]
             inside = [i for i in bits if part >> i & 1]
             outside_mask = active & ~part
-            out = set()
             keep_sizes = (range(min(k, len(inside)) + 1) if full
                           else [min(k, len(inside))])
             for size in keep_sizes:
@@ -194,15 +232,14 @@ class _Game:
                                 out.add(kept | sum(1 << i for i in rk))
                     else:
                         out.add(kept | outside_mask)
-            return sorted(out)
+            return out
         n_total = len(self.units)
         hi = min(k, len(bits))
         lo = max(0, k - (n_total - len(bits))) if full else hi
-        out = set()
         for size in range(lo, hi + 1):
             for keep in combinations(bits, size):
                 out.add(sum(1 << i for i in keep))
-        return sorted(out)
+        return out
 
     def useful(self, mask: int, owned: int, active: int) -> bool:
         """Set-cover prune: every bought set must add new active coverage."""
@@ -214,10 +251,13 @@ class _Game:
                 return False
         return True
 
-    def memo_key(self, day: int, active: int, owned: int):
+    def memo_key(self, day: int, active: int, owned: int) -> int:
+        """One int per state, smaller than a tuple in the memo; set cover
+        states that cover the same active units share a key."""
         if self.kind == SETCOVER:
-            return day, active, self.covered_mask(owned) & active
-        return day, active, owned
+            owned = self.covered_mask(owned) & active
+        return ((owned << len(self.units) | active)
+                * (self.schedule.horizon + 1) + day)
 
 
 def minimax_opt(instance: ProblemInstance, limits: SizeLimits | None = None,
@@ -230,14 +270,16 @@ def minimax_opt(instance: ProblemInstance, limits: SizeLimits | None = None,
     inactive_days forbids any purchase on the listed days; full_adversary
     enumerates every reachable next active set instead of only the
     maximal-cardinality ones (the values agree — kept for spot checks).
+    The search runs on the game's integer money; the value and every trace
+    node's value come back as exact Fractions.
     """
     game = _Game(instance)
     game.check(limits)
-    sched = game.schedule
-    T = sched.horizon
+    T = game.schedule.horizon
+    lam = game.lam
     forbidden = frozenset(inactive_days)
     memo: dict = {}
-    empty_only = [(Fraction(0), 0)]
+    empty_only = [(0, 0)]
 
     def value(day: int, active: int, owned: int):
         key = game.memo_key(day, active, owned)
@@ -251,7 +293,7 @@ def minimax_opt(instance: ProblemInstance, limits: SizeLimits | None = None,
                 continue
             if not game.useful(mask, owned, active):
                 continue
-            spend = sched.lam[day] * cost
+            spend = lam[day] * cost
             if spend >= best:
                 break
             if day == T:
@@ -259,7 +301,7 @@ def minimax_opt(instance: ProblemInstance, limits: SizeLimits | None = None,
                     best, best_mask = spend, mask
                     break
             else:
-                worst = Fraction(0)
+                worst = 0
                 for move in game.moves(day + 1, active, full_adversary):
                     worst = max(worst, value(day + 1, move, owned | mask))
                     if spend + worst >= best:
@@ -277,14 +319,14 @@ def minimax_opt(instance: ProblemInstance, limits: SizeLimits | None = None,
                 (game.unit_set(move), trace(day + 1, move, owned | mask))
                 for move in game.moves(day + 1, active, full_adversary))
         return TraceNode(day=day, active=game.unit_set(active),
-                         purchase=game.action_set(mask), value=val,
-                         children=kids)
+                         purchase=game.action_set(mask),
+                         value=game.money(val), children=kids)
 
     try:
         opt = value(0, game.full_units, 0)
-        if opt is _INF or opt == _INF:
+        if opt == _INF:
             raise Infeasible("no strategy is feasible for every scenario")
-        return opt, trace(0, game.full_units, 0)
+        return game.money(opt), trace(0, game.full_units, 0)
     finally:
         # the recursive closures hold their own cells: break that cycle so
         # the memo and the game are freed without a cyclic collection

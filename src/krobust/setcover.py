@@ -7,8 +7,10 @@ active element buys its cheapest covering set.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping
 
 from .errors import Infeasible
@@ -72,27 +74,45 @@ def greedy_cover(system: SetSystem, targets: Iterable[int]) -> tuple[list[int], 
     Picks the set maximizing newly-covered-per-cost (free sets with any new
     coverage first), ties broken by the smallest set id.  Returns chosen set
     ids in pick order and their total cost.
+
+    Lazy: a set's ratio only falls as coverage grows, so the heap holds an
+    upper bound per set and a popped set whose bound is still exact beats
+    every other set, ties included.
     """
-    want = set(targets)
+    remaining = set(targets)
     chosen: list[int] = []
     total = Fraction(0)
-    covered: set[int] = set()
-    while want - covered:
-        best_sid = -1
-        best_key: tuple | None = None
-        for sid, (members, cost) in enumerate(system.sets):
-            new = len((members & want) - covered)
-            if new == 0:
-                continue
-            # free sets sort above every priced ratio
-            key = (1, Fraction(0)) if cost == 0 else (0, Fraction(new, cost))
-            if best_key is None or key > best_key:
-                best_key, best_sid = key, sid
-        if best_sid < 0:
+    if not remaining:
+        return chosen, total
+    # new / (p/q) = new * q * (P // p) / P with P the LCM of the priced
+    # numerators, so one int weight per set orders the ratios exactly
+    priced = lcm(*(cost.numerator for _, cost in system.sets if cost))
+    weight = [cost.denominator * (priced // cost.numerator) if cost else 0
+              for _, cost in system.sets]
+
+    def rank(sid: int):
+        """Heap key, smaller is better: free sets above every priced ratio,
+        None once the set adds nothing."""
+        new = len(system.sets[sid][0] & remaining)
+        if new == 0:
+            return None
+        return (1, -new * weight[sid], sid) if weight[sid] else (0, 0, sid)
+
+    heap = [key for key in map(rank, range(len(system.sets))) if key]
+    heapq.heapify(heap)
+    while remaining:
+        if not heap:
             raise Infeasible("targets cannot be covered")
-        chosen.append(best_sid)
-        total += system.sets[best_sid][1]
-        covered |= system.sets[best_sid][0]
+        stale = heapq.heappop(heap)
+        fresh = rank(stale[2])
+        if fresh != stale:
+            if fresh:
+                heapq.heappush(heap, fresh)
+            continue
+        members, cost = system.sets[stale[2]]
+        chosen.append(stale[2])
+        total += cost
+        remaining -= members
     return chosen, total
 
 

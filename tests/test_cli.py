@@ -260,6 +260,21 @@ def test_rejects_float_literals(tmp_path, capsys):
                  "sets[1].members[1]", id="bool-member"),
     (lambda d: d["schedule"].update({"lambda": ["1", "3/0"]}),
      "schedule.lambda[1]"),
+    pytest.param(lambda d: d["sets"][1].update(cost="-1"), "sets[1].cost",
+                 id="negative-cost"),
+    pytest.param(lambda d: d["schedule"].update(k=[2, -1]), "schedule.k[1]",
+                 id="negative-k"),
+    pytest.param(lambda d: d["sets"][1]["members"].append(7),
+                 "sets[1].members[1]", id="unknown-member"),
+    pytest.param(lambda d: d["sets"][0]["members"].insert(0, 0),
+                 "sets[0].members[0]", id="member-zero"),
+    pytest.param(lambda d: d["schedule"].update({"lambda": ["2", "2"]}),
+                 "schedule.lambda[0]", id="first-lambda-not-1"),
+    pytest.param(lambda d: d["schedule"].update({"lambda": ["1", "-2"]}),
+                 "schedule.lambda[1]", id="negative-lambda"),
+    pytest.param(lambda d: d["schedule"].update({"T": -1, "k": [],
+                                                 "lambda": []}),
+                 "schedule.T", id="negative-horizon"),
 ])
 def test_field_errors_name_the_path(tmp_path, capsys, mutate, field):
     doc = json.loads(json.dumps(SC_HAND))

@@ -1,6 +1,7 @@
 """Exact minimax oracle, exhaustive plan evaluation, and bounds."""
 
 import gc
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -10,7 +11,9 @@ from krobust.errors import BadParameters, Infeasible, TooLarge, TrivialInstance
 from krobust.fixtures import gen_lowerbound_allstages, gen_random, gen_subset_krobust_bad
 from krobust.graphcore import WeightedGraph
 from krobust.model import (
+    KINDS,
     MINCUT,
+    PROBLEM_KINDS,
     SETCOVER,
     STEINERFOREST,
     STEINERTREE,
@@ -126,6 +129,77 @@ def test_minimax_multi_inflation_trace():
         stack.extend(child for _, child in node.children)
     # the optimum buys on both late days along some adversary lines, never day 0
     assert per_day == {0: False, 1: True, 2: True}
+
+
+def _check_trace_values(inst, node):
+    """Every node's value is an exact Fraction equal to its own purchase at
+    the day's inflation plus its worst child's value."""
+    price = dict(inst.payload.actions())
+    assert type(node.value) is Fraction
+    spend = inst.schedule.lam[node.day] * sum(
+        (price[aid] for aid in node.purchase), F(0))
+    worst = max((child.value for _, child in node.children), default=F(0))
+    assert node.value == spend + worst
+    for _, child in node.children:
+        _check_trace_values(inst, child)
+
+
+def test_minimax_exact_under_integer_scaling():
+    # costs over 2 and 7, inflations over 3: buy element 1 on day 0, then
+    # buy a lone unowned survivor on day 1 at 4/3 or wait for day 2 at 5/3
+    sched = Schedule.of([3, 2, 1], [1, F(4, 3), F(5, 3)])
+    costs = (F(1, 2), F(1, 7), F(1, 7))
+    cover = ProblemInstance(SETCOVER, SetSystem.build(
+        3, [({e + 1}, c) for e, c in enumerate(costs)]), sched)
+    # the same game as cuts of a star around the root
+    star = ProblemInstance(MINCUT, WeightedGraph.build(
+        4, [(0, v + 1, c) for v, c in enumerate(costs)], root=0), sched)
+    for inst in (cover, star):
+        opt, trace = minimax_opt(inst)
+        assert type(opt) is Fraction and opt == F(1, 2) + F(5, 3) * F(1, 7)
+        assert trace.value == opt and repr(opt) == "Fraction(31, 42)"
+        _check_trace_values(inst, trace)
+        assert {(node.day, node.value) for _, node in trace.children} == {
+            (1, F(4, 21)), (1, F(5, 21))}
+    # costs over 2, 7 and 5, inflations over 3 and 2
+    tri = WeightedGraph.build(3, [(0, 1, F(1, 2)), (0, 2, F(2, 7)),
+                                  (1, 2, F(3, 5))], root=0)
+    inst = ProblemInstance(MINCUT, tri, Schedule.of([2, 1, 1],
+                                                    [1, F(5, 3), F(7, 2)]))
+    opt, trace = minimax_opt(inst)
+    assert opt == F(1, 2) + F(2, 7) and trace.purchase == (0, 1)
+    _check_trace_values(inst, trace)
+    for kind in PROBLEM_KINDS:
+        inst = gen_random(kind, 4, 6, 2, 5)
+        _check_trace_values(inst, minimax_opt(inst)[1])
+
+
+@pytest.mark.parametrize("kind", PROBLEM_KINDS)
+def test_minimax_checks_each_coverage_once(kind, monkeypatch):
+    calls = Counter()
+    covers = KINDS[kind].covers
+
+    def counted(payload, ids, units):
+        calls[frozenset(ids), frozenset(units)] += 1
+        return covers(payload, ids, units)
+
+    monkeypatch.setitem(KINDS, kind, replace(KINDS[kind], covers=counted))
+    for seed in range(4):
+        calls.clear()
+        minimax_opt(gen_random(kind, 4 + seed % 2, 6, 1 + seed % 2, seed))
+        assert calls and max(calls.values()) == 1
+
+
+@pytest.mark.parametrize("kind", PROBLEM_KINDS)
+def test_invariant_chain_on_larger_instances(kind):
+    # compare's chain past the tiny batch: n = 7-8, 10 actions, T <= 3,
+    # under the default size limits
+    for seed in range(8):
+        inst = gen_random(kind, 7 + seed % 2, 10, 1 + seed % 3, seed)
+        plan, report = solve_instance(inst)
+        opt, _ = minimax_opt(inst)
+        lb, _ = opt_bounds(inst)
+        assert lb <= opt <= exhaustive_robcov(inst, plan) <= report.robcov
 
 
 def test_minimax_inactive_days():

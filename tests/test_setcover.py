@@ -73,6 +73,48 @@ def test_greedy_rejects_uncoverable_target():
         greedy_cover(sys_, (9,))
 
 
+def _rescan_greedy(system, targets):
+    """Reference greedy: rescan every set on every pick."""
+    want = set(targets)
+    chosen, total, covered = [], F(0), set()
+    while want - covered:
+        best_sid, best_key = -1, None
+        for sid, (members, cost) in enumerate(system.sets):
+            new = len((members & want) - covered)
+            if new == 0:
+                continue
+            key = (1, F(0)) if cost == 0 else (0, F(new, cost))
+            if best_key is None or key > best_key:
+                best_key, best_sid = key, sid
+        if best_sid < 0:
+            raise Infeasible("targets cannot be covered")
+        chosen.append(best_sid)
+        total += system.sets[best_sid][1]
+        covered |= system.sets[best_sid][0]
+    return chosen, total
+
+
+def test_lazy_greedy_matches_full_rescan():
+    # zero and repeated costs make ties between free sets and equal ratios
+    rng = random.Random(11)
+    costs = (0, 0, 1, 1, 1, 2, 2, F(1, 2), F(3, 2), F(2, 3))
+    multi_pick = 0
+    for _ in range(400):
+        size = rng.randint(2, 12)
+        sets = [(frozenset(rng.sample(range(1, size + 1), rng.randint(1, size))),
+                 rng.choice(costs)) for _ in range(rng.randint(1, 14))]
+        sets += [(frozenset({e}), rng.choice(costs)) for e in range(1, size + 1)]
+        rng.shuffle(sets)
+        sys_ = SetSystem.build(size, sets)
+        targets = rng.sample(range(1, size + 1), rng.randint(0, size))
+        want = _rescan_greedy(sys_, targets)
+        assert greedy_cover(sys_, targets) == want
+        multi_pick += len(want[0]) > 1
+        with pytest.raises(Infeasible):
+            greedy_cover(sys_, targets + [size + 1])
+    assert multi_pick >= 200
+
+
 def test_build_net_threshold_inclusive():
     sys_ = _system(({1}, 1), ({2}, 2))
     assert build_net(sys_, F(2)) == frozenset({2})
