@@ -103,6 +103,9 @@ def parse_instance(doc) -> ProblemInstance:
         raise InstanceFormatError("schedule.k", f"need {T + 1} entries for T={T}")
     if len(lams) != T + 1:
         raise InstanceFormatError("schedule.lambda", f"need {T + 1} entries for T={T}")
+    for i in range(1, T + 1):   # inflations never fall, cardinalities never rise
+        _in_range(lams[i], f"schedule.lambda[{i}]", lams[i - 1], None)
+        _in_range(k[i], f"schedule.k[{i}]", 0, k[i - 1])
     schedule = Schedule(T, tuple(k), tuple(lams))
 
     unc_doc = doc.get("uncertainty", {"kind": CARDINALITY})
@@ -172,7 +175,9 @@ def parse_instance(doc) -> ProblemInstance:
             raise InstanceFormatError("graph", str(exc)) from None
 
     inst = ProblemInstance(kind, payload, schedule, uncertainty)
-    validate_schedule(schedule, len(inst.units()))
+    size = len(inst.units())
+    _in_range(k[0], "schedule.k[0]", size, size)
+    validate_schedule(schedule, size)
     uncertainty.validate(schedule, inst.units())
     return inst
 

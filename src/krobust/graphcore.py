@@ -1,9 +1,11 @@
 """Exact-rational graph primitives shared by the cut and Steiner solvers.
 
-All algorithms work with Fraction costs and break ties by the smallest
-numeric id, so identical inputs always give identical outputs.  Edge ids are
-positions in the original edge tuple and stay stable under zeroing, deletion
-and contraction.
+All algorithms take int or Fraction costs, compute exactly and break ties by
+the smallest numeric id, so identical inputs always give identical outputs.
+The thrifty driver scales a graph's costs to ints once (WeightedGraph.integral)
+and solves on that copy, since int arithmetic is far cheaper than Fraction
+arithmetic.  Edge ids are positions in the original edge tuple and stay
+stable under zeroing, deletion and contraction.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from fractions import Fraction
 from typing import Collection, Iterable, NamedTuple, Sequence
 
 from .errors import Disconnected, InvariantViolation, UnknownEdge
-from .model import Schedule, merge_stages
+from .model import Schedule, merge_stages, scaled_to_ints
 
 
 class Edge(NamedTuple):
@@ -41,6 +43,24 @@ class EdgeSet:
     @staticmethod
     def empty() -> "EdgeSet":
         return EdgeSet(frozenset(), Fraction(0))
+
+
+def _memoised(fn):
+    """Keep fn's results on the graph: it is immutable, so a result depends
+    only on the graph and the other arguments.  An int argument keys as it
+    is; any other is read once into a frozenset, which is both its key and
+    what fn receives.  Results are shared and must not be mutated."""
+
+    @functools.wraps(fn)
+    def cached(g: WeightedGraph, *args):
+        args = tuple(a if isinstance(a, int) else frozenset(a) for a in args)
+        key = (fn, *args)
+        memo = g._memo
+        if key not in memo:
+            memo[key] = fn(g, *args)
+        return memo[key]
+
+    return cached
 
 
 @dataclass(frozen=True)
@@ -107,30 +127,26 @@ class WeightedGraph:
         """(edge id, cost) for every purchasable edge."""
         return tuple((e.eid, e.cost) for e in self.edges)
 
-    def adjacency(self) -> list[list[Edge]]:
+    @_memoised
+    def adjacency(self) -> tuple[tuple[Edge, ...], ...]:
+        """The edges at each vertex, in edge order."""
         adj: list[list[Edge]] = [[] for _ in range(self.n)]
         for e in self.edges:
             adj[e.u].append(e)
             adj[e.v].append(e)
-        return adj
+        return tuple(map(tuple, adj))
 
-
-def _memoised(fn):
-    """Keep fn's results on the graph: it is immutable, so a result depends
-    only on the graph and the other arguments.  An int argument keys as it
-    is; any other is read once into a frozenset, which is both its key and
-    what fn receives.  Results are shared and must not be mutated."""
-
-    @functools.wraps(fn)
-    def cached(g: WeightedGraph, *args):
-        args = tuple(a if isinstance(a, int) else frozenset(a) for a in args)
-        key = (fn, *args)
-        memo = g._memo
-        if key not in memo:
-            memo[key] = fn(g, *args)
-        return memo[key]
-
-    return cached
+    @_memoised
+    def integral(self) -> tuple[int, "WeightedGraph"]:
+        """L, the LCM of the edge costs' denominators, and a copy of the
+        graph with every cost times L as an int.  Every comparison the
+        thrifty solvers make is between costs and thresholds linear in the
+        costs, so a plan for the copy is the plan for the graph with its
+        money divided by L."""
+        scale, costs = scaled_to_ints(e.cost for e in self.edges)
+        edges = tuple(e._replace(cost=c) for e, c in zip(self.edges, costs))
+        return scale, WeightedGraph(self.n, edges, self.root, self.pairs,
+                                    self.rep)
 
 
 def _dijkstra(g: WeightedGraph, sources: Iterable[int],
@@ -140,8 +156,8 @@ def _dijkstra(g: WeightedGraph, sources: Iterable[int],
     pred: dict[int, Edge] = {}
     heap = []
     for s in sorted(set(sources)):
-        dist[s] = Fraction(0)
-        heapq.heappush(heap, (Fraction(0), s))
+        dist[s] = 0
+        heapq.heappush(heap, (0, s))
     adj = g.adjacency()
     done: set[int] = set()
     while heap:
@@ -188,49 +204,50 @@ def path_edges(pred: dict[int, Edge], sources: set[int], target: int) -> list[in
 
 
 @_memoised
+def _flow_arcs(g: WeightedGraph):
+    """min_cut's network: arc 2i runs along the i-th edge from u to v and
+    arc 2i+1 back, each with the edge's cost as capacity, so the edge is
+    usable in both directions; (arc heads, capacities, arcs out of each
+    vertex)."""
+    to: list[int] = []
+    cap: list = []
+    out: list[list[int]] = [[] for _ in range(g.n)]
+    for e in g.edges:
+        out[e.u].append(len(to))
+        to.append(e.v)
+        out[e.v].append(len(to))
+        to.append(e.u)
+        cap += (e.cost, e.cost)
+    return tuple(to), tuple(cap), tuple(map(tuple, out))
+
+
+@_memoised
 def min_cut(g: WeightedGraph, root: int, terminals: Iterable[int]
             ) -> tuple[Fraction, EdgeSet]:
     """Cheapest edge set separating every terminal from the root.
 
-    Exact max-flow via augmenting paths (BFS) over a super-source attached to
-    all terminals; the cut is recovered from residual reachability.
+    Exact max-flow via augmenting paths, each found by one BFS from all the
+    terminals at once (the search a super-source joined to them by
+    uncapacitated arcs would make); the cut is recovered from residual
+    reachability.
     """
     term = sorted(set(terminals))
     if not term:
         return Fraction(0), EdgeSet.empty()
     if root in term:
         raise ValueError("root cannot be a terminal")
-    n = g.n
-    src = n
-    # paired arcs: arc 2i is u->v with capacity c, arc 2i+1 is its reverse,
-    # also with capacity c so the edge is usable in both directions
-    to: list[int] = []
-    cap: list[Fraction] = []
-    head: list[list[int]] = [[] for _ in range(n + 1)]
-
-    def add(u: int, v: int, c_uv: Fraction, c_vu: Fraction) -> None:
-        head[u].append(len(to))
-        to.append(v)
-        cap.append(c_uv)
-        head[v].append(len(to))
-        to.append(u)
-        cap.append(c_vu)
-
-    for e in g.edges:
-        add(e.u, e.v, e.cost, e.cost)
-    inf = sum((e.cost for e in g.edges), Fraction(1))
-    for t in term:
-        add(src, t, inf, Fraction(0))
-
-    flow = Fraction(0)
+    to, capacity, out = _flow_arcs(g)
+    cap = list(capacity)
+    flow = 0
     while True:
-        parent_arc = [-1] * (n + 1)
-        parent_arc[src] = -2
-        queue = [src]
+        parent_arc = [-1] * g.n
+        for t in term:
+            parent_arc[t] = -2
+        queue = term
         while queue and parent_arc[root] == -1:
             nxt = []
             for v in queue:
-                for a in head[v]:
+                for a in out[v]:
                     w = to[a]
                     if parent_arc[w] == -1 and cap[a] > 0:
                         parent_arc[w] = a
@@ -238,26 +255,23 @@ def min_cut(g: WeightedGraph, root: int, terminals: Iterable[int]
             queue = nxt
         if parent_arc[root] == -1:
             break
-        bottleneck = None
+        path = []
         v = root
-        while v != src:
-            a = parent_arc[v]
-            bottleneck = cap[a] if bottleneck is None else min(bottleneck, cap[a])
-            v = to[a ^ 1]
-        v = root
-        while v != src:
-            a = parent_arc[v]
+        while parent_arc[v] != -2:
+            path.append(parent_arc[v])
+            v = to[parent_arc[v] ^ 1]
+        bottleneck = min(cap[a] for a in path)
+        for a in path:
             cap[a] -= bottleneck
             cap[a ^ 1] += bottleneck
-            v = to[a ^ 1]
         flow += bottleneck
 
-    reach = {src}
-    queue = [src]
+    reach = set(term)
+    queue = term
     while queue:
         nxt = []
         for v in queue:
-            for a in head[v]:
+            for a in out[v]:
                 w = to[a]
                 if w not in reach and cap[a] > 0:
                     reach.add(w)
@@ -276,18 +290,17 @@ def separates(g: WeightedGraph, root: int, ids: Collection[int],
               targets: Collection[int]) -> bool:
     """Whether removing the listed edges leaves every target unreachable
     from the root."""
-    adj: list[list[int]] = [[] for _ in range(g.n)]
-    for e in g.edges:
-        if e.eid not in ids:
-            adj[e.u].append(e.v)
-            adj[e.v].append(e.u)
+    adj = g.adjacency()
     seen = {root}
     stack = [root]
     while stack:
         v = stack.pop()
         if v in targets:
             return False
-        for w in adj[v]:
+        for e in adj[v]:
+            if e.eid in ids:
+                continue
+            w = e.v if e.u == v else e.u
             if w not in seen:
                 seen.add(w)
                 stack.append(w)
@@ -391,14 +404,21 @@ def gw_steiner_forest(g: WeightedGraph, pairs: Iterable[Pair]) -> EdgeSet:
 
     Active components (those separating some pair) grow uniform moats; the
     edge going tight first is merged (ties to the smallest edge id), then a
-    reverse-delete pass drops every edge not needed for connectivity.  All
-    event times are exact rationals.
+    reverse-delete pass drops every edge not needed for connectivity.
+
+    Event times stay exact on ints: each edge's slack (cost minus paid) is
+    kept as an int count of a money unit, first 1/L for L the LCM of the
+    costs' denominators.  An edge touched by `rate` growing moats (1 or 2)
+    goes tight after dt = slack/rate, so 2*dt = slack * (2 // rate) is an
+    int; when the earliest one is odd the unit is halved, doubling every
+    slack, which happens at most once per merge.
     """
     plist = [p for p in pairs if p.s != p.t]
     if not plist:
         return EdgeSet.empty()
     uf = UnionFind(g.n)
-    paid = {e.eid: Fraction(0) for e in g.edges}
+    _, costs = scaled_to_ints(e.cost for e in g.edges)
+    slack = {e.eid: c for e, c in zip(g.edges, costs)}
     by_id = {e.eid: e for e in g.edges}
     added: list[int] = []
 
@@ -415,7 +435,7 @@ def gw_steiner_forest(g: WeightedGraph, pairs: Iterable[Pair]) -> EdgeSet:
         act = active_roots()
         if not act:
             break
-        best_dt = None
+        best_2dt = None
         best_eid = None
         rates = {}
         for e in g.edges:
@@ -426,14 +446,18 @@ def gw_steiner_forest(g: WeightedGraph, pairs: Iterable[Pair]) -> EdgeSet:
             if rate == 0:
                 continue
             rates[e.eid] = rate
-            dt = (e.cost - paid[e.eid]) / rate
-            if best_dt is None or dt < best_dt or (dt == best_dt and e.eid < best_eid):
-                best_dt, best_eid = dt, e.eid
+            two_dt = slack[e.eid] * (2 // rate)
+            if (best_2dt is None or two_dt < best_2dt
+                    or (two_dt == best_2dt and e.eid < best_eid)):
+                best_2dt, best_eid = two_dt, e.eid
         if best_eid is None:
             missing = next(p for p in plist if uf.find(p.s) != uf.find(p.t))
             raise Disconnected(f"pair {missing.pid} cannot be connected")
+        if best_2dt % 2:
+            slack = {eid: 2 * s for eid, s in slack.items()}
+            best_2dt *= 2
         for eid, rate in rates.items():
-            paid[eid] += best_dt * rate
+            slack[eid] -= best_2dt // 2 * rate
         e = by_id[best_eid]
         uf.union(e.u, e.v)
         added.append(best_eid)
@@ -455,7 +479,7 @@ def zero_edges(g: WeightedGraph, es) -> WeightedGraph:
         raise UnknownEdge(f"edge ids {sorted(missing)} not in graph")
     if not ids:
         return g
-    edges = tuple(Edge(e.u, e.v, Fraction(0), e.eid) if e.eid in ids else e
+    edges = tuple(e._replace(cost=e.cost * 0) if e.eid in ids else e
                   for e in g.edges)
     return WeightedGraph(g.n, edges, g.root, g.pairs, g.rep)
 

@@ -37,6 +37,15 @@ def ln_upper(n: int) -> Fraction:
     return Fraction(math.ceil(math.log(n) * 10**6) + 1, 10**6)
 
 
+def scaled_to_ints(values) -> tuple[int, tuple[int, ...]]:
+    """L, the LCM of the int or Fraction values' denominators, and each
+    value times L as an int.  Scaling by a positive constant keeps every
+    order and tie."""
+    values = tuple(values)
+    scale = math.lcm(*(v.denominator for v in values))
+    return scale, tuple(v.numerator * (scale // v.denominator) for v in values)
+
+
 def harmonic(n: int) -> Fraction:
     """Exact n-th harmonic number."""
     return sum((Fraction(1, i) for i in range(1, n + 1)), Fraction(0))
@@ -356,6 +365,24 @@ def _reframe(inner: ThriftyPlan, pre: "PreprocessResult") -> ThriftyPlan:
         preprocess_f=pre.f_guess)
 
 
+def on_integers(kind: str, payload):
+    """(L, payload) with a graph's costs multiplied by L to ints (memoised
+    on the graph, so every caller shares one copy and its memo); set cover
+    keeps its payload and L = 1."""
+    if KINDS[kind].scale is None:
+        return 1, payload
+    return payload.integral()
+
+
+def _divided(plan: ThriftyPlan, scale: int) -> ThriftyPlan:
+    """A plan computed on costs multiplied by scale, with its money stated
+    in the original costs as exact Fractions."""
+    return replace(
+        plan, guess=Fraction(plan.guess, scale), tau=Fraction(plan.tau, scale),
+        day0_cost=Fraction(plan.day0_cost, scale),
+        residuals={u: Fraction(v, scale) for u, v in plan.residuals.items()})
+
+
 def scaled_candidates(kind: str, payload, schedule: Schedule, f_guess: int,
                       beta, merge_r) -> list[ThriftyPlan]:
     """All grid plans for one guess of the costliest edge ever bought, in
@@ -370,7 +397,8 @@ def solve_thrifty(kind: str, payload, schedule: Schedule, beta=None,
                   preprocess: bool = False,
                   merge_r=2) -> tuple[ThriftyPlan, CostReport]:
     """Best evaluated plan over the doubling guess grid; ties keep the
-    smaller guess.
+    smaller guess.  A graph is solved on its int-cost copy (on_integers)
+    and the plans' money is divided back before they are evaluated.
 
     With preprocess=True the grid runs once per distinct edge cost instead,
     on the instance cost-scaled under the first edge of that cost as the
@@ -384,22 +412,25 @@ def solve_thrifty(kind: str, payload, schedule: Schedule, beta=None,
         raise BadParameters("cost scaling applies to graph problems only")
     units = spec.units(payload)
     validate_schedule(schedule, len(units))
+    scale, work = on_integers(kind, payload)
     candidates: list[ThriftyPlan] = []
     if schedule.k[schedule.horizon] <= spec.min_live:
         candidates.append(trivial_plan(units))
     elif preprocess:
         seen_costs = set()
-        for e in sorted(payload.edges, key=lambda e: (e.cost, e.eid)):
+        for e in sorted(work.edges, key=lambda e: (e.cost, e.eid)):
             if e.cost in seen_costs:
                 continue
             seen_costs.add(e.cost)
             try:
                 candidates.extend(scaled_candidates(
-                    kind, payload, schedule, e.eid, beta, merge_r))
+                    kind, work, schedule, e.eid, beta, merge_r))
             except Infeasible:
                 continue
     if not candidates:
-        candidates = _candidates(spec, payload, schedule, beta)
+        candidates = _candidates(spec, work, schedule, beta)
+    if work is not payload:
+        candidates = [_divided(plan, scale) for plan in candidates]
     best: tuple[ThriftyPlan, CostReport] | None = None
     for plan in candidates:
         report = evaluate_thrifty(plan, schedule, units)

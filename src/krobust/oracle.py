@@ -16,13 +16,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import lcm
 from typing import Iterable, Mapping
 
 from .errors import BadParameters, Infeasible, TooLarge
 from .graphcore import WeightedGraph, connects, separates
 from .model import (KINDS, SETCOVER, STEINERTREE, SUBSET, ProblemInstance,
-                    Schedule, ThriftyPlan, require_live)
+                    Schedule, ThriftyPlan, on_integers, require_live,
+                    scaled_to_ints)
 from .setcover import SetSystem
 
 _INF = float("inf")
@@ -47,14 +47,6 @@ class SizeLimits:
 
 # ---------------------------------------------------------------- exact optima
 
-def _scaled(values) -> tuple[int, tuple[int, ...]]:
-    """L, the LCM of the values' denominators, and each value times L as an
-    int.  Scaling by a positive constant keeps every order and tie."""
-    fracs = [Fraction(v) for v in values]
-    scale = lcm(*(v.denominator for v in fracs))
-    return scale, tuple(v.numerator * (scale // v.denominator) for v in fracs)
-
-
 def _by_cost(costs: tuple[int, ...]) -> list[tuple[int, int]]:
     """Every action mask with its total int cost, cheapest first (ties to
     the smaller mask)."""
@@ -69,7 +61,7 @@ def _cheapest(actions, ok, limits: SizeLimits | None) -> Fraction:
     """Minimum total cost of an action subset whose ids satisfy ok: the
     first subset in cheapest-first order that passes."""
     (limits or SizeLimits()).check(0, len(actions), 0)
-    scale, costs = _scaled(cost for _, cost in actions)
+    scale, costs = scaled_to_ints(cost for _, cost in actions)
     for cost, mask in _by_cost(costs):
         if ok([aid for i, (aid, _) in enumerate(actions) if mask >> i & 1]):
             return Fraction(cost, scale)
@@ -148,8 +140,8 @@ class _Game:
         self.schedule = instance.schedule
         actions = instance.payload.actions()
         self.action_ids = tuple(aid for aid, _ in actions)
-        cost_scale, self.costs = _scaled(cost for _, cost in actions)
-        lam_scale, self.lam = _scaled(self.schedule.lam)
+        cost_scale, self.costs = scaled_to_ints(cost for _, cost in actions)
+        lam_scale, self.lam = scaled_to_ints(self.schedule.lam)
         self.money_scale = cost_scale * lam_scale
         self.full_units = (1 << len(self.units)) - 1
         self.parts_mask = None
@@ -376,8 +368,9 @@ def opt_bounds(instance: ProblemInstance) -> tuple[Fraction, Fraction]:
     """Grid endpoints: a proven lower bound on the adaptive optimum and the
     cost of a feasible day-0-only solution."""
     require_live(instance.kind, instance.schedule)
-    lb, ub, _ = KINDS[instance.kind].bounds(instance.payload)
-    return lb, ub
+    scale, payload = on_integers(instance.kind, instance.payload)
+    lb, ub, _ = KINDS[instance.kind].bounds(payload)
+    return Fraction(lb, scale), Fraction(ub, scale)
 
 
 # ------------------------------------- partitioned single-survivor instances

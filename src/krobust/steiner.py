@@ -126,7 +126,7 @@ def sfnet_build(g: WeightedGraph, pairs, gamma: Fraction) -> SfnetResult:
         if pick is None:
             break
         sr.add(pick.pid)
-        glue = [Edge(pick.s, pick.t, Fraction(0), -1)]
+        glue = [Edge(pick.s, pick.t, 0, -1)]
         delta = 0
         for x in (pick.s, pick.t):
             dx, pred = shortest_paths(g, [x])
@@ -135,7 +135,7 @@ def sfnet_build(g: WeightedGraph, pairs, gamma: Fraction) -> SfnetResult:
                 w = min(near)
                 links.append((x, w))
                 link_ids.update(path_edges(pred, {x}, w))
-                glue.append(Edge(x, w, Fraction(0), -1))
+                glue.append(Edge(x, w, 0, -1))
             else:
                 witnesses.append(x)
                 delta += 1
@@ -187,7 +187,7 @@ def thrifty_forest_plan(g: WeightedGraph, schedule: Schedule,
 def _tree_bounds(g: WeightedGraph):
     """The largest vertex-pair distance and the Steiner tree on all
     vertices."""
-    lb = Fraction(0)
+    lb = 0
     for u in range(g.n):
         dist, _ = shortest_paths(g, [u])
         for v in range(u + 1, g.n):
@@ -200,7 +200,7 @@ def _tree_bounds(g: WeightedGraph):
 
 def _forest_bounds(g: WeightedGraph):
     """The largest pair distance and the Steiner forest on all pairs."""
-    lb = Fraction(0)
+    lb = 0
     for p in g.pairs:
         dist, _ = shortest_paths(g, [p.s])
         if p.t not in dist:

@@ -275,12 +275,23 @@ def test_rejects_float_literals(tmp_path, capsys):
     pytest.param(lambda d: d["schedule"].update({"T": -1, "k": [],
                                                  "lambda": []}),
                  "schedule.T", id="negative-horizon"),
+    pytest.param(lambda d: d["schedule"].update(
+        {"T": 2, "k": [2, 1, 1], "lambda": ["1", "3", "2"]}),
+        "schedule.lambda[2]", id="falling-lambda"),
+    pytest.param(lambda d: d["schedule"].update(
+        {"T": 2, "k": [2, 1, 2], "lambda": ["1", "2", "3"]}),
+        "schedule.k[2]", id="rising-k"),
+    pytest.param(lambda d: d.update(
+        problem="steinertree",
+        schedule={"T": 1, "k": [4, 2], "lambda": ["1", "2"]},
+        graph={"n": 3, "edges": [[0, 1, "1"], [1, 2, "1"]]}),
+        "schedule.k[0]", id="k0-not-ground-size"),
 ])
 def test_field_errors_name_the_path(tmp_path, capsys, mutate, field):
     doc = json.loads(json.dumps(SC_HAND))
     mutate(doc)
     rc, _, err = run(capsys, "solve", write_doc(tmp_path, doc))
-    assert rc == 2 and field in err
+    assert rc == 2 and f"bad instance: {field}" in err
 
 
 def test_graph_field_rules(tmp_path, capsys):

@@ -1,17 +1,21 @@
 """Graph primitives: shortest paths, min-cut, Steiner heuristics, surgery."""
 
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
-from krobust import graphcore
-from krobust.errors import Disconnected, UnknownEdge
+from krobust import graphcore, mincut, steiner
+from krobust.errors import Disconnected, Infeasible, UnknownEdge
 from krobust.fixtures import gen_random
 from krobust.graphcore import (
+    EdgeSet,
+    Pair,
     UnionFind,
     WeightedGraph,
+    connects,
     delete_or_contract,
     distance,
     gw_steiner_forest,
@@ -23,7 +27,8 @@ from krobust.graphcore import (
     zero_edges,
 )
 from krobust.model import (KINDS, MINCUT, STEINERFOREST, STEINERTREE, Schedule,
-                           guess_grid, solve_thrifty)
+                           _candidates, evaluate_thrifty, guess_grid,
+                           scaled_candidates, solve_thrifty)
 from krobust.oracle import SizeLimits, exact_cut, exact_steiner, opt_bounds
 
 F = Fraction
@@ -152,6 +157,93 @@ def test_gw_forest_disconnected():
     g = WeightedGraph.build(4, [(0, 1, 1), (2, 3, 1)], pairs=[(0, 2)])
     with pytest.raises(Disconnected):
         gw_steiner_forest(g, g.pairs)
+
+
+def _fraction_gw(g, pairs):
+    """Reference primal-dual forest: the loop on Fraction event times that
+    the int-slack loop replaced.  Also returns each merge's event time."""
+    plist = [p for p in pairs if p.s != p.t]
+    if not plist:
+        return EdgeSet.empty(), []
+    uf = UnionFind(g.n)
+    paid = {e.eid: F(0) for e in g.edges}
+    by_id = {e.eid: e for e in g.edges}
+    added, times = [], []
+    while True:
+        act = set()
+        for p in plist:
+            rs, rt = uf.find(p.s), uf.find(p.t)
+            if rs != rt:
+                act |= {rs, rt}
+        if not act:
+            break
+        best_dt = best_eid = None
+        rates = {}
+        for e in g.edges:
+            ru, rv = uf.find(e.u), uf.find(e.v)
+            rate = (ru in act) + (rv in act)
+            if ru == rv or rate == 0:
+                continue
+            rates[e.eid] = rate
+            dt = (e.cost - paid[e.eid]) / rate
+            if best_dt is None or dt < best_dt or (dt == best_dt and e.eid < best_eid):
+                best_dt, best_eid = dt, e.eid
+        if best_eid is None:
+            missing = next(p for p in plist if uf.find(p.s) != uf.find(p.t))
+            raise Disconnected(f"pair {missing.pid} cannot be connected")
+        for eid, rate in rates.items():
+            paid[eid] += best_dt * rate
+        uf.union(by_id[best_eid].u, by_id[best_eid].v)
+        added.append(best_eid)
+        times.append(best_dt)
+    kept = set(added)
+    for eid in reversed(added):
+        trial = kept - {eid}
+        if connects(g, trial, [(p.s, p.t) for p in plist]):
+            kept = trial
+    return g.edge_set(kept), times
+
+
+def _random_pairs(rng, n):
+    return [Pair(*rng.sample(range(n), 2), pid)
+            for pid in range(1, rng.randint(1, n) + 1)]
+
+
+def test_int_gw_forest_matches_fraction_loop():
+    # small graphs with few distinct costs make the near-ties where a
+    # misplaced half unit changes the forest; zero and rational costs,
+    # gen_random graphs and pairs left disconnected ride along.  Each graph
+    # is run on its own pairs and on two random pair sets.
+    rng = random.Random(17)
+    palettes = ((1,), (1, 2), (1, 2, 3, F(1, 2), F(3, 2)), (0, 1, F(1, 2)))
+    runs = half_unit_runs = disconnected = 0
+    for seed in range(800):
+        n = rng.randint(4, 8)
+        if seed % 10 == 0:
+            g = gen_random(STEINERFOREST, n, rng.randint(n - 1, 3 * n), 1,
+                           seed).payload
+        else:
+            costs = palettes[seed % len(palettes)]
+            g = WeightedGraph.build(n, [
+                (*rng.sample(range(n), 2), rng.choice(costs))
+                for _ in range(rng.randint(n // 2, 3 * n))],
+                pairs=[p[:2] for p in _random_pairs(rng, n)])
+        for pairs in (g.pairs, _random_pairs(rng, n), _random_pairs(rng, n)):
+            try:
+                want, times = _fraction_gw(g, pairs)
+            except Disconnected as exc:
+                with pytest.raises(Disconnected, match=str(exc)):
+                    gw_steiner_forest(g, pairs)
+                disconnected += 1
+                continue
+            assert gw_steiner_forest(g, pairs) == want
+            # a merge time that is no whole number of the starting money
+            # unit 1/L is where the int loop doubles its slacks
+            unit = lcm(*(e.cost.denominator for e in g.edges))
+            half_unit_runs += any((t * unit).denominator > 1 for t in times)
+            runs += 1
+    assert runs >= 1800 and disconnected >= 400
+    assert half_unit_runs >= 1400
 
 
 def test_zero_edges_keeps_ids():
@@ -295,9 +387,77 @@ def test_solves_leave_memoised_results_intact(kind):
         g = inst.payload
         for preprocess in (False, True):
             solve_thrifty(kind, g, inst.schedule, None, preprocess)
-        assert g._memo
-        for (fn, *args), result in g._memo.items():
-            assert fn(replace(g), *args) == result, (fn.__name__, args)
+        # the solves ran on the int-cost copy memoised on the graph
+        for h in (g, g.integral()[1]):
+            assert h._memo
+            for (fn, *args), result in h._memo.items():
+                assert fn(replace(h), *args) == result, (fn.__name__, args)
+
+
+def _fraction_solve(kind, g, schedule, preprocess):
+    """Reference driver on the Fraction graph itself: every candidate that
+    _candidates builds (per distinct cost under cost scaling), evaluated,
+    and the first with the lowest robcov."""
+    candidates = []
+    if preprocess:
+        for cost in sorted({e.cost for e in g.edges}):
+            f = min(e.eid for e in g.edges if e.cost == cost)
+            try:
+                candidates += scaled_candidates(kind, g, schedule, f, None, 2)
+            except Infeasible:
+                pass
+    if not candidates:
+        candidates = _candidates(KINDS[kind], g, schedule, None)
+    units = KINDS[kind].units(g)
+    solved = [(plan, evaluate_thrifty(plan, schedule, units))
+              for plan in candidates]
+    return min(solved, key=lambda pr: pr[1].robcov)
+
+
+@pytest.mark.parametrize("preprocess", [False, True])
+@pytest.mark.parametrize("kind,searches", [
+    (MINCUT, {"min_cut"}),
+    (STEINERTREE, {"_dijkstra"}),
+    (STEINERFOREST, {"_dijkstra", "gw_steiner_forest"})])
+def test_driver_hands_primitives_int_costs(monkeypatch, kind, searches,
+                                           preprocess):
+    # costs over 2, 3 and 7: the driver solves on costs times 42 and
+    # divides the plan's money back, which must give the Fraction plan
+    called = set()
+
+    def ints_only(fn):
+        def checked(g, *args):
+            called.add(fn.__name__)
+            assert all(type(e.cost) is int for e in g.edges), fn.__name__
+            return fn(g, *args)
+        return checked
+
+    for seed in range(3):
+        rng = random.Random(seed)
+        inst = gen_random(kind, 8, 16, 2, seed)
+        g = WeightedGraph.build(
+            inst.payload.n,
+            [(e.u, e.v, F(rng.choice((1, 5, 11, 13)), (2, 3, 7, 1)[e.eid % 4]))
+             for e in inst.payload.edges],
+            inst.payload.root, [p[:2] for p in inst.payload.pairs])
+        assert g.integral()[0] == 42
+        want = _fraction_solve(kind, replace(g), inst.schedule, preprocess)
+        with monkeypatch.context() as m:
+            m.setattr(graphcore, "_dijkstra", ints_only(graphcore._dijkstra))
+            m.setattr(mincut, "min_cut", ints_only(mincut.min_cut))
+            m.setattr(steiner, "gw_steiner_forest",
+                      ints_only(steiner.gw_steiner_forest))
+            plan, report = solve_thrifty(kind, g, inst.schedule, None,
+                                         preprocess)
+        assert (plan.preprocess_f is not None) == preprocess
+        for f in fields(plan):
+            assert getattr(plan, f.name) == getattr(want[0], f.name), f.name
+        assert report == want[1]
+        money = (plan.guess, plan.tau, plan.day0_cost, report.day0_cost,
+                 report.worst_day_cost, report.robcov,
+                 *plan.residuals.values())
+        assert all(type(x) is Fraction for x in money)
+    assert called == searches
 
 
 def test_memo_is_private_to_each_graph():
@@ -305,7 +465,10 @@ def test_memo_is_private_to_each_graph():
     assert shortest_paths(g, [1, 2]) == shortest_paths(g, (2, 1, 1))
     assert min_cut(g, 0, [1, 2]) == min_cut(g, 0, {2, 1})
     assert distance(g, 1, 2) == 3
-    assert len(g._memo) == 3
+    # three results, the adjacency list both searches read and the flow
+    # network min_cut reads
+    assert sorted(fn.__name__ for fn, *_ in g._memo) == [
+        "_flow_arcs", "adjacency", "distance", "min_cut", "shortest_paths"]
     fresh = replace(g)
     assert fresh._memo == {}
     assert fresh == g and hash(fresh) == hash(g) and repr(fresh) == repr(g)
