@@ -141,7 +141,7 @@ def parse_instance(doc) -> ProblemInstance:
         gdoc = doc.get("graph")
         if not isinstance(gdoc, dict):
             raise InstanceFormatError("graph", "expected an object")
-        n = _int(gdoc.get("n"), "graph.n")
+        n = _int(gdoc.get("n"), "graph.n", 0)
         edges = []
         for i, raw in enumerate(_list(gdoc.get("edges"), "graph.edges")):
             raw = _list(raw, f"graph.edges[{i}]")

@@ -1,6 +1,6 @@
 """Ground truth for tiny instances.
 
-Provides exact optima by brute force (covers, cuts, trees, forests), the
+Provides exact optima by brute force (exact_min, for any kind), the
 exact minimax value of the adaptive game by backward induction with
 memoization, exhaustive worst-case evaluation and feasibility checking of
 two-day plans, grid endpoints for the guessing loops, and an exact evaluator
@@ -19,10 +19,8 @@ from itertools import combinations
 from typing import Iterable, Mapping
 
 from .errors import BadParameters, Infeasible, TooLarge
-from .graphcore import WeightedGraph, connects, separates
-from .model import (KINDS, SETCOVER, STEINERTREE, SUBSET, ProblemInstance,
-                    Schedule, ThriftyPlan, on_integers, require_live,
-                    scaled_to_ints)
+from .model import (KINDS, SUBSET, ProblemInstance, Schedule, ThriftyPlan,
+                    on_integers, require_live, scaled_to_ints)
 from .setcover import SetSystem
 
 _INF = float("inf")
@@ -68,44 +66,16 @@ def _cheapest(actions, ok, limits: SizeLimits | None) -> Fraction:
     raise Infeasible("no action subset is feasible")
 
 
-def exact_cover(system: SetSystem, targets: Iterable[int],
-                limits: SizeLimits | None = None) -> Fraction:
-    """Minimum cost of a subcollection covering the targets, by enumeration."""
-    want = frozenset(targets)
-    return _cheapest(system.actions(),
-                     lambda ids: KINDS[SETCOVER].covers(system, ids, want),
-                     limits)
-
-
-def exact_steiner(g: WeightedGraph, terminals: Iterable[int],
-                  limits: SizeLimits | None = None) -> Fraction:
-    """Minimum cost edge subset connecting all terminals, by enumeration."""
-    term = sorted(set(terminals))
-    if len(term) <= 1:
-        return Fraction(0)
-    return _cheapest(g.actions(),
-                     lambda ids: KINDS[STEINERTREE].covers(g, ids, term),
-                     limits)
-
-
-def exact_forest(g: WeightedGraph, pairs,
-                 limits: SizeLimits | None = None) -> Fraction:
-    """Minimum cost edge subset connecting every pair, by enumeration."""
-    plist = [(p[0], p[1]) for p in pairs]
-    if all(s == t for s, t in plist):
-        return Fraction(0)
-    return _cheapest(g.actions(), lambda ids: connects(g, ids, plist), limits)
-
-
-def exact_cut(g: WeightedGraph, root: int, terminals: Iterable[int],
+def exact_min(kind: str, payload, units: Iterable,
               limits: SizeLimits | None = None) -> Fraction:
-    """Minimum cost edge subset whose removal separates all terminals from
-    the root, by enumeration."""
-    term = sorted(set(terminals))
-    if not term:
+    """Minimum cost of an action subset covering the units, by enumeration:
+    elements for set cover, vertices to cut off from the root or to join,
+    and pair ids for a forest."""
+    covers, want = KINDS[kind].covers, frozenset(units)
+    if covers(payload, (), want):
         return Fraction(0)
-    return _cheapest(g.actions(), lambda ids: separates(g, root, ids, term),
-                     limits)
+    return _cheapest(payload.actions(),
+                     lambda ids: covers(payload, ids, want), limits)
 
 
 # ------------------------------------------------------------- the exact game
@@ -127,16 +97,17 @@ class _Game:
 
     Money is integer: action costs are scaled by the LCM of their
     denominators and inflations by the LCM of theirs, so every value the
-    search compares is an int in units of 1/money_scale.  Moves and
-    coverage checks are pure functions of their masks and are cached here,
-    so the caches live exactly as long as the game.
+    search compares is an int in units of 1/money_scale.  The game never
+    asks which kind it plays: its one feasibility test is the kind's
+    covers.  Moves and coverage checks are pure functions of their masks
+    and are cached here, so the caches live exactly as long as the game.
     """
 
     def __init__(self, instance: ProblemInstance):
-        self.inst = instance
-        self.kind = instance.kind
+        self.payload = instance.payload
+        self.covers = KINDS[instance.kind].covers
         self.units = tuple(instance.units())
-        self.uidx = {u: i for i, u in enumerate(self.units)}
+        uidx = {u: i for i, u in enumerate(self.units)}
         self.schedule = instance.schedule
         actions = instance.payload.actions()
         self.action_ids = tuple(aid for aid, _ in actions)
@@ -147,7 +118,7 @@ class _Game:
         self.parts_mask = None
         if instance.uncertainty.kind == SUBSET:
             self.parts_mask = tuple(
-                sum(1 << self.uidx[u] for u in part)
+                sum(1 << uidx[u] for u in part)
                 for part in instance.uncertainty.parts)
         self.move_cache: dict = {}
         self.feasible_cache: dict = {}
@@ -164,12 +135,6 @@ class _Game:
         """Every owned-action mask with its scaled cost, cheapest first."""
         return _by_cost(self.costs)
 
-    @cached_property
-    def cover(self) -> tuple[int, ...]:
-        """Set cover only: the unit mask each set covers."""
-        return tuple(sum(1 << self.uidx[e] for e in members if e in self.uidx)
-                     for members, _ in self.inst.payload.sets)
-
     def unit_set(self, mask: int) -> frozenset:
         return frozenset(self.units[i] for i in range(len(self.units))
                          if mask >> i & 1)
@@ -178,21 +143,14 @@ class _Game:
         return tuple(self.action_ids[i] for i in range(len(self.action_ids))
                      if mask >> i & 1)
 
-    def covered_mask(self, owned: int) -> int:
-        cov = 0
-        for i in range(len(self.action_ids)):
-            if owned >> i & 1:
-                cov |= self.cover[i]
-        return cov
-
     def feasible(self, owned: int, active: int) -> bool:
         key = owned << len(self.units) | active
         got = self.feasible_cache.get(key)
         if got is None:
             ids = {aid for i, aid in enumerate(self.action_ids)
                    if owned >> i & 1}
-            got = self.feasible_cache[key] = KINDS[self.kind].covers(
-                self.inst.payload, ids, self.unit_set(active))
+            got = self.feasible_cache[key] = self.covers(
+                self.payload, ids, self.unit_set(active))
         return got
 
     def moves(self, next_day: int, active: int, full: bool) -> tuple[int, ...]:
@@ -233,21 +191,8 @@ class _Game:
                 out.add(sum(1 << i for i in keep))
         return out
 
-    def useful(self, mask: int, owned: int, active: int) -> bool:
-        """Set-cover prune: every bought set must add new active coverage."""
-        if self.kind != SETCOVER:
-            return True
-        covered = self.covered_mask(owned)
-        for i in range(len(self.action_ids)):
-            if mask >> i & 1 and self.cover[i] & active & ~covered == 0:
-                return False
-        return True
-
     def memo_key(self, day: int, active: int, owned: int) -> int:
-        """One int per state, smaller than a tuple in the memo; set cover
-        states that cover the same active units share a key."""
-        if self.kind == SETCOVER:
-            owned = self.covered_mask(owned) & active
+        """One int per state, smaller than a tuple in the memo."""
         return ((owned << len(self.units) | active)
                 * (self.schedule.horizon + 1) + day)
 
@@ -282,8 +227,6 @@ def minimax_opt(instance: ProblemInstance, limits: SizeLimits | None = None,
         choices = empty_only if day in forbidden else game.masks
         for cost, mask in choices:
             if mask & owned:
-                continue
-            if not game.useful(mask, owned, active):
                 continue
             spend = lam[day] * cost
             if spend >= best:

@@ -33,9 +33,7 @@ from krobust.model import (
 from krobust.oracle import (
     SizeLimits,
     check_plan_feasible,
-    exact_cut,
-    exact_forest,
-    exact_steiner,
+    exact_min,
     exhaustive_robcov,
     minimax_opt,
     partwise_minimax,
@@ -131,9 +129,9 @@ def test_criterion_5_primitives_match_exhaustive_search():
         n = 3 + seed % 4
         g = gen_random(MINCUT, n, max(n - 1, 5 + seed % 5), 1, seed).payload
         for v in range(1, g.n):
-            assert min_cut(g, 0, [v])[0] == exact_cut(g, 0, [v], WIDE)
+            assert min_cut(g, 0, [v])[0] == exact_min(MINCUT, g, [v], WIDE)
         joint = min_cut(g, 0, range(1, g.n))[0]
-        assert joint == exact_cut(g, 0, range(1, g.n), WIDE)
+        assert joint == exact_min(MINCUT, g, range(1, g.n), WIDE)
     for seed in range(100):
         n = 3 + seed % 4
         g = gen_random(STEINERTREE, n, max(n - 1, 6 + seed % 7), 1,
@@ -146,7 +144,7 @@ def test_criterion_5_primitives_match_exhaustive_search():
             uf.union(e.u, e.v)
         t0 = next(iter(terms))
         assert all(uf.find(t) == uf.find(t0) for t in terms)
-        assert es.cost <= 2 * exact_steiner(g, terms, WIDE)
+        assert es.cost <= 2 * exact_min(STEINERTREE, g, terms, WIDE)
     for seed in range(100):
         n = 3 + seed % 4
         inst = gen_random(STEINERFOREST, n, max(n - 1, 6 + seed % 7), 1, seed)
@@ -157,7 +155,7 @@ def test_criterion_5_primitives_match_exhaustive_search():
             e = g.edge_by_id(eid)
             uf.union(e.u, e.v)
         assert all(uf.find(p.s) == uf.find(p.t) for p in g.pairs)
-        assert es.cost <= 2 * exact_forest(g, g.pairs, WIDE)
+        assert es.cost <= 2 * exact_min(STEINERFOREST, g, inst.units(), WIDE)
     print("\n  cut=exact on 100, tree and forest feasible within 2x on 100 each")
 
 
@@ -176,8 +174,8 @@ def test_criterion_6_forest_net_structure(tiny_batches):
             dist, _ = shortest_paths(g, [p.s])
             assert dist[p.t] > 4 * gamma
         if built.net:
-            net_pairs = [by_pid[pid] for pid in built.net]
-            assert exact_forest(g, net_pairs, WIDE) >= len(built.net) * gamma
+            assert (exact_min(STEINERFOREST, g, built.net, WIDE)
+                    >= len(built.net) * gamma)
         checked += 1
     assert checked >= 100
     print(f"\n  net structure verified on {checked} (instance, gamma) runs")

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: JSON I/O, subcommands, exit codes."""
 
 import json
+import random
 
 import pytest
 
@@ -286,6 +287,11 @@ def test_rejects_float_literals(tmp_path, capsys):
         schedule={"T": 1, "k": [4, 2], "lambda": ["1", "2"]},
         graph={"n": 3, "edges": [[0, 1, "1"], [1, 2, "1"]]}),
         "schedule.k[0]", id="k0-not-ground-size"),
+    pytest.param(lambda d: d.update(
+        problem="steinertree",
+        schedule={"T": 1, "k": [0, 0], "lambda": ["1", "2"]},
+        graph={"n": -3, "edges": []}),
+        "graph.n", id="negative-n"),
 ])
 def test_field_errors_name_the_path(tmp_path, capsys, mutate, field):
     doc = json.loads(json.dumps(SC_HAND))
@@ -338,3 +344,46 @@ def test_invariant_violation_exits_5(allstages, capsys, monkeypatch):
     rc, out, err = run(capsys, "solve", allstages)
     assert rc == 5 and out == ""
     assert "invariant violation: residual exceeds its bound" in err
+
+
+MUTANT_VALUES = (None, True, "1/0", "nan", 1.5, [], {}, -1, "x")
+
+
+def _slots(doc):
+    """Every (container, key) below doc, depth first."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        yield doc, key
+        if isinstance(value, (dict, list)):
+            yield from _slots(value)
+
+
+def _mutants(doc, rng, count):
+    """count copies of doc, each with one field dropped or replaced."""
+    for _ in range(count):
+        mutant = json.loads(json.dumps(doc))
+        parent, key = rng.choice(list(_slots(mutant)))
+        if rng.random() < 0.2:
+            del parent[key]
+        else:
+            parent[key] = rng.choice(MUTANT_VALUES)
+        yield mutant
+
+
+@pytest.mark.parametrize("kind", PROBLEM_KINDS)
+def test_mutated_documents_exit_cleanly(tmp_path, capsys, kind):
+    # seeded fuzzing of the document schema: whatever a field holds, the
+    # CLI answers with an exit code and a message, never a traceback
+    rng = random.Random(kind)
+    codes = set()
+    for seed in range(3):
+        doc = serialize_instance(gen_random(kind, 4, 6, 2, seed))
+        for mutant in _mutants(doc, rng, 25):
+            path = write_doc(tmp_path, mutant)
+            for command in ("solve", "oracle"):
+                rc, _, err = run(capsys, command, path)
+                assert rc in (0, 2, 3, 4), (command, mutant, err)
+                if rc == 2:
+                    assert err.startswith(("bad instance: ", "error: ")), err
+                codes.add(rc)
+    assert 2 in codes

@@ -29,7 +29,7 @@ from krobust.graphcore import (
 from krobust.model import (KINDS, MINCUT, STEINERFOREST, STEINERTREE, Schedule,
                            _candidates, evaluate_thrifty, guess_grid,
                            scaled_candidates, solve_thrifty)
-from krobust.oracle import SizeLimits, exact_cut, exact_steiner, opt_bounds
+from krobust.oracle import SizeLimits, exact_min, opt_bounds
 
 F = Fraction
 
@@ -89,7 +89,7 @@ def test_min_cut_matches_exhaustive_search():
         g = gen_random(MINCUT, 3 + seed % 3, 5 + seed % 4, 1, seed).payload
         terms = set(rng.sample(range(1, g.n), rng.randint(1, g.n - 1)))
         flow, cut = min_cut(g, 0, terms)
-        assert flow == exact_cut(g, 0, terms, limits)
+        assert flow == exact_min(MINCUT, g, terms, limits)
         assert cut.cost == flow
 
 
@@ -121,7 +121,7 @@ def test_mst_steiner_random_quality():
         g = gen_random(STEINERTREE, 4 + seed % 3, 6 + seed % 5, 1, seed).payload
         terms = set(rng.sample(range(g.n), rng.randint(2, g.n)))
         es = mst_steiner_tree(g, terms)
-        opt = exact_steiner(g, terms, limits)
+        opt = exact_min(STEINERTREE, g, terms, limits)
         assert opt <= es.cost <= 2 * opt
         # connectivity and no non-terminal leaves
         uf = UnionFind(g.n)

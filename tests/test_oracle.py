@@ -1,6 +1,7 @@
 """Exact minimax oracle, exhaustive plan evaluation, and bounds."""
 
 import gc
+import random
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -25,10 +26,7 @@ from krobust.model import (
 from krobust.oracle import (
     SizeLimits,
     check_plan_feasible,
-    exact_cover,
-    exact_cut,
-    exact_forest,
-    exact_steiner,
+    exact_min,
     exhaustive_robcov,
     minimax_opt,
     opt_bounds,
@@ -79,26 +77,28 @@ def test_size_limits():
 
 def test_exact_cover():
     sys_ = _sc_hand().payload
-    assert exact_cover(sys_, (1, 2)) == F(5, 2)
-    assert exact_cover(sys_, (1,)) == 1
-    assert exact_cover(sys_, ()) == 0
+    assert exact_min(SETCOVER, sys_, (1, 2)) == F(5, 2)
+    assert exact_min(SETCOVER, sys_, (1,)) == 1
+    assert exact_min(SETCOVER, sys_, ()) == 0
     with pytest.raises(Infeasible):
-        exact_cover(sys_, (9,))
+        exact_min(SETCOVER, sys_, (9,))
 
 
 def test_exact_graph_minima():
     g3 = WeightedGraph.build(3, [(0, 1, 1), (1, 2, 1)])
-    assert exact_steiner(g3, (0, 1, 2)) == 2
-    assert exact_steiner(g3, (0,)) == 0
+    assert exact_min(STEINERTREE, g3, (0, 1, 2)) == 2
+    assert exact_min(STEINERTREE, g3, (0,)) == 0
     with pytest.raises(TooLarge):
-        exact_steiner(g3, (0, 2), SizeLimits(max_units=8, max_actions=1,
-                                             max_horizon=3))
-    g4 = WeightedGraph.build(4, [(i, i + 1, 1) for i in range(3)])
-    assert exact_forest(g4, [(0, 3), (1, 2)]) == 3
-    assert exact_forest(g4, [(1, 1)]) == 0
+        exact_min(STEINERTREE, g3, (0, 2),
+                  SizeLimits(max_units=8, max_actions=1, max_horizon=3))
+    # a forest's units are pair ids, numbered from 1
+    g4 = WeightedGraph.build(4, [(i, i + 1, 1) for i in range(3)],
+                             pairs=[(0, 3), (1, 2), (1, 1)])
+    assert exact_min(STEINERFOREST, g4, (1, 2)) == 3
+    assert exact_min(STEINERFOREST, g4, (3,)) == 0
     tri = _triangle_inst().payload
-    assert exact_cut(tri, 0, (1, 2)) == 3
-    assert exact_cut(tri, 0, ()) == 0
+    assert exact_min(MINCUT, tri, (1, 2)) == 3
+    assert exact_min(MINCUT, tri, ()) == 0
 
 
 def test_minimax_hand_values():
@@ -223,6 +223,39 @@ def test_full_adversary_agrees():
             reduced = minimax_opt(inst)[0]
             full = minimax_opt(inst, full_adversary=True)[0]
             assert reduced == full
+
+
+def _check_no_idle_sets(system, node, bought=frozenset()):
+    """Each node buys sets no ancestor bought, and every set it buys covers
+    an active element that the ancestors' sets leave uncovered."""
+    assert bought.isdisjoint(node.purchase)
+    covered = system.covered_by(bought)
+    for sid in node.purchase:
+        assert system.sets[sid][0] & node.active - covered, (node, sid)
+    for _, child in node.children:
+        _check_no_idle_sets(system, child, bought | set(node.purchase))
+
+
+def _subset_cover(seed):
+    # a random set system whose elements split into one part per day
+    inst = gen_random(SETCOVER, 5 + seed % 2, 7, 1 + seed % 3, seed)
+    elements = list(inst.units())
+    random.Random(seed).shuffle(elements)
+    T = inst.schedule.horizon
+    parts = tuple(frozenset(elements[day::T]) for day in range(T))
+    return replace(inst, uncertainty=UncertaintySpec(SUBSET, parts))
+
+
+def test_set_cover_traces_buy_no_idle_sets(tiny_batches):
+    # cheapest-first search prefers a mask to any superset of it, so an
+    # optimal trace never buys a set that adds no new active coverage
+    insts = (tiny_batches[SETCOVER]
+             + [gen_lowerbound_allstages(T, F(1, 5)) for T in (1, 2, 3)]
+             + [_subset_cover(seed) for seed in range(6)])
+    for inst in insts:
+        for full in (False, True):
+            _, trace = minimax_opt(inst, full_adversary=full)
+            _check_no_idle_sets(inst.payload, trace)
 
 
 def test_exhaustive_robcov_and_feasibility():

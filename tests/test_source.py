@@ -115,19 +115,29 @@ def test_kind_records_reach_the_traced_names(kind):
 
 
 KIND_NAMES = {"SETCOVER", "MINCUT", "STEINERTREE", "STEINERFOREST"}
-# only the document schema, the random generator and the game's set cover
-# pruning tell the kinds apart by name; everything else asks KINDS
+# only the document schema and the random generator tell the kinds apart by
+# name; everything else asks KINDS with the kind it was given
 KIND_CHECKS_ALLOWED = ("cli.parse_instance", "cli.serialize_instance",
-                       "fixtures.gen_random", "oracle._Game.useful",
-                       "oracle._Game.memo_key")
+                       "fixtures.gen_random")
+
+
+def _is_kind_name(node) -> bool:
+    return isinstance(node, ast.Name) and node.id in KIND_NAMES
 
 
 def _kind_checks(node, scope):
-    """(scope, line) of every comparison with a problem-kind constant."""
+    """(scope, line) of every comparison with a problem-kind constant and
+    every read of KINDS[<kind constant>]; a registration stores, so it is
+    not a check."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, ast.Compare) and any(
-                isinstance(x, ast.Name) and x.id in KIND_NAMES
-                for x in (child.left, *child.comparators)):
+                map(_is_kind_name, (child.left, *child.comparators))):
+            yield scope, child.lineno
+        if (isinstance(child, ast.Subscript)
+                and isinstance(child.ctx, ast.Load)
+                and isinstance(child.value, ast.Name)
+                and child.value.id == "KINDS"
+                and _is_kind_name(child.slice)):
             yield scope, child.lineno
         inner = scope
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
