@@ -68,14 +68,20 @@ def _cheapest(actions, ok, limits: SizeLimits | None) -> Fraction:
 
 def exact_min(kind: str, payload, units: Iterable,
               limits: SizeLimits | None = None) -> Fraction:
-    """Minimum cost of an action subset covering the units, by enumeration:
-    elements for set cover, vertices to cut off from the root or to join,
-    and pair ids for a forest."""
-    covers, want = KINDS[kind].covers, frozenset(units)
-    if covers(payload, (), want):
+    """Minimum cost of an action subset covering the units, by enumeration.
+
+    The units are ids of the payload's own units (KINDS[kind].units):
+    elements for set cover, non-root vertices to cut off from the root,
+    vertices to join, and pair ids for a forest.  No action covers an id
+    the payload does not have, so such an id raises Infeasible."""
+    spec, want = KINDS[kind], frozenset(units)
+    alien = want.difference(spec.units(payload))
+    if alien:
+        raise Infeasible(f"{sorted(alien)} name no unit of this instance")
+    if spec.covers(payload, (), want):
         return Fraction(0)
     return _cheapest(payload.actions(),
-                     lambda ids: covers(payload, ids, want), limits)
+                     lambda ids: spec.covers(payload, ids, want), limits)
 
 
 # ------------------------------------------------------------- the exact game

@@ -101,6 +101,18 @@ def test_exact_graph_minima():
     assert exact_min(MINCUT, tri, ()) == 0
 
 
+def test_exact_min_rejects_ids_that_name_no_unit():
+    # ids outside KINDS[kind].units would be ignored by covers and read 0
+    g4 = WeightedGraph.build(4, [(i, i + 1, 1) for i in range(3)],
+                             pairs=[(0, 3)])
+    tri = _triangle_inst().payload
+    for kind, payload, units in ((STEINERFOREST, g4, (1, 9)),
+                                 (MINCUT, tri, (0,)), (MINCUT, tri, (7,)),
+                                 (STEINERTREE, tri, (3,))):
+        with pytest.raises(Infeasible, match="name no unit"):
+            exact_min(kind, payload, units)
+
+
 def test_minimax_hand_values():
     assert minimax_opt(_sc_hand())[0] == F(5, 2)
     assert minimax_opt(_sc_hand(horizon=2))[0] == F(5, 2)
