@@ -16,8 +16,9 @@ import json
 import sys
 from fractions import Fraction
 
-from .errors import (BadParameters, InstanceFormatError, InvariantViolation,
-                     KRobustError, TooLarge, TrivialInstance)
+from .errors import (BadParameters, FieldError, Infeasible,
+                     InstanceFormatError, InvariantViolation, KRobustError,
+                     TooLarge, TrivialInstance, UnknownElement)
 from .fixtures import gen_lowerbound_allstages, gen_random, gen_subset_krobust_bad
 from .graphcore import WeightedGraph
 from .model import (CARDINALITY, KINDS, MINCUT, PROBLEM_KINDS, SETCOVER,
@@ -125,18 +126,37 @@ def parse_instance(doc) -> ProblemInstance:
         raise InstanceFormatError(
             "uncertainty.kind", f"must be cardinality or subset, got {unc_kind!r}")
 
+    fracs: dict[str, Fraction] = {}   # each distinct cost string, parsed once
+
+    def cost(value, path: str, low=None) -> Fraction:
+        if type(value) is not str:
+            return _frac(value, path, low)
+        if value not in fracs:
+            fracs[value] = _frac(value, path)
+        return _in_range(fracs[value], path, low, None)
+
     if kind == SETCOVER:
+        k0 = schedule.k[0]
         sets = []
         for i, raw in enumerate(_list(doc.get("sets"), "sets")):
             if not isinstance(raw, dict):
                 raise InstanceFormatError(f"sets[{i}]", "expected an object")
-            cost = _frac(raw.get("cost"), f"sets[{i}].cost", 0)
+            price = cost(raw.get("cost"), f"sets[{i}].cost", 0)
             members = _list(raw.get("members"), f"sets[{i}].members")
-            for j, e in enumerate(members):
-                if type(e) is not int or not 1 <= e <= schedule.k[0]:
-                    _int(e, f"sets[{i}].members[{j}]", 1, schedule.k[0])
-            sets.append((frozenset(members), cost))
-        payload = SetSystem.build(schedule.k[0], sets)
+            # by type, not by value: True == 1; SetSystem.build checks ranges
+            if not set(map(type, members)) <= {int}:
+                for j, e in enumerate(members):
+                    _int(e, f"sets[{i}].members[{j}]", 1, k0)
+            sets.append((frozenset(members), price))
+        try:
+            payload = SetSystem.build(k0, sets)
+        except UnknownElement as exc:   # name the set's first bad position
+            members = doc["sets"][exc.sid]["members"]
+            j = next(j for j, e in enumerate(members) if not 1 <= e <= k0)
+            _in_range(members[j], f"sets[{exc.sid}].members[{j}]", 1, k0)
+            raise
+        except Infeasible as exc:   # an element that no set covers
+            raise InstanceFormatError("sets", str(exc)) from None
     else:
         gdoc = doc.get("graph")
         if not isinstance(gdoc, dict):
@@ -150,7 +170,7 @@ def parse_instance(doc) -> ProblemInstance:
                                           "expected [u, v, cost]")
             edges.append((_int(raw[0], f"graph.edges[{i}][0]"),
                           _int(raw[1], f"graph.edges[{i}][1]"),
-                          _frac(raw[2], f"graph.edges[{i}][2]")))
+                          cost(raw[2], f"graph.edges[{i}][2]")))
         root = gdoc.get("root")
         pairs = []
         for i, raw in enumerate(_list(gdoc.get("pairs", []), "graph.pairs")):
@@ -171,14 +191,17 @@ def parse_instance(doc) -> ProblemInstance:
             raise InstanceFormatError("graph.pairs", f"{kind} takes no pairs")
         try:
             payload = WeightedGraph.build(n, edges, root=root, pairs=pairs)
-        except ValueError as exc:
-            raise InstanceFormatError("graph", str(exc)) from None
+        except FieldError as exc:
+            raise InstanceFormatError(f"graph.{exc.field}", str(exc)) from None
 
     inst = ProblemInstance(kind, payload, schedule, uncertainty)
     size = len(inst.units())
     _in_range(k[0], "schedule.k[0]", size, size)
     validate_schedule(schedule, size)
-    uncertainty.validate(schedule, inst.units())
+    try:
+        uncertainty.validate(schedule, inst.units())
+    except FieldError as exc:
+        raise InstanceFormatError(f"uncertainty.{exc.field}", str(exc)) from None
     return inst
 
 

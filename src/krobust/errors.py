@@ -29,6 +29,15 @@ class Infeasible(KRobustError):
     """The instance admits no feasible solution (e.g. an uncoverable element)."""
 
 
+class UnknownElement(Infeasible):
+    """A set names an element outside the universe."""
+
+    def __init__(self, sid, element):
+        super().__init__(f"set {sid} contains unknown element {element}")
+        self.sid = sid
+        self.element = element
+
+
 class Disconnected(Infeasible):
     """Vertices or terminal pairs that must be connected are not."""
 
@@ -48,6 +57,24 @@ class InstanceFormatError(KRobustError):
         super().__init__(f"{path}: {message}")
         self.path = path
         self.detail = message
+
+
+class FieldError(KRobustError):
+    """A model constructor rejected one field of its input.  field is that
+    field's path below the constructor's arguments, e.g. "edges[1][2]", so a
+    document parser can name it by prefixing where the arguments came from."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
+class BadGraphField(FieldError, ValueError):
+    """An edge, pair or root of a graph is out of range or malformed."""
+
+
+class BadUncertainty(FieldError, MalformedSchedule):
+    """The parts of a subset uncertainty model do not fit the instance."""
 
 
 class InvariantViolation(KRobustError):

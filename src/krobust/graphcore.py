@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Collection, Iterable, NamedTuple, Sequence
 
-from .errors import Disconnected, InvariantViolation, UnknownEdge
+from .errors import (BadGraphField, Disconnected, InvariantViolation,
+                     UnknownEdge)
 from .model import Schedule, merge_stages, scaled_to_ints
 
 
@@ -90,17 +91,23 @@ class WeightedGraph:
                    for i, (u, v, c) in enumerate(edges))
         for e in es:
             if not (0 <= e.u < n and 0 <= e.v < n):
-                raise ValueError(f"edge {e.eid} endpoint out of range")
+                end = 1 if 0 <= e.u < n else 0
+                raise BadGraphField(f"edges[{e.eid}][{end}]",
+                                    f"edge {e.eid} endpoint out of range")
             if e.u == e.v:
-                raise ValueError(f"edge {e.eid} is a self-loop")
+                raise BadGraphField(f"edges[{e.eid}]",
+                                    f"edge {e.eid} is a self-loop")
             if e.cost < 0:
-                raise ValueError(f"edge {e.eid} has negative cost")
+                raise BadGraphField(f"edges[{e.eid}][2]",
+                                    f"edge {e.eid} has negative cost")
         ps = tuple(Pair(int(s), int(t), i + 1) for i, (s, t) in enumerate(pairs))
-        for p in ps:
+        for i, p in enumerate(ps):
             if not (0 <= p.s < n and 0 <= p.t < n):
-                raise ValueError(f"pair {p.pid} endpoint out of range")
+                end = 1 if 0 <= p.s < n else 0
+                raise BadGraphField(f"pairs[{i}][{end}]",
+                                    f"pair {p.pid} endpoint out of range")
         if root is not None and not 0 <= root < n:
-            raise ValueError(f"root {root} out of range")
+            raise BadGraphField("root", f"root {root} out of range")
         return WeightedGraph(n, es, root, ps)
 
     def representative(self, v: int) -> int:

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
-from .errors import (BadParameters, Infeasible, MalformedSchedule,
-                     MissingResidual, TrivialInstance)
+from .errors import (BadParameters, BadUncertainty, Infeasible,
+                     MalformedSchedule, MissingResidual, TrivialInstance)
 
 if TYPE_CHECKING:
     from .graphcore import PreprocessResult, WeightedGraph
@@ -164,12 +164,13 @@ class UncertaintySpec:
         if self.kind != SUBSET:
             raise MalformedSchedule(f"unknown uncertainty kind {self.kind!r}")
         if self.parts is None or len(self.parts) != schedule.horizon:
-            raise MalformedSchedule(
-                "subset model needs one part per day 1..T")
+            raise BadUncertainty(
+                "parts", "subset model needs one part per day 1..T")
         ground = set(units)
         for i, part in enumerate(self.parts):
             if not part <= ground:
-                raise MalformedSchedule(f"part {i + 1} is not inside the ground set")
+                raise BadUncertainty(
+                    f"parts[{i}]", f"part {i + 1} is not inside the ground set")
 
 
 @dataclass(frozen=True)

@@ -13,9 +13,10 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Mapping
 
-from .errors import Infeasible
+from .errors import Infeasible, UnknownElement
 from .model import (KINDS, SETCOVER, CostReport, Kind, Schedule, ThriftyPlan,
-                    argmin_stage, ln_upper, solve_thrifty, threshold_tau)
+                    argmin_stage, ln_upper, scaled_to_ints, solve_thrifty,
+                    threshold_tau)
 
 
 @dataclass(frozen=True)
@@ -33,25 +34,35 @@ class SetSystem:
 
     @staticmethod
     def build(universe_size: int, sets: Iterable) -> "SetSystem":
-        norm = tuple((frozenset(members), Fraction(cost)) for members, cost in sets)
-        for sid, (members, cost) in enumerate(norm):
-            if cost < 0:
-                raise Infeasible(f"set {sid} has negative cost")
-            if members and not 1 <= min(members) <= max(members) <= universe_size:
-                e = next(e for e in members if not 1 <= e <= universe_size)
-                raise Infeasible(f"set {sid} contains unknown element {e}")
+        norm = tuple((frozenset(members),
+                      cost if isinstance(cost, Fraction) else Fraction(cost))
+                     for members, cost in sets)
+        # the scale is positive, so the int keys keep every cost's sign,
+        # order and tie
+        _, keys = scaled_to_ints(cost for _, cost in norm)
+        union = frozenset().union(*(members for members, _ in norm))
+        if (min(keys, default=0) < 0 or union
+                and not 1 <= min(union) <= max(union) <= universe_size):
+            for sid, (members, cost) in enumerate(norm):   # name the first fault
+                if cost < 0:
+                    raise Infeasible(f"set {sid} has negative cost")
+                if members and not 1 <= min(members) <= max(members) <= universe_size:
+                    raise UnknownElement(sid, next(
+                        e for e in members if not 1 <= e <= universe_size))
+        if len(union) < universe_size:
+            e = min(frozenset(range(1, universe_size + 1)) - union)
+            raise Infeasible(f"element {e} is not covered by any set")
         # sets in (cost, id) order, as the sort is stable: the first set to
         # reach an element is its cheapest, ties to the smallest id
         minset_cost: dict[int, Fraction] = {}
         minset_id: dict[int, int] = {}
-        for sid in sorted(range(len(norm)), key=lambda sid: norm[sid][1]):
+        for sid in sorted(range(len(norm)), key=keys.__getitem__):
+            if len(minset_id) == universe_size:
+                break
             members, cost = norm[sid]
             new = members.difference(minset_id)
             minset_cost.update(dict.fromkeys(new, cost))
             minset_id.update(dict.fromkeys(new, sid))
-        for e in range(1, universe_size + 1):
-            if e not in minset_cost:
-                raise Infeasible(f"element {e} is not covered by any set")
         return SetSystem(universe_size, norm, minset_cost, minset_id)
 
     def elements(self) -> tuple[int, ...]:

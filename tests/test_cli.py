@@ -6,8 +6,8 @@ import random
 import pytest
 
 from krobust.cli import main, parse_instance, serialize_instance
-from krobust.fixtures import gen_random
-from krobust.model import PROBLEM_KINDS
+from krobust.fixtures import gen_random, gen_subset_krobust_bad
+from krobust.model import PROBLEM_KINDS, SUBSET
 
 SC_HAND = {
     "problem": "setcover",
@@ -267,6 +267,13 @@ def test_rejects_float_literals(tmp_path, capsys):
     assert rc == 2 and "floating-point" in err
 
 
+def _mincut(edges, root=0):
+    """A mutation making the document a 3-vertex min-cut instance."""
+    return lambda d: d.update(
+        problem="mincut", schedule={"T": 1, "k": [3, 1], "lambda": ["1", "2"]},
+        graph={"n": 3, "root": root, "edges": edges})
+
+
 @pytest.mark.parametrize("mutate,field", [
     (lambda d: d.update(problem="matching"), "problem"),
     (lambda d: d["schedule"].update(k=[2]), "schedule.k"),
@@ -308,12 +315,43 @@ def test_rejects_float_literals(tmp_path, capsys):
         schedule={"T": 1, "k": [0, 0], "lambda": ["1", "2"]},
         graph={"n": -3, "edges": []}),
         "graph.n", id="negative-n"),
+    # the first out-of-range member in list order, not in set order
+    pytest.param(lambda d: d["sets"][1].update(members=[7, 0]),
+                 "sets[1].members[0]", id="two-unknown-members"),
+    pytest.param(lambda d: d["sets"][1].update(members=[0, "x"]),
+                 "sets[1].members[0]", id="unknown-then-mistyped-member"),
+    pytest.param(lambda d: [d["sets"][i].update(cost="-1") for i in (1, 2)],
+                 "sets[1].cost", id="shared-negative-cost"),
+    pytest.param(lambda d: [s.update(members=[1]) for s in d["sets"]],
+                 "sets", id="uncovered-element"),
+    pytest.param(_mincut([[0, 1, "1"], [1, 3, "1"]]), "graph.edges[1][1]",
+                 id="second-endpoint-out-of-range"),
+    pytest.param(_mincut([[0, 1, "1"], [-1, 2, "1"]]), "graph.edges[1][0]",
+                 id="first-endpoint-out-of-range"),
+    pytest.param(_mincut([[0, 1, "1"], [1, 1, "1"]]), "graph.edges[1]",
+                 id="self-loop"),
+    pytest.param(_mincut([[0, 1, "1"], [1, 2, "-1"]]), "graph.edges[1][2]",
+                 id="negative-edge-cost"),
+    pytest.param(_mincut([[0, 1, "1"], [1, 2, "1"]], root=9), "graph.root",
+                 id="root-out-of-range"),
+    pytest.param(lambda d: d.update(
+        problem="steinerforest",
+        schedule={"T": 1, "k": [2, 1], "lambda": ["1", "2"]},
+        graph={"n": 3, "edges": [[0, 1, "1"], [1, 2, "1"]],
+               "pairs": [[0, 2], [1, 3]]}),
+        "graph.pairs[1][1]", id="pair-out-of-range"),
+    pytest.param(lambda d: d.update(uncertainty={"kind": "subset",
+                                                 "parts": [[1, 9]]}),
+                 "uncertainty.parts[0]", id="part-outside-ground-set"),
+    pytest.param(lambda d: d.update(uncertainty={"kind": "subset",
+                                                 "parts": [[1], [2]]}),
+                 "uncertainty.parts", id="part-count"),
 ])
 def test_field_errors_name_the_path(tmp_path, capsys, mutate, field):
     doc = json.loads(json.dumps(SC_HAND))
     mutate(doc)
     rc, _, err = run(capsys, "solve", write_doc(tmp_path, doc))
-    assert rc == 2 and f"bad instance: {field}" in err
+    assert rc == 2 and f"bad instance: {field}: " in err
 
 
 def test_graph_field_rules(tmp_path, capsys):
@@ -386,17 +424,25 @@ def _mutants(doc, rng, count):
         yield mutant
 
 
-@pytest.mark.parametrize("kind", PROBLEM_KINDS)
+@pytest.mark.parametrize("kind", PROBLEM_KINDS + (SUBSET,))
 def test_mutated_documents_exit_cleanly(tmp_path, capsys, kind):
     # seeded fuzzing of the document schema: whatever a field holds, the
-    # CLI answers with an exit code and a message, never a traceback
+    # CLI answers with an exit code and a message, never a traceback.  The
+    # thrifty solvers refuse every well-formed subset document with a
+    # command error (test_solve_rejects_subset_uncertainty), so subset
+    # documents go to the oracle alone, which parses them the same way
     rng = random.Random(kind)
     codes = set()
     for seed in range(3):
-        doc = serialize_instance(gen_random(kind, 4, 6, 2, seed))
+        if kind == SUBSET:
+            doc = serialize_instance(gen_subset_krobust_bad(2, 2)[0])
+            commands = ("oracle",)
+        else:
+            doc = serialize_instance(gen_random(kind, 4, 6, 2, seed))
+            commands = ("solve", "oracle")
         for mutant in _mutants(doc, rng, 25):
             path = write_doc(tmp_path, mutant)
-            for command in ("solve", "oracle"):
+            for command in commands:
                 rc, _, err = run(capsys, command, path)
                 assert rc in (0, 2, 3, 4), (command, mutant, err)
                 if rc == 2:

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from krobust.cli import parse_instance
 from krobust.errors import Infeasible
 from krobust.fixtures import gen_lowerbound_allstages, gen_random
 from krobust.model import SETCOVER, Schedule, evaluate_thrifty, guess_grid
@@ -27,9 +28,18 @@ def test_build_tracks_cheapest_set():
     assert sys_.covered_by([1, 2]) == frozenset({1, 2})
 
 
+def _spellings(cost):
+    """Ways a document can write cost: "p/q", "2p/2q" and, if whole, an int."""
+    cost = F(cost)
+    out = [str(cost), f"{2 * cost.numerator}/{2 * cost.denominator}"]
+    return out + [int(cost)] if cost.denominator == 1 else out
+
+
 def test_build_cheapest_set_matches_brute_force():
+    # equal costs written differently (1 and F(2, 2) here, "1", "2/2" and 1
+    # in a document) tie, and ties go to the smallest set id
     rng = random.Random(5)
-    costs = (0, 0, 1, 1, 2, F(1, 2), F(3, 2))
+    costs = (0, 0, 1, F(2, 2), 2, F(1, 2), F(3, 2))
     for _ in range(300):
         size = rng.randint(1, 10)
         sets = [(frozenset(rng.sample(range(1, size + 1), rng.randint(0, size))),
@@ -37,10 +47,17 @@ def test_build_cheapest_set_matches_brute_force():
         sets.insert(rng.randint(0, len(sets)),
                     (frozenset(range(1, size + 1)), rng.choice(costs)))
         sys_ = SetSystem.build(size, sets)
+        doc = {"problem": SETCOVER,
+               "schedule": {"T": 0, "k": [size], "lambda": ["1"]},
+               "sets": [{"members": sorted(members),
+                         "cost": rng.choice(_spellings(c))}
+                        for members, c in sets]}
+        parsed = parse_instance(doc).payload
         for e in sys_.elements():
             cost, sid = min((F(c), sid) for sid, (members, c) in enumerate(sets)
                             if e in members)
             assert (sys_.minset_cost[e], sys_.minset_id[e]) == (cost, sid)
+            assert (parsed.minset_cost[e], parsed.minset_id[e]) == (cost, sid)
 
 
 @pytest.mark.parametrize("sets,universe,msg", [
@@ -48,6 +65,8 @@ def test_build_cheapest_set_matches_brute_force():
     ((({0}, 1),), 1, "unknown element"),
     ((({2}, 1),), 1, "unknown element"),
     ((({1}, 1),), 2, "not covered"),
+    # two faults: the first in set order is named, whichever check found one
+    ((({1}, 1), ({3}, 1), ({1}, -1)), 1, "set 1 contains unknown element 3"),
 ])
 def test_build_rejects(sets, universe, msg):
     with pytest.raises(Infeasible, match=msg):
