@@ -50,7 +50,7 @@ class SetSystem:
                     raise UnknownElement(sid, next(
                         e for e in members if not 1 <= e <= universe_size))
         if len(union) < universe_size:
-            e = min(frozenset(range(1, universe_size + 1)) - union)
+            e = next(e for e in range(1, universe_size + 1) if e not in union)
             raise Infeasible(f"element {e} is not covered by any set")
         # sets in (cost, id) order, as the sort is stable: the first set to
         # reach an element is its cheapest, ties to the smallest id

@@ -346,6 +346,11 @@ def _mincut(edges, root=0):
     pytest.param(lambda d: d.update(uncertainty={"kind": "subset",
                                                  "parts": [[1], [2]]}),
                  "uncertainty.parts", id="part-count"),
+    # k[0] is checked against the unit count only after the sets are
+    # built, so the uncovered-element search must stop at the first gap
+    pytest.param(lambda d: d.update(
+        schedule={"T": 0, "k": [10**12], "lambda": ["1"]}),
+        "sets", id="huge-k0-uncovered"),
 ])
 def test_field_errors_name_the_path(tmp_path, capsys, mutate, field):
     doc = json.loads(json.dumps(SC_HAND))
@@ -432,14 +437,16 @@ def test_mutated_documents_exit_cleanly(tmp_path, capsys, kind):
     # command error (test_solve_rejects_subset_uncertainty), so subset
     # documents go to the oracle alone, which parses them the same way
     rng = random.Random(kind)
+    if kind == SUBSET:
+        bases = [serialize_instance(gen_subset_krobust_bad(T, lam)[0])
+                 for T, lam in ((1, 2), (2, 2), (1, 3))]
+        commands = ("oracle",)
+    else:
+        bases = [serialize_instance(gen_random(kind, 4, 6, 2, seed))
+                 for seed in range(3)]
+        commands = ("solve", "oracle")
     codes = set()
-    for seed in range(3):
-        if kind == SUBSET:
-            doc = serialize_instance(gen_subset_krobust_bad(2, 2)[0])
-            commands = ("oracle",)
-        else:
-            doc = serialize_instance(gen_random(kind, 4, 6, 2, seed))
-            commands = ("solve", "oracle")
+    for doc in bases:
         for mutant in _mutants(doc, rng, 25):
             path = write_doc(tmp_path, mutant)
             for command in commands:
