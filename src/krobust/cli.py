@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 bad input or parameters, 3 trivial instance,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -22,9 +23,9 @@ from .errors import (BadParameters, FieldError, Infeasible,
 from .fixtures import gen_lowerbound_allstages, gen_random, gen_subset_krobust_bad
 from .graphcore import WeightedGraph
 from .model import (CARDINALITY, KINDS, MINCUT, PROBLEM_KINDS, SETCOVER,
-                    STEINERFOREST, SUBSET, ProblemInstance, Schedule,
-                    UncertaintySpec, evaluate_thrifty, require_live,
-                    validate_schedule)
+                    STEINERFOREST, STEINERTREE, SUBSET, ProblemInstance,
+                    Schedule, UncertaintySpec, evaluate_thrifty,
+                    require_live, validate_schedule)
 from .oracle import (SizeLimits, exhaustive_robcov, minimax_opt, opt_bounds,
                      partwise_minimax)
 from .setcover import SetSystem
@@ -136,7 +137,7 @@ def parse_instance(doc) -> ProblemInstance:
         return _in_range(fracs[value], path, low, None)
 
     if kind == SETCOVER:
-        k0 = schedule.k[0]
+        size = k0 = schedule.k[0]   # the elements are 1..k0
         sets = []
         for i, raw in enumerate(_list(doc.get("sets"), "sets")):
             if not isinstance(raw, dict):
@@ -193,10 +194,13 @@ def parse_instance(doc) -> ProblemInstance:
             payload = WeightedGraph.build(n, edges, root=root, pairs=pairs)
         except FieldError as exc:
             raise InstanceFormatError(f"graph.{exc.field}", str(exc)) from None
+        size = (n - 1 if kind == MINCUT else n if kind == STEINERTREE
+                else len(pairs))
 
-    inst = ProblemInstance(kind, payload, schedule, uncertainty)
-    size = len(inst.units())
+    # the unit count is checked before anything lists the units, so a huge
+    # graph.n fails here instead of being materialised
     _in_range(k[0], "schedule.k[0]", size, size)
+    inst = ProblemInstance(kind, payload, schedule, uncertainty)
     validate_schedule(schedule, size)
     try:
         uncertainty.validate(schedule, inst.units())
@@ -534,8 +538,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: building it costs far more than
+    a parse."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except TrivialInstance as exc:

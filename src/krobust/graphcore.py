@@ -235,8 +235,8 @@ def min_cut(g: WeightedGraph, root: int, terminals: Iterable[int]
 
     Exact max-flow via augmenting paths, each found by one BFS from all the
     terminals at once (the search a super-source joined to them by
-    uncapacitated arcs would make); the cut is recovered from residual
-    reachability.
+    uncapacitated arcs would make); the cut is recovered from the vertices
+    the last, failing search reached in the residual network.
     """
     term = sorted(set(terminals))
     if not term:
@@ -273,24 +273,16 @@ def min_cut(g: WeightedGraph, root: int, terminals: Iterable[int]
             cap[a ^ 1] += bottleneck
         flow += bottleneck
 
-    reach = set(term)
-    queue = term
-    while queue:
-        nxt = []
-        for v in queue:
-            for a in out[v]:
-                w = to[a]
-                if w not in reach and cap[a] > 0:
-                    reach.add(w)
-                    nxt.append(w)
-        queue = nxt
-    cut_ids = frozenset(e.eid for e in g.edges
-                        if (e.u in reach) != (e.v in reach))
-    es = g.edge_set(cut_ids)
-    if es.cost != flow:
+    # the search that failed marked exactly the residual-reachable vertices
+    cut_ids, cut_cost = [], 0
+    for e in g.edges:
+        if (parent_arc[e.u] == -1) != (parent_arc[e.v] == -1):
+            cut_ids.append(e.eid)
+            cut_cost += e.cost
+    if cut_cost != flow:
         raise InvariantViolation(
-            f"max-flow value {flow} differs from the recovered cut {es.cost}")
-    return flow, es
+            f"max-flow value {flow} differs from the recovered cut {cut_cost}")
+    return flow, EdgeSet(frozenset(cut_ids), Fraction(cut_cost))
 
 
 def separates(g: WeightedGraph, root: int, ids: Collection[int],

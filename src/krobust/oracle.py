@@ -215,44 +215,90 @@ def minimax_opt(instance: ProblemInstance, limits: SizeLimits | None = None,
     maximal-cardinality ones (the values agree — kept for spot checks).
     The search runs on the game's integer money; the value and every trace
     node's value come back as exact Fractions.
+
+    A state is settled once the adversary must keep the whole active set on
+    every later day (always so on day T): nothing is left to learn, so the
+    best play buys the cheapest completion of owned on the cheapest open
+    day.  Such a state is answered from that completion alone, without
+    searching: buy it today, or buy nothing if a later open day costs no
+    more, since the search would reach the empty purchase first.
     """
     game = _Game(instance)
     game.check(limits)
     T = game.schedule.horizon
     lam = game.lam
     forbidden = frozenset(inactive_days)
+    # the least inflation of an open day after each day, None if none is left
+    least_later = [min((lam[i] for i in range(day + 1, T + 1)
+                        if i not in forbidden), default=None)
+                   for day in range(T + 1)]
     memo: dict = {}
+    settled_cache: dict = {}
     empty_only = [(0, 0)]
+
+    def settled(day: int, active: int) -> bool:
+        """Whether the adversary must keep all of active on every day
+        after day, so that the state has nothing left to learn."""
+        key = active * (T + 1) + day
+        got = settled_cache.get(key)
+        if got is None:
+            got = settled_cache[key] = day == T or (
+                game.moves(day + 1, active, full_adversary) == (active,)
+                and settled(day + 1, active))
+        return got
+
+    def completion(active: int, owned: int) -> tuple:
+        """The first (cost, mask) in cheapest-first order that owned does
+        not meet and that covers active together with owned."""
+        for cost, mask in game.masks:
+            if not mask & owned and game.feasible(owned | mask, active):
+                return cost, mask
+        return _INF, 0
 
     def value(day: int, active: int, owned: int):
         key = game.memo_key(day, active, owned)
         got = memo.get(key)
         if got is not None:
             return got[0]
+        if day == T or settled(day, active):
+            # buy the cheapest completion today, or buy nothing if the
+            # cheapest later open day costs no more: the search reaches the
+            # empty purchase first, so it wins a tie
+            later = least_later[day]
+            if later is None and day in forbidden:
+                got = (0 if game.feasible(owned, active) else _INF), 0
+            else:
+                cost, mask = completion(active, owned)
+                if cost == _INF:
+                    got = _INF, 0
+                elif day in forbidden or (later is not None
+                                          and later * cost <= lam[day] * cost):
+                    got = later * cost, 0
+                else:
+                    got = lam[day] * cost, mask
+            memo[key] = got
+            return got[0]
         best, best_mask = _INF, 0
         choices = empty_only if day in forbidden else game.masks
+        moves = game.moves(day + 1, active, full_adversary)
         for cost, mask in choices:
             if mask & owned:
                 continue
             spend = lam[day] * cost
             if spend >= best:
                 break
-            if day == T:
-                if game.feasible(owned | mask, active):
-                    best, best_mask = spend, mask
+            worst = 0
+            for move in moves:
+                worst = max(worst, value(day + 1, move, owned | mask))
+                if spend + worst >= best:
                     break
-            else:
-                worst = 0
-                for move in game.moves(day + 1, active, full_adversary):
-                    worst = max(worst, value(day + 1, move, owned | mask))
-                    if spend + worst >= best:
-                        break
-                if spend + worst < best:
-                    best, best_mask = spend + worst, mask
+            if spend + worst < best:
+                best, best_mask = spend + worst, mask
         memo[key] = (best, best_mask)
         return best
 
     def trace(day: int, active: int, owned: int) -> TraceNode:
+        value(day, active, owned)   # the search skips settled states' children
         val, mask = memo[game.memo_key(day, active, owned)]
         kids = ()
         if day < T:
@@ -271,7 +317,7 @@ def minimax_opt(instance: ProblemInstance, limits: SizeLimits | None = None,
     finally:
         # the recursive closures hold their own cells: break that cycle so
         # the memo and the game are freed without a cyclic collection
-        del value, trace
+        del value, trace, settled
 
 
 # -------------------------------------------------- plan evaluation & checking

@@ -1,10 +1,16 @@
 """End-to-end CLI behavior: JSON I/O, subcommands, exit codes."""
 
 import json
+import os
 import random
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import krobust
 from krobust.cli import main, parse_instance, serialize_instance
 from krobust.fixtures import gen_random, gen_subset_krobust_bad
 from krobust.model import PROBLEM_KINDS, SUBSET
@@ -357,6 +363,35 @@ def test_field_errors_name_the_path(tmp_path, capsys, mutate, field):
     mutate(doc)
     rc, _, err = run(capsys, "solve", write_doc(tmp_path, doc))
     assert rc == 2 and f"bad instance: {field}: " in err
+
+
+@pytest.mark.parametrize("kind,root", [("steinertree", None),
+                                       ("mincut", 0)])
+def test_huge_vertex_count_exits_2_without_listing_the_vertices(tmp_path,
+                                                                kind, root):
+    # k[0] is checked against the unit count before anything builds a
+    # per-vertex structure; the run gets a 1 GiB address-space cap, so a
+    # regression that lists 10**12 vertices fails fast instead of
+    # exhausting the machine
+    graph = {"n": 10**12, "edges": [[0, 1, "1"], [1, 2, "2"], [0, 2, "3"]]}
+    if root is not None:
+        graph["root"] = root
+    path = write_doc(tmp_path, {
+        "problem": kind,
+        "schedule": {"T": 1, "k": [3, 1], "lambda": ["1", "2"]},
+        "graph": graph})
+    cap = 1 << 30
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    src = str(Path(krobust.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "krobust.cli", "solve", path],
+        capture_output=True, text=True, timeout=60, preexec_fn=limit,
+        env={**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"})
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("bad instance: schedule.k[0]: "), done.stderr
 
 
 def test_graph_field_rules(tmp_path, capsys):

@@ -24,7 +24,10 @@ from krobust.model import (
     UncertaintySpec,
 )
 from krobust.oracle import (
+    _INF,
     SizeLimits,
+    TraceNode,
+    _Game,
     check_plan_feasible,
     exact_min,
     exhaustive_robcov,
@@ -200,6 +203,104 @@ def test_minimax_checks_each_coverage_once(kind, monkeypatch):
         calls.clear()
         minimax_opt(gen_random(kind, 4 + seed % 2, 6, 1 + seed % 2, seed))
         assert calls and max(calls.values()) == 1
+
+
+def _backward_induction(inst, full=False, inactive_days=()):
+    """The plain backward induction that minimax_opt shortcuts: every
+    purchase at every state, cheapest first, ties to the first, and day T
+    buys the first completion.  (value, trace) as minimax_opt returns them
+    for a feasible game."""
+    game = _Game(inst)
+    T, lam, memo = game.schedule.horizon, game.lam, {}
+
+    def value(day, active, owned):
+        if (day, active, owned) in memo:
+            return memo[day, active, owned][0]
+        best, best_mask = _INF, 0
+        for cost, mask in [(0, 0)] if day in inactive_days else game.masks:
+            if mask & owned:
+                continue
+            spend = lam[day] * cost
+            if spend >= best:
+                break
+            if day == T:
+                if game.feasible(owned | mask, active):
+                    best, best_mask = spend, mask
+                    break
+                continue
+            worst = 0
+            for move in game.moves(day + 1, active, full):
+                worst = max(worst, value(day + 1, move, owned | mask))
+                if spend + worst >= best:
+                    break
+            if spend + worst < best:
+                best, best_mask = spend + worst, mask
+        memo[day, active, owned] = best, best_mask
+        return best
+
+    def trace(day, active, owned):
+        val, mask = memo[day, active, owned]
+        kids = tuple((game.unit_set(move), trace(day + 1, move, owned | mask))
+                     for move in (game.moves(day + 1, active, full)
+                                  if day < T else ()))
+        return TraceNode(day, game.unit_set(active), game.action_set(mask),
+                         game.money(val), kids)
+
+    return (game.money(value(0, game.full_units, 0)),
+            trace(0, game.full_units, 0))
+
+
+def _settled_variants(inst):
+    """(instance, full_adversary, inactive_days) cases for one instance:
+    its own schedule, plain, full and with inactive days; a choice-free
+    day 1 ahead of the later choices, with no inflation, so that waiting
+    for them pays; and a game with no choice at all, whose inflations tie
+    on days 0-1 and 2-3."""
+    sched = inst.schedule
+    T, k0 = sched.horizon, sched.k[0]
+    quiet = replace(inst, schedule=Schedule.of((k0, k0) + sched.k[2:],
+                                               [1] * (T + 1)))
+    flat = replace(inst, schedule=Schedule.of(
+        [k0] * (T + 1), [1, 1, 2, 2][:T + 1]))
+    return ((inst, False, ()), (inst, True, (0,)), (inst, False, (1, T)),
+            (quiet, False, ()), (flat, False, ()), (flat, False, (1,)),
+            (flat, False, (0, 1)[:T]))
+
+
+def test_settled_states_match_the_plain_search(tiny_batches):
+    # the closed-form answer for states the adversary can no longer change
+    # gives the plain search's value and trace, purchases and ties included
+    for kind in PROBLEM_KINDS:
+        for inst in tiny_batches[kind][::13]:
+            for case, full, days in _settled_variants(inst):
+                want = _backward_induction(case, full, days)
+                got = minimax_opt(case, full_adversary=full,
+                                  inactive_days=days)
+                assert (got[0], repr(got[1])) == (want[0], repr(want[1]))
+
+
+def test_settled_instance_scans_for_one_completion(monkeypatch):
+    # with k = |A| on every day the adversary has no choice: the game is
+    # one cheapest-first scan for a cover of everything, bought on day 0
+    inst = gen_random(MINCUT, 5, 9, 2, 3)
+    inst = replace(inst, schedule=replace(inst.schedule, k=(4, 4, 4)))
+    game, units = _Game(inst), frozenset(inst.units())
+    ids = [[aid for i, aid in enumerate(game.action_ids) if mask >> i & 1]
+           for _, mask in game.masks]
+    covers = KINDS[MINCUT].covers
+    scan = 1 + next(i for i, owned in enumerate(ids)
+                    if covers(inst.payload, owned, units))
+    cheapest = exact_min(MINCUT, inst.payload, units)
+    calls = Counter()
+
+    def counted(payload, ids, units):
+        calls[frozenset(ids), frozenset(units)] += 1
+        return covers(payload, ids, units)
+
+    monkeypatch.setitem(KINDS, MINCUT, replace(KINDS[MINCUT], covers=counted))
+    opt, trace = minimax_opt(inst)
+    assert opt == cheapest
+    assert trace.purchase and sum(calls.values()) == scan < len(ids) // 2
 
 
 @pytest.mark.parametrize("kind", PROBLEM_KINDS)
