@@ -200,12 +200,23 @@ def parse_instance(doc) -> ProblemInstance:
     # the unit count is checked before anything lists the units, so a huge
     # graph.n fails here instead of being materialised
     _in_range(k[0], "schedule.k[0]", size, size)
+    if kind == STEINERTREE and k[T] >= 2:
+        # the adversary can keep a vertex that no edge touches alive beside
+        # another one, and no tree joins them
+        touched = {x for e in payload.edges for x in (e.u, e.v)}
+        if len(touched) < n:
+            v = next(v for v in range(n) if v not in touched)
+            raise InstanceFormatError(
+                "graph.n", f"vertex {v} touches no edge, so no tree reaches "
+                f"it while k_T = {k[T]} >= 2")
     inst = ProblemInstance(kind, payload, schedule, uncertainty)
     validate_schedule(schedule, size)
-    try:
-        uncertainty.validate(schedule, inst.units())
-    except FieldError as exc:
-        raise InstanceFormatError(f"uncertainty.{exc.field}", str(exc)) from None
+    if uncertainty.kind == SUBSET:   # only the parts are checked against units
+        try:
+            uncertainty.validate(schedule, inst.units())
+        except FieldError as exc:
+            raise InstanceFormatError(f"uncertainty.{exc.field}",
+                                      str(exc)) from None
     return inst
 
 

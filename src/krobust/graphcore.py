@@ -389,11 +389,9 @@ def connects(g: WeightedGraph, ids: Collection[int], pairs) -> bool:
     return all(uf.find(s) == uf.find(t) for s, t in pairs)
 
 
-def _forest_connects(g: WeightedGraph, kept: set[int], pairs: Sequence[Pair]) -> bool:
-    uf = UnionFind(g.n)
-    by_id = {e.eid: e for e in g.edges}
-    for eid in kept:
-        e = by_id[eid]
+def _forest_connects(n: int, edges: Iterable[Edge], pairs: Sequence[Pair]) -> bool:
+    uf = UnionFind(n)
+    for e in edges:
         uf.union(e.u, e.v)
     return all(uf.find(p.s) == uf.find(p.t) for p in pairs)
 
@@ -411,6 +409,9 @@ def gw_steiner_forest(g: WeightedGraph, pairs: Iterable[Pair]) -> EdgeSet:
     goes tight after dt = slack/rate, so 2*dt = slack * (2 // rate) is an
     int; when the earliest one is odd the unit is halved, doubling every
     slack, which happens at most once per merge.
+
+    Each round reads every vertex's component once, and an edge is dropped
+    for good once both its ends lie in one component.
     """
     plist = [p for p in pairs if p.s != p.t]
     if not plist:
@@ -419,29 +420,25 @@ def gw_steiner_forest(g: WeightedGraph, pairs: Iterable[Pair]) -> EdgeSet:
     _, costs = scaled_to_ints(e.cost for e in g.edges)
     slack = {e.eid: c for e, c in zip(g.edges, costs)}
     by_id = {e.eid: e for e in g.edges}
+    live = g.edges
     added: list[int] = []
 
-    def active_roots() -> set[int]:
-        out = set()
-        for p in plist:
-            rs, rt = uf.find(p.s), uf.find(p.t)
-            if rs != rt:
-                out.add(rs)
-                out.add(rt)
-        return out
-
     while True:
-        act = active_roots()
+        comp = [uf.find(v) for v in range(g.n)]
+        act = set()
+        for p in plist:
+            rs, rt = comp[p.s], comp[p.t]
+            if rs != rt:
+                act.add(rs)
+                act.add(rt)
         if not act:
             break
+        live = [e for e in live if comp[e.u] != comp[e.v]]
         best_2dt = None
         best_eid = None
         rates = {}
-        for e in g.edges:
-            ru, rv = uf.find(e.u), uf.find(e.v)
-            if ru == rv:
-                continue
-            rate = (ru in act) + (rv in act)
+        for e in live:
+            rate = (comp[e.u] in act) + (comp[e.v] in act)
             if rate == 0:
                 continue
             rates[e.eid] = rate
@@ -450,10 +447,10 @@ def gw_steiner_forest(g: WeightedGraph, pairs: Iterable[Pair]) -> EdgeSet:
                     or (two_dt == best_2dt and e.eid < best_eid)):
                 best_2dt, best_eid = two_dt, e.eid
         if best_eid is None:
-            missing = next(p for p in plist if uf.find(p.s) != uf.find(p.t))
+            missing = next(p for p in plist if comp[p.s] != comp[p.t])
             raise Disconnected(f"pair {missing.pid} cannot be connected")
         if best_2dt % 2:
-            slack = {eid: 2 * s for eid, s in slack.items()}
+            slack = {e.eid: 2 * slack[e.eid] for e in live}
             best_2dt *= 2
         for eid, rate in rates.items():
             slack[eid] -= best_2dt // 2 * rate
@@ -464,7 +461,7 @@ def gw_steiner_forest(g: WeightedGraph, pairs: Iterable[Pair]) -> EdgeSet:
     kept = set(added)
     for eid in reversed(added):
         trial = kept - {eid}
-        if _forest_connects(g, trial, plist):
+        if _forest_connects(g.n, (by_id[i] for i in trial), plist):
             kept = trial
     return g.edge_set(kept)
 
@@ -543,19 +540,19 @@ def preprocess_cost_scaling(g: WeightedGraph, schedule: Schedule,
     and the merged horizon is at most log2 of the largest kept inflation.
     """
     cf = g.edge_by_id(f_guess).cost
-    n2 = Fraction(g.n * g.n)
+    n2 = g.n * g.n
     cut = g.root is not None
     high = [e.eid for e in g.edges if e.cost > cf]
     if high:
         g = delete_or_contract(g, high, "contract" if cut else "delete")
-    low = [e.eid for e in g.edges if e.cost < cf / n2]
+    low = [e.eid for e in g.edges if e.cost * n2 < cf]
     prepaid = g.edge_set(low)
     if low:
         g = delete_or_contract(g, low, "delete") if cut else zero_edges(g, low)
     priced = [e.cost for e in g.edges if e.cost > 0]
     horizon = schedule.horizon
     if priced:
-        lam_cap = n2 * max(priced) / min(priced)
+        lam_cap = Fraction(n2 * max(priced), min(priced))
         while horizon > 0 and schedule.lam[horizon] > lam_cap:
             horizon -= 1
     truncated = Schedule(horizon, schedule.k[:horizon + 1],

@@ -110,13 +110,12 @@ def argmin_stage(schedule: Schedule) -> int:
 
 
 def threshold_tau(guess: Fraction, schedule: Schedule, beta: Fraction) -> Fraction:
-    """beta * max_j guess/(lam[j]*k[j]) over all days j in 0..T."""
+    """beta * max_j guess/(lam[j]*k[j]) over all days j in 0..T, which for
+    a guess >= 0 is beta * guess / min_j lam[j]*k[j]: one division."""
     if any(ki == 0 for ki in schedule.k):
         raise TrivialInstance("k_j = 0 for some day j")
-    guess = Fraction(guess)
-    best = max(guess / (schedule.lam[j] * schedule.k[j])
-               for j in range(schedule.horizon + 1))
-    return Fraction(beta) * best
+    return Fraction(beta) * Fraction(guess) / min(
+        lam * k for lam, k in zip(schedule.lam, schedule.k))
 
 
 def merge_stages(schedule: Schedule, r) -> tuple[Schedule, tuple[int, ...]]:
@@ -255,7 +254,7 @@ def evaluate_thrifty(plan: ThriftyPlan, schedule: Schedule,
     kj = schedule.k[j]
     ranked = sorted(plan.residuals.items(), key=lambda kv: (-kv[1], kv[0]))
     top = ranked[:kj]
-    worst = schedule.lam[j] * sum((v for _, v in top), Fraction(0))
+    worst = schedule.lam[j] * Fraction(sum(v for _, v in top))
     witness = tuple(u for u, v in top if v > 0)
     return CostReport(day0_cost=plan.day0_cost,
                       worst_day_cost=worst,
@@ -398,8 +397,9 @@ def solve_thrifty(kind: str, payload, schedule: Schedule, beta=None,
                   preprocess: bool = False,
                   merge_r=2) -> tuple[ThriftyPlan, CostReport]:
     """Best evaluated plan over the doubling guess grid; ties keep the
-    smaller guess.  A graph is solved on its int-cost copy (on_integers)
-    and the plans' money is divided back before they are evaluated.
+    smaller guess.  A graph is solved on its int-cost copy (on_integers):
+    the candidates are compared on their scaled money, which keeps every
+    order and tie, and only the winner is divided back and re-evaluated.
 
     With preprocess=True the grid runs once per distinct edge cost instead,
     on the instance cost-scaled under the first edge of that cost as the
@@ -430,14 +430,15 @@ def solve_thrifty(kind: str, payload, schedule: Schedule, beta=None,
                 continue
     if not candidates:
         candidates = _candidates(spec, work, schedule, beta)
-    if work is not payload:
-        candidates = [_divided(plan, scale) for plan in candidates]
     best: tuple[ThriftyPlan, CostReport] | None = None
     for plan in candidates:
         report = evaluate_thrifty(plan, schedule, units)
         if best is None or report.robcov < best[1].robcov:
             best = (plan, report)
-    return best
+    if work is payload:
+        return best
+    plan = _divided(best[0], scale)
+    return plan, evaluate_thrifty(plan, schedule, units)
 
 
 @dataclass(frozen=True)

@@ -114,13 +114,14 @@ def sfnet_build(g: WeightedGraph, pairs, gamma: Fraction) -> SfnetResult:
     links: list[tuple[int, int]] = []
     link_ids: set[int] = set()
     witnesses: list[int] = []
+    apart, near_by = 4 * gamma, 2 * gamma
     while True:
         pick = None
         for p in plist:
             if p.pid in sr:
                 continue
             d = distance(glued, p.s, p.t)
-            if d is None or d > 4 * gamma:
+            if d is None or d > apart:
                 pick = p
                 break
         if pick is None:
@@ -130,7 +131,7 @@ def sfnet_build(g: WeightedGraph, pairs, gamma: Fraction) -> SfnetResult:
         delta = 0
         for x in (pick.s, pick.t):
             dx, pred = shortest_paths(g, [x])
-            near = [w for w in witnesses if w in dx and dx[w] < 2 * gamma]
+            near = [w for w in witnesses if w in dx and dx[w] < near_by]
             if near:
                 w = min(near)
                 links.append((x, w))

@@ -365,11 +365,17 @@ def test_field_errors_name_the_path(tmp_path, capsys, mutate, field):
     assert rc == 2 and f"bad instance: {field}: " in err
 
 
-@pytest.mark.parametrize("kind,root", [("steinertree", None),
-                                       ("mincut", 0)])
+@pytest.mark.parametrize("kind,root,k,field", [
+    pytest.param("steinertree", None, [3, 1], "schedule.k[0]",
+                 id="steinertree-None"),
+    pytest.param("mincut", 0, [3, 1], "schedule.k[0]", id="mincut-0"),
+    pytest.param("steinertree", None, [10**12, 2], "graph.n",
+                 id="steinertree-isolated-vertex")])
 def test_huge_vertex_count_exits_2_without_listing_the_vertices(tmp_path,
-                                                                kind, root):
-    # k[0] is checked against the unit count before anything builds a
+                                                                kind, root,
+                                                                k, field):
+    # k[0] is checked against the unit count, and a tree's vertices that no
+    # edge touches are found from the edges, before anything builds a
     # per-vertex structure; the run gets a 1 GiB address-space cap, so a
     # regression that lists 10**12 vertices fails fast instead of
     # exhausting the machine
@@ -378,7 +384,7 @@ def test_huge_vertex_count_exits_2_without_listing_the_vertices(tmp_path,
         graph["root"] = root
     path = write_doc(tmp_path, {
         "problem": kind,
-        "schedule": {"T": 1, "k": [3, 1], "lambda": ["1", "2"]},
+        "schedule": {"T": 1, "k": k, "lambda": ["1", "2"]},
         "graph": graph})
     cap = 1 << 30
 
@@ -391,7 +397,7 @@ def test_huge_vertex_count_exits_2_without_listing_the_vertices(tmp_path,
         capture_output=True, text=True, timeout=60, preexec_fn=limit,
         env={**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"})
     assert done.returncode == 2 and done.stdout == ""
-    assert done.stderr.startswith("bad instance: schedule.k[0]: "), done.stderr
+    assert done.stderr.startswith(f"bad instance: {field}: "), done.stderr
 
 
 def test_graph_field_rules(tmp_path, capsys):

@@ -9,7 +9,7 @@ import pytest
 
 from krobust.fixtures import gen_random
 from krobust.graphcore import WeightedGraph
-from krobust.model import KINDS, PROBLEM_KINDS, SETCOVER
+from krobust.model import KINDS, MINCUT, PROBLEM_KINDS, SETCOVER
 from krobust.oracle import exhaustive_robcov, minimax_opt
 from krobust.setcover import SetSystem
 
@@ -67,3 +67,40 @@ def test_reordering_actions_keeps_opt(kind):
         order = list(range(len(inst.payload.actions())))
         rng.shuffle(order)
         assert minimax_opt(_rebuilt(inst, order=order))[0] == minimax_opt(inst)[0]
+
+
+def _with_action(inst, rng, price):
+    """The instance with one more set or edge: a copy of a random one at
+    price(its cost), and for a set with a random subset of its members."""
+    p = inst.payload
+    if inst.kind == SETCOVER:
+        members, cost = rng.choice(p.sets)
+        kept = frozenset(m for m in members if rng.random() < 0.6)
+        payload = SetSystem.build(p.universe_size,
+                                  list(p.sets) + [(kept, price(cost))])
+    else:
+        e = rng.choice(p.edges)
+        payload = WeightedGraph.build(
+            p.n, [(d.u, d.v, d.cost) for d in p.edges]
+            + [(e.u, e.v, price(e.cost))],
+            root=p.root, pairs=[(q.s, q.t) for q in p.pairs])
+    return replace(inst, payload=payload)
+
+
+@pytest.mark.parametrize("kind", PROBLEM_KINDS)
+def test_dominated_action_keeps_opt(kind):
+    # a subset of a set at a cost at least as high, or a parallel edge that
+    # costs at least as much, is never worth buying in its place.  A cut
+    # must cut every parallel edge, so there the dominated edge is a free
+    # one, and a pricier one can only raise opt
+    rng = random.Random(f"dominated:{kind}")
+    for inst in _batch(kind):
+        opt = minimax_opt(inst)[0]
+        for extra in (F(0), F(1, 3), F(2)):
+            pricier = _with_action(inst, rng, lambda c: c + extra)
+            if kind == MINCUT:
+                assert minimax_opt(pricier)[0] >= opt
+                free = _with_action(inst, rng, lambda c: 0 * c)
+                assert minimax_opt(free)[0] == opt
+            else:
+                assert minimax_opt(pricier)[0] == opt

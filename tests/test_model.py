@@ -6,14 +6,22 @@ from fractions import Fraction
 
 import pytest
 
-from krobust.errors import MalformedSchedule, MissingResidual, TrivialInstance
+from krobust.errors import (Infeasible, MalformedSchedule, MissingResidual,
+                            TrivialInstance)
+from krobust.fixtures import gen_random
 from krobust.model import (
     CARDINALITY,
+    KINDS,
+    PROBLEM_KINDS,
+    SETCOVER,
     SUBSET,
+    CostReport,
     Schedule,
     ScenarioSequence,
     ThriftyPlan,
     UncertaintySpec,
+    _candidates,
+    _divided,
     argmin_stage,
     evaluate_thrifty,
     free_plan,
@@ -21,6 +29,9 @@ from krobust.model import (
     harmonic,
     ln_upper,
     merge_stages,
+    on_integers,
+    scaled_candidates,
+    solve_thrifty,
     threshold_tau,
     trivial_plan,
     validate_schedule,
@@ -87,6 +98,28 @@ def test_threshold_tau_hand_value():
     assert threshold_tau(F(2), s, F(3)) == 3
     with pytest.raises(TrivialInstance):
         threshold_tau(F(2), Schedule.of([2, 0], [1, 2]), F(3))
+
+
+def test_threshold_tau_matches_the_max_over_days():
+    # one division by the least lam[j]*k[j] is the largest guess/(lam*k)
+    rng = random.Random(13)
+    for _ in range(300):
+        T = rng.randint(0, 5)
+        k = sorted((rng.randint(1, 12) for _ in range(T + 1)), reverse=True)
+        lam = [F(1)]
+        for _ in range(T):
+            lam.append(lam[-1] * F(rng.randint(2, 9), rng.randint(1, 4))
+                       if rng.random() < 0.7 else lam[-1])
+        s = Schedule.of(k, lam)
+        guess = F(rng.randint(0, 500), rng.randint(1, 30))
+        beta = rng.choice([F(10), F(50), F(0), F(rng.randint(1, 9), 7)])
+        for g in (guess, guess.numerator):   # int guesses come from the grid
+            tau = threshold_tau(g, s, beta)
+            assert type(tau) is Fraction
+            assert tau == beta * max(F(g) / (lam[j] * k[j])
+                                     for j in range(T + 1))
+        with pytest.raises(TrivialInstance):
+            threshold_tau(guess, Schedule.of(k + [0], lam + [lam[-1]]), beta)
 
 
 def test_merge_stages_keeps_growth_days():
@@ -196,3 +229,83 @@ def test_guess_grid_always_hits_endpoints():
         grid = guess_grid(lb, ub)
         assert grid[0] == lb and grid[-1] == ub
         assert all(b <= 2 * a for a, b in zip(grid, grid[1:]))
+
+
+def _reference_evaluate(plan: ThriftyPlan, schedule: Schedule,
+                        units) -> CostReport:
+    """evaluate_thrifty as it was while every candidate was divided first:
+    Fraction residuals, summed from Fraction(0)."""
+    for u in units:
+        if u not in plan.residuals:
+            raise MissingResidual(u)
+    j = plan.critical_day
+    ranked = sorted(plan.residuals.items(), key=lambda kv: (-kv[1], kv[0]))
+    top = ranked[:schedule.k[j]]
+    worst = schedule.lam[j] * sum((v for _, v in top), Fraction(0))
+    return CostReport(plan.day0_cost, worst, plan.day0_cost + worst,
+                      tuple(u for u, v in top if v > 0), plan.conservative)
+
+
+def _reference_candidates(kind, payload, schedule, preprocess):
+    """Every plan the driver builds, each divided back to the original
+    money, in the driver's order."""
+    spec = KINDS[kind]
+    scale, work = on_integers(kind, payload)
+    candidates = []
+    if schedule.k[schedule.horizon] <= spec.min_live:
+        candidates.append(trivial_plan(spec.units(payload)))
+    elif preprocess:
+        seen_costs = set()
+        for e in sorted(work.edges, key=lambda e: (e.cost, e.eid)):
+            if e.cost in seen_costs:
+                continue
+            seen_costs.add(e.cost)
+            try:
+                candidates.extend(scaled_candidates(
+                    kind, work, schedule, e.eid, None, 2))
+            except Infeasible:
+                continue
+    if not candidates:
+        candidates = _candidates(spec, work, schedule, None)
+    if work is not payload:
+        candidates = [_divided(plan, scale) for plan in candidates]
+    return candidates
+
+
+def _reference_solve(kind, payload, schedule, preprocess):
+    """The driver that divides every candidate, then evaluates each: the
+    first with the least robcov wins."""
+    units = KINDS[kind].units(payload)
+    best = None
+    for plan in _reference_candidates(kind, payload, schedule, preprocess):
+        report = _reference_evaluate(plan, schedule, units)
+        if best is None or report.robcov < best[1].robcov:
+            best = (plan, report)
+    return best
+
+
+def _driver_cases():
+    for kind in PROBLEM_KINDS:
+        for preprocess in (False, True) if kind != SETCOVER else (False,):
+            for seed in range(6):
+                n = 4 + 2 * seed
+                yield kind, preprocess, gen_random(
+                    kind, n, n + 2 + seed, 1 + seed % 3, seed)
+
+
+def test_scaled_driver_matches_dividing_every_candidate():
+    # candidates compared on scaled ints, only the winner divided: the same
+    # plan and report, to the repr, as dividing every candidate first
+    ties = 0
+    for kind, preprocess, inst in _driver_cases():
+        got = solve_thrifty(kind, inst.payload, inst.schedule,
+                            preprocess=preprocess)
+        want = _reference_solve(kind, inst.payload, inst.schedule, preprocess)
+        assert repr(got) == repr(want), (kind, preprocess, inst)
+        units = KINDS[kind].units(inst.payload)
+        robcovs = [_reference_evaluate(plan, inst.schedule, units).robcov
+                   for plan in _reference_candidates(
+                       kind, inst.payload, inst.schedule, preprocess)]
+        ties += robcovs.count(min(robcovs)) > 1
+    # the first of several equal candidates must win, so ties must occur
+    assert ties >= 1
