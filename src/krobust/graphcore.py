@@ -50,17 +50,22 @@ def _memoised(fn):
     """Keep fn's results on the graph: it is immutable, so a result depends
     only on the graph and the other arguments.  An int argument keys as it
     is; any other is read once into a frozenset, which is both its key and
-    what fn receives.  Results are shared and must not be mutated."""
+    what fn receives.  Results are shared and must not be mutated.
+    peek(g, *args) returns the kept result, or None when there is none."""
+
+    def key(args) -> tuple:
+        return (fn, *(a if isinstance(a, int) else frozenset(a)
+                      for a in args))
 
     @functools.wraps(fn)
     def cached(g: WeightedGraph, *args):
-        args = tuple(a if isinstance(a, int) else frozenset(a) for a in args)
-        key = (fn, *args)
+        k = key(args)
         memo = g._memo
-        if key not in memo:
-            memo[key] = fn(g, *args)
-        return memo[key]
+        if k not in memo:
+            memo[k] = fn(g, *k[1:])
+        return memo[k]
 
+    cached.peek = lambda g, *args: g._memo.get(key(args))
     return cached
 
 
@@ -194,9 +199,44 @@ def shortest_paths(g: WeightedGraph, sources: Iterable[int]
 
 @_memoised
 def distance(g: WeightedGraph, s: int, t: int) -> Fraction | None:
-    """Shortest s-t distance, or None when t is unreachable; the search
-    stops as soon as t is settled."""
-    return _dijkstra(g, [s], t)[0].get(t)
+    """Shortest s-t distance, or None when t is unreachable: read from a
+    kept shortest_paths(g, [s]), or else from a search that stops as soon
+    as t is settled."""
+    full = shortest_paths.peek(g, [s])
+    return (full or _dijkstra(g, [s], t))[0].get(t)
+
+
+def diameter(g: WeightedGraph) -> Fraction:
+    """Largest distance between two vertices of a nonempty graph, from a
+    few memoised searches (Takes & Kosters, BoundingDiameters, 2011).
+
+    A search from w with eccentricity e puts every v's eccentricity between
+    max(d(v, w), e - d(v, w)) and e + d(v, w).  A vertex stays a candidate
+    while its upper bound exceeds the largest lower bound, which is the
+    diameter once none is left.  The searches start at vertex 0, then
+    alternate between the candidate with the largest upper bound and the
+    one with the smallest lower bound, ties to the smallest id.  Raises
+    Disconnected naming vertex 0 and the smallest vertex it cannot reach.
+    """
+    lo, hi = [0] * g.n, [float("inf")] * g.n
+    candidates = range(g.n)
+    best, w, widest = 0, 0, True
+    while True:
+        dist, _ = shortest_paths(g, [w])
+        if len(dist) < g.n:
+            v = next(v for v in range(g.n) if v not in dist)
+            raise Disconnected(f"vertices 0 and {v} are not connected")
+        e = max(dist.values())
+        for v in candidates:
+            d = dist[v]
+            lo[v] = max(lo[v], d, e - d)
+            hi[v] = min(hi[v], e + d)
+        best = max(best, max(lo[v] for v in candidates))
+        candidates = [v for v in candidates if hi[v] > best]
+        if not candidates:
+            return best
+        w = min(candidates, key=lambda v: (-hi[v] if widest else lo[v], v))
+        widest = not widest
 
 
 def path_edges(pred: dict[int, Edge], sources: set[int], target: int) -> list[int]:
@@ -331,6 +371,14 @@ class UnionFind:
         if self.rank[ra] == self.rank[rb]:
             self.rank[ra] += 1
         return True
+
+
+def spanning_forest(g: WeightedGraph) -> EdgeSet:
+    """Minimum spanning forest by Kruskal: the edges by (cost, id), each
+    kept when it joins two components."""
+    uf = UnionFind(g.n)
+    order = sorted(g.edges, key=lambda e: (e.cost, e.eid))
+    return g.edge_set(e.eid for e in order if uf.union(e.u, e.v))
 
 
 def mst_steiner_tree(g: WeightedGraph, terminals: Iterable[int]) -> EdgeSet:

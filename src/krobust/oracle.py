@@ -129,9 +129,17 @@ class _Game:
         self.move_cache: dict = {}
         self.feasible_cache: dict = {}
 
-    def check(self, limits: SizeLimits | None) -> None:
-        (limits or SizeLimits()).check(len(self.units), len(self.action_ids),
-                                       self.schedule.horizon)
+    @classmethod
+    def within(cls, instance: ProblemInstance,
+               limits: SizeLimits | None) -> "_Game":
+        """The game for an instance within the limits; k[0], which
+        validate_schedule pins to the unit count, is checked first."""
+        limits = limits or SizeLimits()
+        limits.check(instance.schedule.k[0], 0, 0)
+        game = cls(instance)
+        limits.check(len(game.units), len(game.action_ids),
+                     game.schedule.horizon)
+        return game
 
     def money(self, value: int) -> Fraction:
         return Fraction(value, self.money_scale)
@@ -223,8 +231,7 @@ def minimax_opt(instance: ProblemInstance, limits: SizeLimits | None = None,
     searching: buy it today, or buy nothing if a later open day costs no
     more, since the search would reach the empty purchase first.
     """
-    game = _Game(instance)
-    game.check(limits)
+    game = _Game.within(instance, limits)
     T = game.schedule.horizon
     lam = game.lam
     forbidden = frozenset(inactive_days)
@@ -326,8 +333,7 @@ def _triggered(instance: ProblemInstance, plan: ThriftyPlan,
                limits: SizeLimits | None):
     """Each active set the adversary can leave on the plan's critical day,
     with the residual action ids it triggers."""
-    game = _Game(instance)
-    game.check(limits)
+    game = _Game.within(instance, limits)
     frontier = {game.full_units}
     for day in range(1, plan.critical_day + 1):
         frontier = {move for active in frontier

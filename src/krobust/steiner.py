@@ -15,9 +15,10 @@ from fractions import Fraction
 from itertools import pairwise
 
 from .errors import Disconnected, InvariantViolation, TrivialInstance
-from .graphcore import (Edge, EdgeSet, WeightedGraph, connects, distance,
-                        gw_steiner_forest, mst_steiner_tree, path_edges,
-                        preprocess_cost_scaling, shortest_paths, zero_edges)
+from .graphcore import (Edge, EdgeSet, WeightedGraph, connects, diameter,
+                        distance, gw_steiner_forest, mst_steiner_tree,
+                        path_edges, preprocess_cost_scaling, shortest_paths,
+                        spanning_forest, zero_edges)
 from .model import (KINDS, STEINERFOREST, STEINERTREE, CostReport, Kind,
                     Schedule, ThriftyPlan, argmin_stage, solve_thrifty,
                     threshold_tau)
@@ -30,15 +31,19 @@ def ball_packing_net(g: WeightedGraph, radius: Fraction) -> frozenset[int]:
 
     Vertices are scanned in increasing id; unreachable counts as infinitely
     far.  Every excluded vertex ends up within radius of some member, and the
-    result is nonempty on any nonempty graph.
+    result is nonempty on any nonempty graph.  Searches run only from the
+    members: each marks its ball, and a vertex is taken unless a ball holds
+    it.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     chosen: list[int] = []
+    covered: set[int] = set()
     for v in range(g.n):
-        dv, _ = shortest_paths(g, [v])
-        if all(u not in dv or dv[u] > radius for u in chosen):
+        if v not in covered:
             chosen.append(v)
+            dv, _ = shortest_paths(g, [v])
+            covered.update(u for u, d in dv.items() if d <= radius)
     return frozenset(chosen)
 
 
@@ -186,17 +191,19 @@ def thrifty_forest_plan(g: WeightedGraph, schedule: Schedule,
 
 
 def _tree_bounds(g: WeightedGraph):
-    """The largest vertex-pair distance and the Steiner tree on all
-    vertices."""
-    lb = 0
-    for u in range(g.n):
-        dist, _ = shortest_paths(g, [u])
-        for v in range(u + 1, g.n):
-            if v not in dist:
-                raise Disconnected(f"vertices {u} and {v} are not connected")
-            lb = max(lb, dist[v])
-    ub = mst_steiner_tree(g, range(g.n))
-    return lb, ub.cost, sorted(ub.ids)
+    """The largest vertex-pair distance and a tree on all vertices.
+
+    The tree is a minimum spanning tree: with every vertex a terminal, the
+    MST Steiner tree weighs exactly as much.  When it costs nothing the
+    purchase is vertex 0's shortest-path tree instead, which is what the MST
+    Steiner tree on all vertices buys then.
+    """
+    lb = diameter(g)
+    ub = spanning_forest(g)
+    if ub.cost:
+        return lb, ub.cost, sorted(ub.ids)
+    _, pred = shortest_paths(g, [0])
+    return lb, ub.cost, sorted(e.eid for e in pred.values())
 
 
 def _forest_bounds(g: WeightedGraph):

@@ -379,6 +379,14 @@ def test_huge_vertex_count_exits_2_without_listing_the_vertices(tmp_path,
     # per-vertex structure; the run gets a 1 GiB address-space cap, so a
     # regression that lists 10**12 vertices fails fast instead of
     # exhausting the machine
+    done = _run_huge_graph(tmp_path, "solve", kind, root, k)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith(f"bad instance: {field}: "), done.stderr
+
+
+def _run_huge_graph(tmp_path, command, kind, root, k):
+    """Run the CLI on a 10**12-vertex, three-edge graph document under a
+    1 GiB address-space cap."""
     graph = {"n": 10**12, "edges": [[0, 1, "1"], [1, 2, "2"], [0, 2, "3"]]}
     if root is not None:
         graph["root"] = root
@@ -392,12 +400,21 @@ def test_huge_vertex_count_exits_2_without_listing_the_vertices(tmp_path,
         resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
     src = str(Path(krobust.__file__).resolve().parents[1])
-    done = subprocess.run(
-        [sys.executable, "-m", "krobust.cli", "solve", path],
+    return subprocess.run(
+        [sys.executable, "-m", "krobust.cli", command, path],
         capture_output=True, text=True, timeout=60, preexec_fn=limit,
         env={**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"})
-    assert done.returncode == 2 and done.stdout == ""
-    assert done.stderr.startswith(f"bad instance: {field}: "), done.stderr
+
+
+def test_oracle_refuses_a_huge_vertex_count_without_listing_the_vertices(
+        tmp_path):
+    # k_T = 1 leaves the tree trivial, so the document parses; the game's
+    # size check must read k[0] before it lists 10**12 vertices
+    done = _run_huge_graph(tmp_path, "oracle", "steinertree", None,
+                           [10**12, 1])
+    assert done.returncode == 4 and done.stdout == ""
+    assert done.stderr.startswith("too large for exhaustive search: "), \
+        done.stderr
 
 
 def test_graph_field_rules(tmp_path, capsys):

@@ -359,10 +359,20 @@ def test_distance_zero_costs_and_unreachable():
     assert distance(split, 3, 0) is None
 
 
+def test_distance_reads_a_kept_search(monkeypatch):
+    g = _triangle()
+    assert shortest_paths.peek(g, [1]) is None
+    dist, _ = shortest_paths(g, [1])
+    assert shortest_paths.peek(g, [1])[0] is dist
+    monkeypatch.setattr(graphcore, "_dijkstra", None)   # no search may run
+    for t in range(g.n):
+        assert distance(g, 1, t) == dist[t]
+
+
 @pytest.mark.parametrize("seed", range(1, 6))
 def test_tree_solve_searches_each_source_set_once(monkeypatch, seed):
-    # n searches for the bounds, which the nets and the MST closures reuse,
-    # plus one residual search per guess
+    # a few searches for the bounds, which the nets and the MST closures
+    # reuse, plus one residual search per guess
     inst = gen_random(STEINERTREE, 12, 36, 3, seed)
     lb, ub = opt_bounds(inst)
     g = replace(inst.payload)

@@ -1,16 +1,21 @@
 """Thrifty Steiner tree and Steiner forest solvers, and their net builders."""
 
+import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from krobust import graphcore
+from krobust import graphcore, steiner
 from krobust.errors import Disconnected, TrivialInstance
 from krobust.fixtures import gen_random
-from krobust.graphcore import UnionFind, WeightedGraph, shortest_paths, zero_edges
-from krobust.model import STEINERFOREST, STEINERTREE, ProblemInstance, Schedule
+from krobust.graphcore import (UnionFind, WeightedGraph, mst_steiner_tree,
+                               shortest_paths, zero_edges)
+from krobust.model import (KINDS, STEINERFOREST, STEINERTREE, ProblemInstance,
+                           Schedule)
 from krobust.oracle import opt_bounds
 from krobust.steiner import (
+    _tree_bounds,
     ball_packing_net,
     sfnet_build,
     solve_forest,
@@ -231,3 +236,105 @@ def test_sfnet_leaves_every_other_pair_within_4_gamma(tiny_batches):
         runs += 1
         several += len(built.sr) > 1
     assert runs >= 700 and several >= 100
+
+
+def _all_pairs_tree_bounds(g):
+    """Reference: the tree bounds from one search per vertex, and the MST
+    Steiner tree on every vertex."""
+    lb = 0
+    for u in range(g.n):
+        dist, _ = shortest_paths(g, [u])
+        for v in range(u + 1, g.n):
+            if v not in dist:
+                raise Disconnected(f"vertices {u} and {v} are not connected")
+            lb = max(lb, dist[v])
+    ub = mst_steiner_tree(g, range(g.n))
+    return lb, ub.cost, sorted(ub.ids)
+
+
+def _all_pairs_net(g, radius):
+    """Reference: the ball packing net from one search per vertex."""
+    chosen = []
+    for v in range(g.n):
+        dv, _ = shortest_paths(g, [v])
+        if all(u not in dv or dv[u] > radius for u in chosen):
+            chosen.append(v)
+    return frozenset(chosen)
+
+
+def _odd_graph(seed):
+    """Seeded multigraph on 1-10 vertices with costs 0-7 over 1-3: zero-cost
+    and parallel edges, and a spanning tree only three times in four, so
+    some graphs are disconnected; with a tree schedule."""
+    rng = random.Random(seed)
+    n = 1 + seed % 10
+    den = rng.choice((1, 2, 3))
+    ends = [(rng.randrange(v), v) for v in range(1, n) if seed % 4 != 3]
+    extra = rng.randint(0, 2 * n) if n > 1 else 0
+    ends += [tuple(rng.sample(range(n), 2)) for _ in range(extra)]
+    ends += ends[:rng.randint(0, 2)]   # parallel copies
+    g = WeightedGraph.build(n, [(u, v, F(rng.randint(0, 7), den))
+                                for u, v in ends])
+    T = rng.randint(1, 3)
+    k = [n] + sorted((rng.randint(min(n, 2), n) for _ in range(T)),
+                     reverse=True)
+    lam = [1]
+    for _ in range(T):
+        lam.append(lam[-1] * rng.choice((1, 2, 3)))
+    return g, Schedule.of(k, lam)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Disconnected as exc:
+        return str(exc)
+
+
+def test_tree_bounds_and_nets_match_all_pairs_search(monkeypatch):
+    # the diameter from eccentricity bounds, the spanning tree by Kruskal
+    # and the net searched from its members only give what one search per
+    # vertex gave, and so does the whole solve
+    seen = {"zero ub": 0, "disconnected": 0, "n = 1": 0, "parallel": 0}
+    reference_kind = replace(KINDS[STEINERTREE], bounds=_all_pairs_tree_bounds)
+    for seed in range(200):
+        g, sched = _odd_graph(seed)
+        scale, work = g.integral()
+        got = _outcome(_tree_bounds, work)
+        want = _outcome(_all_pairs_tree_bounds, replace(work))
+        if isinstance(want, str):
+            assert got == want
+            seen["disconnected"] += 1
+            diam = 0
+        else:
+            lb, ub, ids = got
+            assert (str(lb), str(ub)) == (str(want[0]), str(want[1]))
+            if ub == 0:
+                assert ids == want[2]
+                seen["zero ub"] += 1
+            diam = F(lb, scale)
+        seen["n = 1"] += g.n == 1
+        ends = {frozenset(e[:2]) for e in g.edges}
+        seen["parallel"] += len(ends) < len(g.edges)
+        for radius in (0, 1, F(5, 2), diam, diam + 1):
+            assert (ball_packing_net(replace(g), F(radius))
+                    == _all_pairs_net(replace(g), F(radius)))
+        for preprocess in (False, True):
+            got = _outcome(solve_tree, replace(g), sched, None, preprocess)
+            with monkeypatch.context() as m:
+                m.setitem(KINDS, STEINERTREE, reference_kind)
+                m.setattr(steiner, "ball_packing_net", _all_pairs_net)
+                want = _outcome(solve_tree, replace(g), sched, None,
+                                preprocess)
+            assert repr(got) == repr(want), (seed, preprocess)
+    assert min(seen.values()) >= 10, seen
+
+
+def test_tree_solve_searches_from_few_vertices():
+    # the bounds and the nets search from a few vertices, not from each one
+    inst = gen_random(STEINERTREE, 160, 480, 3, 1)
+    solve_tree(inst.payload, inst.schedule)
+    _, work = inst.payload.integral()
+    searches = [args for fn, *args in work._memo
+                if fn.__name__ == "shortest_paths"]
+    assert 0 < len(searches) < work.n // 4
