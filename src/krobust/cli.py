@@ -17,9 +17,9 @@ import json
 import sys
 from fractions import Fraction
 
-from .errors import (BadParameters, FieldError, Infeasible,
-                     InstanceFormatError, InvariantViolation, KRobustError,
-                     TooLarge, TrivialInstance, UnknownElement)
+from .errors import (BadParameters, FieldError, InstanceFormatError,
+                     InvariantViolation, KRobustError, TooLarge,
+                     TrivialInstance)
 from .fixtures import gen_lowerbound_allstages, gen_random, gen_subset_krobust_bad
 from .graphcore import WeightedGraph
 from .model import (CARDINALITY, KINDS, MINCUT, PROBLEM_KINDS, SETCOVER,
@@ -39,29 +39,24 @@ EXIT_INVARIANT = 5
 
 # ------------------------------------------------------------- document I/O
 
-def _in_range(value, path: str, low, high):
-    """value, if low <= value <= high; a bound of None is open."""
-    if low is not None and value < low or high is not None and value > high:
-        want = (f"at least {low}" if high is None else
-                f"{low}" if low == high else f"in {low}..{high}")
-        raise InstanceFormatError(path, f"must be {want}, got {value}")
-    return value
-
-
-def _frac(value, path: str, low=None, high=None) -> Fraction:
+def _frac(value, path: str) -> Fraction:
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise InstanceFormatError(path, f"expected an exact rational, got {value!r}")
     try:
-        frac = Fraction(str(value))
+        return Fraction(str(value))
     except (ValueError, ZeroDivisionError) as exc:
         raise InstanceFormatError(path, f"bad rational {value!r} ({exc})") from None
-    return _in_range(frac, path, low, high)
 
 
 def _int(value, path: str, low=None, high=None) -> int:
+    """value, if it is an int and low <= value <= high; a bound of None is
+    open."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise InstanceFormatError(path, f"expected an integer, got {value!r}")
-    return _in_range(value, path, low, high)
+    if low is not None and value < low or high is not None and value > high:
+        want = f"at least {low}" if high is None else f"in {low}..{high}"
+        raise InstanceFormatError(path, f"must be {want}, got {value}")
+    return value
 
 
 def _list(value, path: str) -> list:
@@ -84,8 +79,18 @@ def load_document(path: str):
             raise InstanceFormatError(path, f"invalid JSON: {exc}") from None
 
 
+def _checked(prefix: str, build, *args, **kwargs):
+    """build(*args, **kwargs), with the FieldError a model constructor
+    raises reported as the document field prefix + its field."""
+    try:
+        return build(*args, **kwargs)
+    except FieldError as exc:
+        raise InstanceFormatError(prefix + exc.field, str(exc)) from None
+
+
 def parse_instance(doc) -> ProblemInstance:
-    """Validate a document into a ProblemInstance, naming the bad field."""
+    """Validate a document into a ProblemInstance, naming the bad field.
+    Only the document's shape is read here; the model owns each value rule."""
     if not isinstance(doc, dict):
         raise InstanceFormatError("$", "instance document must be an object")
     kind = doc.get("problem")
@@ -95,19 +100,11 @@ def parse_instance(doc) -> ProblemInstance:
     sched_doc = doc.get("schedule")
     if not isinstance(sched_doc, dict):
         raise InstanceFormatError("schedule", "expected an object")
-    T = _int(sched_doc.get("T"), "schedule.T", 0)
-    k = [_int(x, f"schedule.k[{i}]", 0)
+    T = _int(sched_doc.get("T"), "schedule.T")
+    k = [_int(x, f"schedule.k[{i}]")
          for i, x in enumerate(_list(sched_doc.get("k"), "schedule.k"))]
-    # inflations start at 1 and never fall, so each one is at least 1
-    lams = [_frac(x, f"schedule.lambda[{i}]", 1, 1 if i == 0 else None)
+    lams = [_frac(x, f"schedule.lambda[{i}]")
             for i, x in enumerate(_list(sched_doc.get("lambda"), "schedule.lambda"))]
-    if len(k) != T + 1:
-        raise InstanceFormatError("schedule.k", f"need {T + 1} entries for T={T}")
-    if len(lams) != T + 1:
-        raise InstanceFormatError("schedule.lambda", f"need {T + 1} entries for T={T}")
-    for i in range(1, T + 1):   # inflations never fall, cardinalities never rise
-        _in_range(lams[i], f"schedule.lambda[{i}]", lams[i - 1], None)
-        _in_range(k[i], f"schedule.k[{i}]", 0, k[i - 1])
     schedule = Schedule(T, tuple(k), tuple(lams))
 
     unc_doc = doc.get("uncertainty", {"kind": CARDINALITY})
@@ -129,35 +126,28 @@ def parse_instance(doc) -> ProblemInstance:
 
     fracs: dict[str, Fraction] = {}   # each distinct cost string, parsed once
 
-    def cost(value, path: str, low=None) -> Fraction:
+    def cost(value, path: str) -> Fraction:
         if type(value) is not str:
-            return _frac(value, path, low)
+            return _frac(value, path)
         if value not in fracs:
             fracs[value] = _frac(value, path)
-        return _in_range(fracs[value], path, low, None)
+        return fracs[value]
 
     if kind == SETCOVER:
-        size = k0 = schedule.k[0]   # the elements are 1..k0
+        # the elements are 1..k[0]; an empty k fails its length rule first
+        size = k[0] if k else 0
         sets = []
         for i, raw in enumerate(_list(doc.get("sets"), "sets")):
             if not isinstance(raw, dict):
                 raise InstanceFormatError(f"sets[{i}]", "expected an object")
-            price = cost(raw.get("cost"), f"sets[{i}].cost", 0)
+            price = cost(raw.get("cost"), f"sets[{i}].cost")
             members = _list(raw.get("members"), f"sets[{i}].members")
-            # by type, not by value: True == 1; SetSystem.build checks ranges
+            # by type, not by value: True == 1.  Another list is read in
+            # order, so a bad range before a bad type is named first
             if not set(map(type, members)) <= {int}:
                 for j, e in enumerate(members):
-                    _int(e, f"sets[{i}].members[{j}]", 1, k0)
-            sets.append((frozenset(members), price))
-        try:
-            payload = SetSystem.build(k0, sets)
-        except UnknownElement as exc:   # name the set's first bad position
-            members = doc["sets"][exc.sid]["members"]
-            j = next(j for j, e in enumerate(members) if not 1 <= e <= k0)
-            _in_range(members[j], f"sets[{exc.sid}].members[{j}]", 1, k0)
-            raise
-        except Infeasible as exc:   # an element that no set covers
-            raise InstanceFormatError("sets", str(exc)) from None
+                    _int(e, f"sets[{i}].members[{j}]", 1, size)
+            sets.append((members, price))
     else:
         gdoc = doc.get("graph")
         if not isinstance(gdoc, dict):
@@ -190,17 +180,17 @@ def parse_instance(doc) -> ProblemInstance:
                                           "steinerforest needs at least one pair")
         elif pairs:
             raise InstanceFormatError("graph.pairs", f"{kind} takes no pairs")
-        try:
-            payload = WeightedGraph.build(n, edges, root=root, pairs=pairs)
-        except FieldError as exc:
-            raise InstanceFormatError(f"graph.{exc.field}", str(exc)) from None
+        payload = _checked("graph.", WeightedGraph.build, n, edges, root=root,
+                           pairs=pairs)
         size = (n - 1 if kind == MINCUT else n if kind == STEINERTREE
                 else len(pairs))
 
-    # the unit count is checked before anything lists the units, so a huge
-    # graph.n fails here instead of being materialised
-    _in_range(k[0], "schedule.k[0]", size, size)
-    if kind == STEINERTREE and k[T] >= 2:
+    # k[0] is checked against the unit count before anything lists the
+    # units, so a huge graph.n fails here instead of being materialised
+    _checked("schedule.", validate_schedule, schedule, size)
+    if kind == SETCOVER:
+        payload = _checked("", SetSystem.build, size, sets)
+    elif kind == STEINERTREE and k[T] >= 2:
         # the adversary can keep a vertex that no edge touches alive beside
         # another one, and no tree joins them
         touched = {x for e in payload.edges for x in (e.u, e.v)}
@@ -210,13 +200,8 @@ def parse_instance(doc) -> ProblemInstance:
                 "graph.n", f"vertex {v} touches no edge, so no tree reaches "
                 f"it while k_T = {k[T]} >= 2")
     inst = ProblemInstance(kind, payload, schedule, uncertainty)
-    validate_schedule(schedule, size)
     if uncertainty.kind == SUBSET:   # only the parts are checked against units
-        try:
-            uncertainty.validate(schedule, inst.units())
-        except FieldError as exc:
-            raise InstanceFormatError(f"uncertainty.{exc.field}",
-                                      str(exc)) from None
+        _checked("uncertainty.", uncertainty.validate, schedule, inst.units())
     return inst
 
 

@@ -29,15 +29,6 @@ class Infeasible(KRobustError):
     """The instance admits no feasible solution (e.g. an uncoverable element)."""
 
 
-class UnknownElement(Infeasible):
-    """A set names an element outside the universe."""
-
-    def __init__(self, sid, element):
-        super().__init__(f"set {sid} contains unknown element {element}")
-        self.sid = sid
-        self.element = element
-
-
 class Disconnected(Infeasible):
     """Vertices or terminal pairs that must be connected are not."""
 
@@ -61,8 +52,10 @@ class InstanceFormatError(KRobustError):
 
 class FieldError(KRobustError):
     """A model constructor rejected one field of its input.  field is that
-    field's path below the constructor's arguments, e.g. "edges[1][2]", so a
-    document parser can name it by prefixing where the arguments came from."""
+    field's path, spelt as an instance document spells it, below the part of
+    the document the constructor reads (e.g. "edges[1][2]" of a graph,
+    "lambda[2]" of a schedule), so a document parser names it by prefixing
+    that part's path."""
 
     def __init__(self, field: str, message: str):
         super().__init__(message)
@@ -73,8 +66,13 @@ class BadGraphField(FieldError, ValueError):
     """An edge, pair or root of a graph is out of range or malformed."""
 
 
-class BadUncertainty(FieldError, MalformedSchedule):
-    """The parts of a subset uncertainty model do not fit the instance."""
+class BadSchedule(FieldError, MalformedSchedule):
+    """A schedule, or the parts of a subset uncertainty model over it,
+    breaks one of its rules."""
+
+
+class BadSetField(FieldError, Infeasible):
+    """A set's cost or member is out of range, or no set covers an element."""
 
 
 class InvariantViolation(KRobustError):

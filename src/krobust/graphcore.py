@@ -14,7 +14,7 @@ import functools
 import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Collection, Iterable, NamedTuple, Sequence
+from typing import Collection, Iterable, NamedTuple
 
 from .errors import (BadGraphField, Disconnected, InvariantViolation,
                      UnknownEdge)
@@ -119,20 +119,27 @@ class WeightedGraph:
         return v if self.rep is None else self.rep[v]
 
     def edge_by_id(self, eid: int) -> Edge:
-        for e in self.edges:
-            if e.eid == eid:
-                return e
-        raise UnknownEdge(f"edge id {eid} not in graph")
+        try:
+            return self.edges_by_id[eid]
+        except KeyError:
+            raise UnknownEdge(f"edge id {eid} not in graph") from None
 
     def edge_ids(self) -> frozenset[int]:
         return frozenset(e.eid for e in self.edges)
 
-    def edge_set(self, ids: Iterable[int]) -> EdgeSet:
+    def known_ids(self, ids: Iterable[int]) -> frozenset[int]:
+        """The ids as a frozenset; raises UnknownEdge naming every id that
+        is not an edge of the graph."""
         ids = frozenset(ids)
-        missing = ids - self.edge_ids()
+        by_id = self.edges_by_id
+        missing = sorted(i for i in ids if i not in by_id)
         if missing:
-            raise UnknownEdge(f"edge ids {sorted(missing)} not in graph")
-        by_id = {e.eid: e for e in self.edges}
+            raise UnknownEdge(f"edge ids {missing} not in graph")
+        return ids
+
+    def edge_set(self, ids: Iterable[int]) -> EdgeSet:
+        ids = self.known_ids(ids)
+        by_id = self.edges_by_id
         return EdgeSet(ids, sum((by_id[i].cost for i in ids), Fraction(0)))
 
     def actions(self) -> tuple[tuple[int, Fraction], ...]:
@@ -147,6 +154,13 @@ class WeightedGraph:
             adj[e.u].append(e)
             adj[e.v].append(e)
         return tuple(map(tuple, adj))
+
+    @functools.cached_property
+    def edges_by_id(self) -> dict[int, Edge]:
+        """Each edge under its id, built on first use.  An attribute, not a
+        _memo entry: connects reads it on every oracle coverage check, and
+        a _memo lookup costs about as much as such a check."""
+        return {e.eid: e for e in self.edges}
 
     @_memoised
     def integral(self) -> tuple[int, "WeightedGraph"]:
@@ -383,8 +397,9 @@ def spanning_forest(g: WeightedGraph) -> EdgeSet:
 
 def mst_steiner_tree(g: WeightedGraph, terminals: Iterable[int]) -> EdgeSet:
     """2-approximate Steiner tree: MST of the terminal metric closure, with
-    closure edges expanded back to shortest paths and non-terminal leaves
-    pruned."""
+    closure edges expanded back to shortest paths.  Each path is simple and
+    joins two terminals, so every vertex of their union that is not a
+    terminal meets two of its edges: no leaf needs pruning."""
     term = sorted(set(terminals))
     if len(term) <= 1:
         return EdgeSet.empty()
@@ -404,44 +419,17 @@ def mst_steiner_tree(g: WeightedGraph, terminals: Iterable[int]) -> EdgeSet:
     for d, a, b in closure:
         if uf.union(a, b):
             chosen.update(path_edges(preds[a], {a}, b))
-    # prune non-terminal leaves until stable
-    term_set = set(term)
-    by_id = {e.eid: e for e in g.edges}
-    while True:
-        degree: dict[int, int] = {}
-        for eid in chosen:
-            e = by_id[eid]
-            degree[e.u] = degree.get(e.u, 0) + 1
-            degree[e.v] = degree.get(e.v, 0) + 1
-        drop = None
-        for eid in sorted(chosen):
-            e = by_id[eid]
-            for end in (e.u, e.v):
-                if degree.get(end) == 1 and end not in term_set:
-                    drop = eid
-                    break
-            if drop is not None:
-                break
-        if drop is None:
-            break
-        chosen.remove(drop)
     return g.edge_set(chosen)
 
 
-def connects(g: WeightedGraph, ids: Collection[int], pairs) -> bool:
+def connects(g: WeightedGraph, ids: Iterable[int], pairs) -> bool:
     """Whether the listed edges join the two ends of every (s, t) pair."""
     uf = UnionFind(g.n)
-    for e in g.edges:
-        if e.eid in ids:
-            uf.union(e.u, e.v)
-    return all(uf.find(s) == uf.find(t) for s, t in pairs)
-
-
-def _forest_connects(n: int, edges: Iterable[Edge], pairs: Sequence[Pair]) -> bool:
-    uf = UnionFind(n)
-    for e in edges:
+    by_id = g.edges_by_id
+    for eid in ids:
+        e = by_id[eid]
         uf.union(e.u, e.v)
-    return all(uf.find(p.s) == uf.find(p.t) for p in pairs)
+    return all(uf.find(s) == uf.find(t) for s, t in pairs)
 
 
 def gw_steiner_forest(g: WeightedGraph, pairs: Iterable[Pair]) -> EdgeSet:
@@ -467,7 +455,7 @@ def gw_steiner_forest(g: WeightedGraph, pairs: Iterable[Pair]) -> EdgeSet:
     uf = UnionFind(g.n)
     _, costs = scaled_to_ints(e.cost for e in g.edges)
     slack = {e.eid: c for e, c in zip(g.edges, costs)}
-    by_id = {e.eid: e for e in g.edges}
+    by_id = g.edges_by_id
     live = g.edges
     added: list[int] = []
 
@@ -507,9 +495,10 @@ def gw_steiner_forest(g: WeightedGraph, pairs: Iterable[Pair]) -> EdgeSet:
         added.append(best_eid)
 
     kept = set(added)
+    ends = [(p.s, p.t) for p in plist]
     for eid in reversed(added):
         trial = kept - {eid}
-        if _forest_connects(g.n, (by_id[i] for i in trial), plist):
+        if connects(g, trial, ends):
             kept = trial
     return g.edge_set(kept)
 
@@ -517,10 +506,7 @@ def gw_steiner_forest(g: WeightedGraph, pairs: Iterable[Pair]) -> EdgeSet:
 def zero_edges(g: WeightedGraph, es) -> WeightedGraph:
     """Copy of the graph with the listed edges' costs set to zero; the
     graph itself when none is listed."""
-    ids = frozenset(es)
-    missing = ids - g.edge_ids()
-    if missing:
-        raise UnknownEdge(f"edge ids {sorted(missing)} not in graph")
+    ids = g.known_ids(es)
     if not ids:
         return g
     edges = tuple(e._replace(cost=e.cost * 0) if e.eid in ids else e
@@ -536,10 +522,7 @@ def delete_or_contract(g: WeightedGraph, es, mode: str) -> WeightedGraph:
     Edge ids of surviving edges are unchanged.  Deleting nothing returns
     the graph itself.
     """
-    ids = frozenset(es)
-    missing = ids - g.edge_ids()
-    if missing:
-        raise UnknownEdge(f"edge ids {sorted(missing)} not in graph")
+    ids = g.known_ids(es)
     if mode == "delete":
         if not ids:
             return g

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
-from .errors import (BadParameters, BadUncertainty, Infeasible,
+from .errors import (BadParameters, BadSchedule, Infeasible,
                      MalformedSchedule, MissingResidual, TrivialInstance)
 
 if TYPE_CHECKING:
@@ -66,34 +66,36 @@ class Schedule:
 
 
 def validate_schedule(schedule: Schedule, ground_size: int) -> None:
-    """Raise MalformedSchedule naming the first violated invariant."""
-    T = schedule.horizon
+    """Raise BadSchedule naming the first violated invariant and its field:
+    T, k, lambda, k[i] or lambda[i]."""
+    T, k, lam = schedule.horizon, schedule.k, schedule.lam
     if T < 0:
-        raise MalformedSchedule(f"horizon must be >= 0, got {T}")
-    if len(schedule.k) != T + 1:
-        raise MalformedSchedule(
-            f"cardinalities must have {T + 1} entries, got {len(schedule.k)}")
-    if len(schedule.lam) != T + 1:
-        raise MalformedSchedule(
-            f"inflations must have {T + 1} entries, got {len(schedule.lam)}")
-    for i, ki in enumerate(schedule.k):
+        raise BadSchedule("T", f"horizon must be >= 0, got {T}")
+    if len(k) != T + 1:
+        raise BadSchedule(
+            "k", f"cardinalities must have {T + 1} entries, got {len(k)}")
+    if len(lam) != T + 1:
+        raise BadSchedule(
+            "lambda", f"inflations must have {T + 1} entries, got {len(lam)}")
+    for i, ki in enumerate(k):
         if ki < 0:
-            raise MalformedSchedule(f"k[{i}] = {ki} is negative")
-    if schedule.lam[0] != 1:
-        raise MalformedSchedule(f"lam[0] must be 1, got {schedule.lam[0]}")
-    for i, li in enumerate(schedule.lam):
+            raise BadSchedule(f"k[{i}]", f"k[{i}] = {ki} is negative")
+    if lam[0] != 1:
+        raise BadSchedule("lambda[0]", f"lam[0] must be 1, got {lam[0]}")
+    for i, li in enumerate(lam):
         if li <= 0:
-            raise MalformedSchedule(f"lam[{i}] = {li} is not positive")
-    for i in range(T):
-        if schedule.lam[i + 1] < schedule.lam[i]:
-            raise MalformedSchedule(
-                f"inflations must be nondecreasing, lam[{i + 1}] < lam[{i}]")
-        if schedule.k[i + 1] > schedule.k[i]:
-            raise MalformedSchedule(
-                f"cardinalities must be nonincreasing, k[{i + 1}] > k[{i}]")
-    if schedule.k[0] != ground_size:
-        raise MalformedSchedule(
-            f"k[0] = {schedule.k[0]} must equal the ground-set size {ground_size}")
+            raise BadSchedule(f"lambda[{i}]",
+                              f"lam[{i}] = {li} is not positive")
+    for i in range(1, T + 1):
+        if lam[i] < lam[i - 1]:
+            raise BadSchedule(f"lambda[{i}]", "inflations must be "
+                              f"nondecreasing, lam[{i}] < lam[{i - 1}]")
+        if k[i] > k[i - 1]:
+            raise BadSchedule(f"k[{i}]", "cardinalities must be "
+                              f"nonincreasing, k[{i}] > k[{i - 1}]")
+    if k[0] != ground_size:
+        raise BadSchedule("k[0]", f"k[0] = {k[0]} must equal the ground-set "
+                          f"size {ground_size}")
 
 
 def argmin_stage(schedule: Schedule) -> int:
@@ -163,12 +165,12 @@ class UncertaintySpec:
         if self.kind != SUBSET:
             raise MalformedSchedule(f"unknown uncertainty kind {self.kind!r}")
         if self.parts is None or len(self.parts) != schedule.horizon:
-            raise BadUncertainty(
+            raise BadSchedule(
                 "parts", "subset model needs one part per day 1..T")
         ground = set(units)
         for i, part in enumerate(self.parts):
             if not part <= ground:
-                raise BadUncertainty(
+                raise BadSchedule(
                     f"parts[{i}]", f"part {i + 1} is not inside the ground set")
 
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Mapping
 
-from .errors import Infeasible, UnknownElement
+from .errors import BadSetField, Infeasible
 from .model import (KINDS, SETCOVER, CostReport, Kind, Schedule, ThriftyPlan,
                     argmin_stage, ln_upper, scaled_to_ints, solve_thrifty,
                     threshold_tau)
@@ -34,6 +34,11 @@ class SetSystem:
 
     @staticmethod
     def build(universe_size: int, sets: Iterable) -> "SetSystem":
+        """sets holds (members, cost) pairs, each members a collection.
+        Raises BadSetField naming sets[i].cost, sets[i].members[j] (j in
+        the order members lists them) or, for an element that no set
+        covers, sets."""
+        sets = tuple(sets)
         norm = tuple((frozenset(members),
                       cost if isinstance(cost, Fraction) else Fraction(cost))
                      for members, cost in sets)
@@ -43,15 +48,18 @@ class SetSystem:
         union = frozenset().union(*(members for members, _ in norm))
         if (min(keys, default=0) < 0 or union
                 and not 1 <= min(union) <= max(union) <= universe_size):
-            for sid, (members, cost) in enumerate(norm):   # name the first fault
-                if cost < 0:
-                    raise Infeasible(f"set {sid} has negative cost")
-                if members and not 1 <= min(members) <= max(members) <= universe_size:
-                    raise UnknownElement(sid, next(
-                        e for e in members if not 1 <= e <= universe_size))
+            for sid, (members, _) in enumerate(sets):   # the first fault
+                if norm[sid][1] < 0:
+                    raise BadSetField(f"sets[{sid}].cost",
+                                      f"set {sid} has negative cost")
+                for j, e in enumerate(members):
+                    if not 1 <= e <= universe_size:
+                        raise BadSetField(
+                            f"sets[{sid}].members[{j}]",
+                            f"set {sid} contains unknown element {e}")
         if len(union) < universe_size:
             e = next(e for e in range(1, universe_size + 1) if e not in union)
-            raise Infeasible(f"element {e} is not covered by any set")
+            raise BadSetField("sets", f"element {e} is not covered by any set")
         # sets in (cost, id) order, as the sort is stable: the first set to
         # reach an element is its cheapest, ties to the smallest id
         minset_cost: dict[int, Fraction] = {}

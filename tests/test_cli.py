@@ -466,25 +466,36 @@ def test_invariant_violation_exits_5(allstages, capsys, monkeypatch):
 MUTANT_VALUES = (None, True, "1/0", "nan", 1.5, [], {}, -1, "x")
 
 
-def _slots(doc):
-    """Every (container, key) below doc, depth first."""
+def _slots(doc, path=""):
+    """Every (container, key, document path of the key) below doc, depth
+    first."""
     items = doc.items() if isinstance(doc, dict) else enumerate(doc)
     for key, value in items:
-        yield doc, key
+        sub = (f"{path}[{key}]" if isinstance(doc, list)
+               else f"{path}.{key}" if path else key)
+        yield doc, key, sub
         if isinstance(value, (dict, list)):
-            yield from _slots(value)
+            yield from _slots(value, sub)
 
 
 def _mutants(doc, rng, count):
-    """count copies of doc, each with one field dropped or replaced."""
+    """count copies of doc, each with one field dropped or replaced, with
+    that field's path and its new value (None when it was dropped)."""
     for _ in range(count):
         mutant = json.loads(json.dumps(doc))
-        parent, key = rng.choice(list(_slots(mutant)))
+        parent, key, path = rng.choice(list(_slots(mutant)))
         if rng.random() < 0.2:
             del parent[key]
+            value = None
         else:
-            parent[key] = rng.choice(MUTANT_VALUES)
-        yield mutant
+            value = parent[key] = rng.choice(MUTANT_VALUES)
+        yield mutant, path, value
+
+
+def _on_path(a, b):
+    """Whether document path a is b, or one of them lies inside the other."""
+    short, long = sorted((a, b), key=len)
+    return long == short or long.startswith((short + ".", short + "["))
 
 
 @pytest.mark.parametrize("kind", PROBLEM_KINDS + (SUBSET,))
@@ -503,14 +514,22 @@ def test_mutated_documents_exit_cleanly(tmp_path, capsys, kind):
         bases = [serialize_instance(gen_random(kind, 4, 6, 2, seed))
                  for seed in range(3)]
         commands = ("solve", "oracle")
+    # A bad instance names the mutated field, a field inside it or one
+    # that holds it; a float literal is refused as it is read, naming the
+    # file.
     codes = set()
     for doc in bases:
-        for mutant in _mutants(doc, rng, 25):
+        for mutant, field, value in _mutants(doc, rng, 25):
             path = write_doc(tmp_path, mutant)
             for command in commands:
                 rc, _, err = run(capsys, command, path)
                 assert rc in (0, 2, 3, 4), (command, mutant, err)
                 if rc == 2:
                     assert err.startswith("bad instance: "), err
+                    named = err[len("bad instance: "):].split(": ")[0]
+                    if isinstance(value, float):
+                        assert named == path, err
+                    else:
+                        assert _on_path(named, field), (field, err)
                 codes.add(rc)
     assert 2 in codes

@@ -136,6 +136,86 @@ def test_mst_steiner_random_quality():
         assert all(v in terms for v, d in degree.items() if d == 1)
 
 
+def _rescan_mst_steiner_tree(g, terminals):
+    """Reference mst_steiner_tree: the same closure MST, pruned by the loop
+    that recounts every degree and rescans the chosen edges after each
+    removal.  Also returns how many edges the pruning removed."""
+    term = sorted(set(terminals))
+    if len(term) <= 1:
+        return EdgeSet.empty(), 0
+    dists, preds = {}, {}
+    for t in term:
+        dists[t], preds[t] = shortest_paths(g, [t])
+    closure = []
+    for i, a in enumerate(term):
+        for b in term[i + 1:]:
+            if b not in dists[a]:
+                raise Disconnected(f"terminals {a} and {b} are not connected")
+            closure.append((dists[a][b], a, b))
+    closure.sort()
+    uf = UnionFind(g.n)
+    chosen = set()
+    for d, a, b in closure:
+        if uf.union(a, b):
+            chosen.update(path_edges(preds[a], {a}, b))
+    term_set = set(term)
+    by_id = {e.eid: e for e in g.edges}
+    dropped = 0
+    while True:
+        degree = {}
+        for eid in chosen:
+            e = by_id[eid]
+            degree[e.u] = degree.get(e.u, 0) + 1
+            degree[e.v] = degree.get(e.v, 0) + 1
+        drop = None
+        for eid in sorted(chosen):
+            e = by_id[eid]
+            for end in (e.u, e.v):
+                if degree.get(end) == 1 and end not in term_set:
+                    drop = eid
+                    break
+            if drop is not None:
+                break
+        if drop is None:
+            break
+        chosen.remove(drop)
+        dropped += 1
+    return g.edge_set(chosen), dropped
+
+
+def test_mst_steiner_tree_matches_pruning_loop():
+    # the union of simple terminal-to-terminal paths has no non-terminal
+    # leaf, so the tree is what the loop that pruned such leaves bought and
+    # that loop never removed an edge; cheap tied costs and parallel edges
+    # make the paths branch and loop
+    rng = random.Random(2024)
+    steiner_points = parallel = disconnected = 0
+    for _ in range(400):
+        n = rng.randint(2, 10)
+        edges = []
+        for _ in range(rng.randint(1, 2 * n)):
+            u, v = (rng.choice(edges)[:2] if edges and rng.random() < 0.25
+                    else rng.sample(range(n), 2))
+            edges.append((u, v, rng.choice((0, 1, 1, 2, 3, "1/2"))))
+        parallel += len({frozenset(e[:2]) for e in edges}) < len(edges)
+        g = WeightedGraph.build(n, edges)
+        terms = rng.sample(range(n), rng.randint(1, n))
+        try:
+            want, dropped = _rescan_mst_steiner_tree(g, terms)
+        except Disconnected as exc:
+            disconnected += 1
+            with pytest.raises(Disconnected) as got:
+                mst_steiner_tree(g, terms)
+            assert str(got.value) == str(exc)
+            continue
+        assert repr(mst_steiner_tree(g, terms)) == repr(want)
+        assert dropped == 0
+        ends = {x for eid in want.ids for x in g.edge_by_id(eid)[:2]}
+        steiner_points += not ends <= set(terms)
+    assert min(steiner_points, parallel, disconnected) >= 10, (
+        steiner_points, parallel, disconnected)
+
+
 def test_gw_forest_path_and_reverse_delete():
     g = WeightedGraph.build(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)],
                             pairs=[(0, 1), (2, 3)])

@@ -62,21 +62,30 @@ def test_schedule_of_coerces():
     validate_schedule(s, 3)
 
 
-@pytest.mark.parametrize("horizon,k,lam,ground,msg", [
-    (1, (3, 2), (F(1),), 3, "inflations must have"),
-    (1, (3,), (F(1), F(2)), 3, "cardinalities must have"),
-    (1, (3, -1), (F(1), F(2)), 3, "negative"),
-    (1, (3, 2), (F(2), F(2)), 3, "lam[0] must be 1"),
-    (1, (3, 2), (F(1), F(0)), 3, "not positive"),
-    (1, (3, 2), (F(1), F(1, 2)), 3, "nondecreasing"),
-    (1, (2, 3), (F(1), F(2)), 2, "nonincreasing"),
-    (1, (3, 2), (F(1), F(2)), 4, "ground-set size"),
-])
-def test_validate_schedule_rejects(horizon, k, lam, ground, msg):
+BAD_SCHEDULES = [
+    (1, (3, 2), (F(1),), 3, "inflations must have", "lambda"),
+    (1, (3,), (F(1), F(2)), 3, "cardinalities must have", "k"),
+    (1, (3, -1), (F(1), F(2)), 3, "negative", "k[1]"),
+    (1, (3, 2), (F(2), F(2)), 3, "lam[0] must be 1", "lambda[0]"),
+    (1, (3, 2), (F(1), F(0)), 3, "not positive", "lambda[1]"),
+    (1, (3, 2), (F(1), F(1, 2)), 3, "nondecreasing", "lambda[1]"),
+    (1, (2, 3), (F(1), F(2)), 2, "nonincreasing", "k[1]"),
+    (1, (3, 2), (F(1), F(2)), 4, "ground-set size", "k[0]"),
+    (-1, (), (), 0, "horizon must be >= 0", "T"),
+    (2, (3, 2, 1), (F(1), F(2), F(3, 2)), 3, "lam[2] < lam[1]", "lambda[2]"),
+]
+
+
+# each row is named as pytest names it without the field column
+@pytest.mark.parametrize("horizon,k,lam,ground,msg,field", BAD_SCHEDULES, ids=[
+    f"{h}-k{i}-lam{i}-{g}-{m}"
+    for i, (h, _, _, g, m, _) in enumerate(BAD_SCHEDULES)])
+def test_validate_schedule_rejects(horizon, k, lam, ground, msg, field):
     sched = Schedule(horizon, k, lam)
     with pytest.raises(MalformedSchedule) as exc:
         validate_schedule(sched, ground)
     assert msg in str(exc.value)
+    assert exc.value.field == field
 
 
 def test_argmin_stage_breaks_ties_low():

@@ -60,17 +60,26 @@ def test_build_cheapest_set_matches_brute_force():
             assert (parsed.minset_cost[e], parsed.minset_id[e]) == (cost, sid)
 
 
-@pytest.mark.parametrize("sets,universe,msg", [
-    ((({1}, -1),), 1, "negative cost"),
-    ((({0}, 1),), 1, "unknown element"),
-    ((({2}, 1),), 1, "unknown element"),
-    ((({1}, 1),), 2, "not covered"),
+BAD_SETS = [
+    ((({1}, -1),), 1, "negative cost", "sets[0].cost"),
+    ((({0}, 1),), 1, "unknown element", "sets[0].members[0]"),
+    ((({2}, 1),), 1, "unknown element", "sets[0].members[0]"),
+    ((({1}, 1),), 2, "not covered", "sets"),
     # two faults: the first in set order is named, whichever check found one
-    ((({1}, 1), ({3}, 1), ({1}, -1)), 1, "set 1 contains unknown element 3"),
-])
-def test_build_rejects(sets, universe, msg):
-    with pytest.raises(Infeasible, match=msg):
+    ((({1}, 1), ({3}, 1), ({1}, -1)), 1, "set 1 contains unknown element 3",
+     "sets[1].members[0]"),
+    # the position in the caller's order, not in the set's
+    ((([1, 9, 1, 0], 1),), 1, "unknown element 9", "sets[0].members[1]"),
+]
+
+
+# each row is named as pytest names it without the field column
+@pytest.mark.parametrize("sets,universe,msg,field", BAD_SETS, ids=[
+    f"sets{i}-{u}-{m}" for i, (_, u, m, _) in enumerate(BAD_SETS)])
+def test_build_rejects(sets, universe, msg, field):
+    with pytest.raises(Infeasible, match=msg) as exc:
         SetSystem.build(universe, sets)
+    assert exc.value.field == field
 
 
 def test_greedy_prefers_free_then_ratio():
