@@ -15,9 +15,8 @@ from .graphcore import (Edge, EdgeSet, Pair, WeightedGraph,
                         preprocess_cost_scaling)
 from .model import (CARDINALITY, KINDS, MINCUT, PROBLEM_KINDS, SETCOVER,
                     STEINERFOREST, STEINERTREE, SUBSET, CostReport, Kind,
-                    ProblemInstance, ScenarioSequence, Schedule, ThriftyPlan,
-                    UncertaintySpec, evaluate_thrifty, merge_stages,
-                    solve_thrifty)
+                    ProblemInstance, Schedule, ThriftyPlan, UncertaintySpec,
+                    evaluate_thrifty, merge_stages, solve_thrifty)
 from .oracle import SizeLimits, exhaustive_robcov, minimax_opt, opt_bounds
 from .setcover import SetSystem
 
@@ -29,7 +28,7 @@ __all__ = [
     "KINDS", "KRobustError", "Kind", "MINCUT", "MalformedSchedule",
     "MissingResidual", "PROBLEM_KINDS", "Pair", "ProblemInstance",
     "SETCOVER", "STEINERFOREST", "STEINERTREE", "SUBSET",
-    "ScenarioSequence", "Schedule", "SetSystem", "SizeLimits",
+    "Schedule", "SetSystem", "SizeLimits",
     "ThriftyPlan", "TooLarge", "TrivialInstance", "UncertaintySpec",
     "UnknownEdge", "WeightedGraph", "evaluate_thrifty",
     "exhaustive_robcov", "fixtures", "graphcore", "merge_stages", "mincut",

@@ -46,6 +46,9 @@ class EdgeSet:
         return EdgeSet(frozenset(), Fraction(0))
 
 
+_MISS = object()   # a memo miss; None is a result distance may keep
+
+
 def _memoised(fn):
     """Keep fn's results on the graph: it is immutable, so a result depends
     only on the graph and the other arguments.  An int argument keys as it
@@ -54,16 +57,19 @@ def _memoised(fn):
     peek(g, *args) returns the kept result, or None when there is none."""
 
     def key(args) -> tuple:
-        return (fn, *(a if isinstance(a, int) else frozenset(a)
-                      for a in args))
+        for a in args:
+            if not isinstance(a, int):
+                return (fn, *[a if isinstance(a, int) else frozenset(a)
+                              for a in args])
+        return (fn, *args)
 
     @functools.wraps(fn)
     def cached(g: WeightedGraph, *args):
         k = key(args)
-        memo = g._memo
-        if k not in memo:
-            memo[k] = fn(g, *k[1:])
-        return memo[k]
+        got = g._memo.get(k, _MISS)
+        if got is _MISS:
+            got = g._memo[k] = fn(g, *k[1:])
+        return got
 
     cached.peek = lambda g, *args: g._memo.get(key(args))
     return cached
@@ -140,7 +146,7 @@ class WeightedGraph:
     def edge_set(self, ids: Iterable[int]) -> EdgeSet:
         ids = self.known_ids(ids)
         by_id = self.edges_by_id
-        return EdgeSet(ids, sum((by_id[i].cost for i in ids), Fraction(0)))
+        return EdgeSet(ids, Fraction(sum([by_id[i].cost for i in ids])))
 
     def actions(self) -> tuple[tuple[int, Fraction], ...]:
         """(edge id, cost) for every purchasable edge."""
@@ -433,11 +439,14 @@ def connects(g: WeightedGraph, ids: Iterable[int], pairs) -> bool:
 
 
 def gw_steiner_forest(g: WeightedGraph, pairs: Iterable[Pair]) -> EdgeSet:
-    """Primal-dual 2-approximate Steiner forest.
+    """Primal-dual 2-approximate Steiner forest (Goemans & Williamson 1995).
 
     Active components (those separating some pair) grow uniform moats; the
-    edge going tight first is merged (ties to the smallest edge id), then a
-    reverse-delete pass drops every edge not needed for connectivity.
+    edge going tight first is merged (ties to the smallest edge id).  Each
+    merge joins two components, so the merged edges form a forest with one
+    path between the ends of each pair.  Dropping an edge on no such path
+    leaves every path as it was, so reverse delete, in any order, keeps
+    exactly the edges on the pairs' paths: they are read off the forest.
 
     Event times stay exact on ints: each edge's slack (cost minus paid) is
     kept as an int count of a money unit, first 1/L for L the LCM of the
@@ -446,60 +455,81 @@ def gw_steiner_forest(g: WeightedGraph, pairs: Iterable[Pair]) -> EdgeSet:
     int; when the earliest one is odd the unit is halved, doubling every
     slack, which happens at most once per merge.
 
-    Each round reads every vertex's component once, and an edge is dropped
-    for good once both its ends lie in one component.
+    Each vertex carries its component's label; a merge relabels the smaller
+    side.  One pass over the live edges per merge drops those inside a
+    component for good and files the rest by rate; only rated edges are
+    charged.
     """
     plist = [p for p in pairs if p.s != p.t]
     if not plist:
         return EdgeSet.empty()
-    uf = UnionFind(g.n)
-    _, costs = scaled_to_ints(e.cost for e in g.edges)
-    slack = {e.eid: c for e, c in zip(g.edges, costs)}
-    by_id = g.edges_by_id
-    live = g.edges
-    added: list[int] = []
-
-    while True:
-        comp = [uf.find(v) for v in range(g.n)]
-        act = set()
-        for p in plist:
-            rs, rt = comp[p.s], comp[p.t]
-            if rs != rt:
-                act.add(rs)
-                act.add(rt)
-        if not act:
-            break
-        live = [e for e in live if comp[e.u] != comp[e.v]]
-        best_2dt = None
-        best_eid = None
-        rates = {}
-        for e in live:
-            rate = (comp[e.u] in act) + (comp[e.v] in act)
-            if rate == 0:
-                continue
-            rates[e.eid] = rate
-            two_dt = slack[e.eid] * (2 // rate)
-            if (best_2dt is None or two_dt < best_2dt
-                    or (two_dt == best_2dt and e.eid < best_eid)):
-                best_2dt, best_eid = two_dt, e.eid
-        if best_eid is None:
-            missing = next(p for p in plist if comp[p.s] != comp[p.t])
-            raise Disconnected(f"pair {missing.pid} cannot be connected")
-        if best_2dt % 2:
-            slack = {e.eid: 2 * slack[e.eid] for e in live}
-            best_2dt *= 2
-        for eid, rate in rates.items():
-            slack[eid] -= best_2dt // 2 * rate
-        e = by_id[best_eid]
-        uf.union(e.u, e.v)
-        added.append(best_eid)
-
-    kept = set(added)
     ends = [(p.s, p.t) for p in plist]
-    for eid in reversed(added):
-        trial = kept - {eid}
-        if connects(g, trial, ends):
-            kept = trial
+    comp = list(range(g.n))
+    members = [[v] for v in range(g.n)]
+    forest: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+    _, costs = scaled_to_ints([e.cost for e in g.edges])
+    # [eid, u, v, slack] by eid, so the first of equal event times wins
+    live = sorted([e.eid, e.u, e.v, c] for e, c in zip(g.edges, costs))
+    while plist := [p for p in plist if comp[p.s] != comp[p.t]]:
+        act = bytearray(g.n)
+        for p in plist:
+            act[comp[p.s]] = act[comp[p.t]] = 1
+        crossing, ones, twos = [], [], []
+        best = best_2dt = None
+        for edge in live:
+            _, u, v, two_dt = edge
+            cu, cv = comp[u], comp[v]
+            if cu == cv:
+                continue
+            crossing.append(edge)
+            rate = act[cu] + act[cv]
+            if rate == 2:
+                twos.append(edge)
+            elif rate:
+                ones.append(edge)
+                two_dt *= 2
+            else:
+                continue
+            if best is None or two_dt < best_2dt:
+                best, best_2dt = edge, two_dt
+        if best is None:
+            raise Disconnected(f"pair {plist[0].pid} cannot be connected")
+        live = crossing
+        if best_2dt % 2:
+            for edge in live:
+                edge[3] *= 2
+            best_2dt *= 2
+        for edge in ones:
+            edge[3] -= best_2dt // 2
+        for edge in twos:
+            edge[3] -= best_2dt
+        eid, u, v, _ = best
+        forest[u].append((v, eid))
+        forest[v].append((u, eid))
+        a, b = comp[u], comp[v]
+        if len(members[a]) < len(members[b]):
+            a, b = b, a
+        for w in members[b]:
+            comp[w] = a
+        members[a] += members[b]
+
+    # hang each tree from its label vertex, then walk every pair's ends up
+    # to where they meet
+    depth, up = [0] * g.n, [(-1, -1)] * g.n
+    stack = [v for v in range(g.n) if comp[v] == v]
+    while stack:
+        x = stack.pop()
+        for y, eid in forest[x]:
+            if y != up[x][0]:
+                up[y], depth[y] = (x, eid), depth[x] + 1
+                stack.append(y)
+    kept = set()
+    for s, t in ends:
+        while s != t:
+            if depth[s] < depth[t]:
+                s, t = t, s
+            s, eid = up[s]
+            kept.add(eid)
     return g.edge_set(kept)
 
 

@@ -175,37 +175,6 @@ class UncertaintySpec:
 
 
 @dataclass(frozen=True)
-class ScenarioSequence:
-    """Revealed sets A_1..A_T; the active set on day j is their running
-    intersection (day 0 starts from the whole ground set)."""
-
-    revelations: tuple[frozenset[int], ...]
-
-    def actives(self, universe: Iterable) -> tuple[frozenset[int], ...]:
-        cur = frozenset(universe)
-        out = [cur]
-        for rev in self.revelations:
-            cur = cur & rev
-            out.append(cur)
-        return tuple(out)
-
-    def validate(self, schedule: Schedule, uncertainty: UncertaintySpec) -> None:
-        if len(self.revelations) != schedule.horizon:
-            raise MalformedSchedule(
-                f"expected {schedule.horizon} revelations, got {len(self.revelations)}")
-        for i, rev in enumerate(self.revelations, start=1):
-            if uncertainty.kind == CARDINALITY:
-                if len(rev) != schedule.k[i]:
-                    raise MalformedSchedule(
-                        f"|A_{i}| = {len(rev)} but k_{i} = {schedule.k[i]}")
-            else:
-                part = uncertainty.parts[i - 1]
-                if len(rev & part) > schedule.k[i]:
-                    raise MalformedSchedule(
-                        f"|A_{i} ∩ P_{i}| exceeds k_{i} = {schedule.k[i]}")
-
-
-@dataclass(frozen=True)
 class ThriftyPlan:
     """A two-day strategy: a day-0 purchase plus, on the critical day, a
     precomputed per-unit residual purchase for whatever is still active.

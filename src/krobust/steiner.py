@@ -173,13 +173,14 @@ def thrifty_forest_plan(g: WeightedGraph, schedule: Schedule,
     zeroed = zero_edges(g, day0.ids)
     residuals = {}
     actions = {}
+    apart = 4 * gamma
     for p in g.pairs:
         dist, pred = shortest_paths(zeroed, [p.s])
         if p.t not in dist:
             raise Disconnected(f"pair {p.pid} cannot be connected")
-        if dist[p.t] > 4 * gamma:
+        if dist[p.t] > apart:
             raise InvariantViolation(
-                f"pair {p.pid} lies beyond 4*gamma = {4 * gamma}")
+                f"pair {p.pid} lies beyond 4*gamma = {apart}")
         residuals[p.pid] = dist[p.t]
         path = path_edges(pred, {p.s}, p.t)
         actions[p.pid] = tuple(sorted(set(path) - day0.ids))

@@ -326,6 +326,65 @@ def test_int_gw_forest_matches_fraction_loop():
     assert half_unit_runs >= 1400
 
 
+def _same_forest(g, pairs):
+    """Compare gw_steiner_forest with the reference loop on one pair set;
+    whether the pairs could be connected."""
+    try:
+        want, _ = _fraction_gw(g, pairs)
+    except Disconnected as exc:
+        with pytest.raises(Disconnected, match=str(exc)):
+            gw_steiner_forest(g, pairs)
+        return False
+    assert gw_steiner_forest(g, pairs) == want
+    return True
+
+
+def test_gw_forest_matches_fraction_loop_on_larger_graphs():
+    # n = 30..48 grows many moats at once, so merges of large components
+    # and long pair paths in the grown forest get tested
+    rng = random.Random(23)
+    connected = 0
+    for seed in range(8):
+        n = 30 + 6 * (seed % 4)
+        g = gen_random(STEINERFOREST, n, 3 * n, 1, seed).payload
+        for pairs in (g.pairs, rng.sample(g.pairs, len(g.pairs) // 3)):
+            connected += _same_forest(g, pairs)
+    assert connected == 16
+
+
+def test_gw_forest_matches_fraction_loop_after_cost_scaling():
+    # the graphs cost scaling hands the forest: pricier edges deleted (so
+    # some pairs come apart) and, where costs spread wider than n^2,
+    # cheaper ones zeroed
+    rng = random.Random(29)
+    runs = disconnected = zeroed = 0
+    for seed in range(6):
+        inst = gen_random(STEINERFOREST, 14 + 2 * (seed % 3), 42, 2, seed)
+        g = inst.payload.integral()[1]
+        if seed % 2:
+            g = WeightedGraph.build(g.n, [
+                (e.u, e.v, rng.choice((1, 2, 3, 500, 900, 1000)))
+                for e in g.edges], pairs=[p[:2] for p in g.pairs])
+        for cost in sorted({e.cost for e in g.edges}):
+            f = min(e.eid for e in g.edges if e.cost == cost)
+            pre = preprocess_cost_scaling(g, inst.schedule, f)
+            h = pre.graph
+            zeroed += any(e.cost == 0 for e in h.edges)
+            for pairs in (h.pairs, rng.sample(h.pairs, len(h.pairs) // 2)):
+                runs += 1
+                disconnected += not _same_forest(h, pairs)
+    assert runs >= 60 and disconnected >= 10 and zeroed >= 5, (
+        runs, disconnected, zeroed)
+
+
+def test_gw_forest_reverse_deletes_without_connectivity_checks(monkeypatch):
+    # reverse delete reads the pairs' paths off the grown forest; one
+    # connects call per merged edge would make it quadratic again
+    monkeypatch.setattr(graphcore, "connects", None)
+    g = gen_random(STEINERFOREST, 24, 72, 1, 3).payload
+    assert gw_steiner_forest(g, g.pairs).ids
+
+
 def test_zero_edges_keeps_ids():
     g = _triangle()
     z = zero_edges(g, (0,))
@@ -447,6 +506,23 @@ def test_distance_reads_a_kept_search(monkeypatch):
     monkeypatch.setattr(graphcore, "_dijkstra", None)   # no search may run
     for t in range(g.n):
         assert distance(g, 1, t) == dist[t]
+
+
+def test_distance_keeps_an_unreachable_target(monkeypatch):
+    # None is a result the memo keeps: the second call searches no more
+    g = WeightedGraph.build(4, [(0, 1, 1), (2, 3, 1)])
+    searches = []
+    search = graphcore._dijkstra
+
+    def counted(*args):
+        searches.append(args[1:])
+        return search(*args)
+
+    monkeypatch.setattr(graphcore, "_dijkstra", counted)
+    assert distance(g, 0, 3) is None
+    assert len(searches) == 1
+    assert distance(g, 0, 3) is None and distance(g, 0, 3) is None
+    assert len(searches) == 1
 
 
 @pytest.mark.parametrize("seed", range(1, 6))

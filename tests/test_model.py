@@ -16,8 +16,8 @@ from krobust.model import (
     SETCOVER,
     SUBSET,
     CostReport,
+    ProblemInstance,
     Schedule,
-    ScenarioSequence,
     ThriftyPlan,
     UncertaintySpec,
     _candidates,
@@ -36,6 +36,8 @@ from krobust.model import (
     trivial_plan,
     validate_schedule,
 )
+from krobust.oracle import _Game
+from krobust.setcover import SetSystem
 
 F = Fraction
 
@@ -158,26 +160,37 @@ def test_uncertainty_validation():
     UncertaintySpec(SUBSET, (frozenset({2}),)).validate(s, (1, 2, 3))
 
 
-def test_scenario_actives_intersect():
-    seq = ScenarioSequence((frozenset({1, 2}), frozenset({2, 3})))
-    assert seq.actives((1, 2, 3)) == (
-        frozenset({1, 2, 3}), frozenset({1, 2}), frozenset({2}))
+def _three_elements(k, uncertainty=UncertaintySpec()):
+    system = SetSystem.build(3, [({1, 2, 3}, 1)])
+    return _Game(ProblemInstance(SETCOVER, system, Schedule.of(k, [1, 2, 3]),
+                                 uncertainty))
 
 
-def test_scenario_validate():
-    s = Schedule.of([3, 2, 1], [1, 2, 3])
-    seq = ScenarioSequence((frozenset({1, 2}), frozenset({2})))
-    seq.validate(s, UncertaintySpec())
-    with pytest.raises(MalformedSchedule):
-        ScenarioSequence((frozenset({1}),)).validate(s, UncertaintySpec())
-    with pytest.raises(MalformedSchedule):
-        ScenarioSequence((frozenset({1}), frozenset({2}))).validate(
-            s, UncertaintySpec())
+def test_adversary_moves_intersect():
+    # each day's active set lies inside the day before's: it is the running
+    # intersection of the sets the adversary reveals
+    game = _three_elements([3, 2, 1])
+    day1 = [game.unit_set(m) for m in game.moves(1, game.full_units, False)]
+    assert day1 == [{1, 2}, {1, 3}, {2, 3}]
+    one_two = game.moves(1, game.full_units, False)[0]
+    day2 = [game.unit_set(m) for m in game.moves(2, one_two, False)]
+    assert day2 == [{1}, {2}]
+    assert (frozenset({1, 2}) & frozenset({2, 3})) in day2
+
+
+def test_adversary_moves_respect_parts():
+    # under subset uncertainty day i keeps at most k_i units of its part
+    # P_i and every active unit outside it
     sub = UncertaintySpec(SUBSET, (frozenset({1, 2}), frozenset({3})))
-    seq.validate(s, sub)
-    with pytest.raises(MalformedSchedule):
-        ScenarioSequence((frozenset({1, 2, 3}), frozenset({3, 1}))).validate(
-            Schedule.of([3, 1, 1], [1, 2, 3]), sub)
+    game = _three_elements([3, 1, 1], sub)
+    day1 = [game.unit_set(m) for m in game.moves(1, game.full_units, False)]
+    assert day1 == [{1, 3}, {2, 3}]
+    reach = [game.unit_set(m) for m in game.moves(1, game.full_units, True)]
+    assert all(len(a & {1, 2}) <= 1 for a in reach)
+    assert {1, 2, 3} not in reach and {3} in reach
+    wide = _three_elements([3, 2, 1], sub)
+    day1 = [wide.unit_set(m) for m in wide.moves(1, wide.full_units, False)]
+    assert day1 == [{1, 2, 3}]
 
 
 def _plan(residuals, critical_day, conservative=False, day0_cost=F(0)):
