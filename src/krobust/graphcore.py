@@ -293,10 +293,16 @@ def min_cut(g: WeightedGraph, root: int, terminals: Iterable[int]
             ) -> tuple[Fraction, EdgeSet]:
     """Cheapest edge set separating every terminal from the root.
 
-    Exact max-flow via augmenting paths, each found by one BFS from all the
-    terminals at once (the search a super-source joined to them by
-    uncapacitated arcs would make); the cut is recovered from the vertices
-    the last, failing search reached in the residual network.
+    Exact max-flow via augmenting paths.  Each round is one BFS from all
+    the terminals at once (the search a super-source joined to them by
+    uncapacitated arcs would make).  When it reaches the root, every arc
+    w -> root whose tail it labelled, in out[root] order, extends w's
+    search-tree path, and each such path gets its bottleneck pushed as
+    re-read after the earlier pushes of the round.  The loop ends only when
+    a search fails, so the flow is maximum.  The cut is recovered from the
+    vertices that last search reached in the residual network; that set is
+    the same for every maximum flow (the inclusion-minimal terminal side),
+    so how many paths a round pushes cannot change the cut.
     """
     term = sorted(set(terminals))
     if not term:
@@ -322,16 +328,20 @@ def min_cut(g: WeightedGraph, root: int, terminals: Iterable[int]
             queue = nxt
         if parent_arc[root] == -1:
             break
-        path = []
-        v = root
-        while parent_arc[v] != -2:
-            path.append(parent_arc[v])
-            v = to[parent_arc[v] ^ 1]
-        bottleneck = min(cap[a] for a in path)
-        for a in path:
-            cap[a] -= bottleneck
-            cap[a ^ 1] += bottleneck
-        flow += bottleneck
+        for a in out[root]:
+            v = to[a]
+            if parent_arc[v] == -1 or not cap[a ^ 1]:
+                continue
+            path = [a ^ 1]
+            while parent_arc[v] != -2:
+                path.append(parent_arc[v])
+                v = to[parent_arc[v] ^ 1]
+            bottleneck = min(cap[b] for b in path)
+            if bottleneck > 0:
+                for b in path:
+                    cap[b] -= bottleneck
+                    cap[b ^ 1] += bottleneck
+                flow += bottleneck
 
     # the search that failed marked exactly the residual-reachable vertices
     cut_ids, cut_cost = [], 0

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import Infeasible
+from .errors import Infeasible, KRobustError
 from .graphcore import (WeightedGraph, delete_or_contract, min_cut,
                         preprocess_cost_scaling, separates)
 from .model import (KINDS, MINCUT, CostReport, Kind, Schedule, ThriftyPlan,
@@ -30,9 +30,14 @@ def _require_root(g: WeightedGraph) -> int:
 
 def _reps(g: WeightedGraph, root: int) -> dict[int, int]:
     """Each unit's representative vertex; vertices merged into the root are
-    not units."""
-    return {v: g.representative(v) for v in range(g.n)
-            if g.representative(v) != root}
+    not units.  A vertex no edge touches is a unit too, so a huge graph.n
+    may not fit in memory: that is refused by name, not as a traceback."""
+    try:
+        return {v: g.representative(v) for v in range(g.n)
+                if g.representative(v) != root}
+    except MemoryError:
+        raise KRobustError(f"graph.n: {g.n} vertices are more cut units "
+                           "than fit in memory") from None
 
 
 def units_of(g: WeightedGraph) -> tuple[int, ...]:

@@ -406,6 +406,18 @@ def _run_huge_graph(tmp_path, command, kind, root, k):
         env={**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"})
 
 
+def test_huge_cut_graph_is_refused_by_name_where_its_units_are_listed(
+        tmp_path):
+    # a vertex no edge touches is a cut unit, so k[0] = n - 1 parses and no
+    # parse rule can refuse the document; listing 10**12 units runs out of
+    # the 1 GiB cap, and the cut kind must name graph.n instead of
+    # printing a MemoryError traceback
+    done = _run_huge_graph(tmp_path, "solve", "mincut", 0, [10**12 - 1, 1])
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("error: graph.n: "), done.stderr
+    assert "Traceback" not in done.stderr
+
+
 def test_oracle_refuses_a_huge_vertex_count_without_listing_the_vertices(
         tmp_path):
     # k_T = 1 leaves the tree trivial, so the document parses; the game's

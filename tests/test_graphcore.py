@@ -93,6 +93,100 @@ def test_min_cut_matches_exhaustive_search():
         assert cut.cost == flow
 
 
+def _random_rooted_multigraph(rng, n):
+    """A rooted multigraph on n vertices with root 0, and one to five
+    terminals: int or Fraction costs with zeros among them, parallel
+    edges, and at times a vertex no edge touches."""
+    costs = rng.choice(((0, 1, 2, 3), (0, F(1, 2), F(3, 4), 2), (1,),
+                        (0, 1, 5, 9, F(7, 3))))
+    edges = []
+    for _ in range(rng.randint(0, 3 * n)):
+        u, v = rng.sample(range(n), 2)
+        edges += [(u, v, rng.choice(costs))] * rng.choice((1, 1, 1, 2))
+    terms = rng.sample(range(1, n), rng.randint(1, min(5, n - 1)))
+    return WeightedGraph.build(n, edges, root=0), terms
+
+
+def _single_path_min_cut(g, root, terminals):
+    """Reference max-flow: one augmenting path per breadth-first search
+    from the terminals, the cut read off the last, failing search."""
+    term = sorted(set(terminals))
+    to, capacity, out = graphcore._flow_arcs(g)
+    cap = list(capacity)
+    flow = 0
+    while True:
+        parent_arc = [-1] * g.n
+        for t in term:
+            parent_arc[t] = -2
+        queue = term
+        while queue and parent_arc[root] == -1:
+            nxt = []
+            for v in queue:
+                for a in out[v]:
+                    w = to[a]
+                    if parent_arc[w] == -1 and cap[a] > 0:
+                        parent_arc[w] = a
+                        nxt.append(w)
+            queue = nxt
+        if parent_arc[root] == -1:
+            break
+        path = []
+        v = root
+        while parent_arc[v] != -2:
+            path.append(parent_arc[v])
+            v = to[parent_arc[v] ^ 1]
+        bottleneck = min(cap[a] for a in path)
+        for a in path:
+            cap[a] -= bottleneck
+            cap[a ^ 1] += bottleneck
+        flow += bottleneck
+    ids = frozenset(e.eid for e in g.edges
+                    if (parent_arc[e.u] == -1) != (parent_arc[e.v] == -1))
+    return flow, ids, sum((e.cost for e in g.edges if e.eid in ids), F(0))
+
+
+def test_min_cut_matches_single_path_loop():
+    # many root arcs per round and paths sharing tree arcs are where the
+    # multi-path rounds must re-read each bottleneck; the cut ids pin the
+    # inclusion-minimal side, which a maximum flow alone does not fix
+    rng = random.Random(29)
+    multi_round = 0
+    for _ in range(1200):
+        n = rng.randint(2, 40)
+        g, terms = _random_rooted_multigraph(rng, n)
+        flow, cut = min_cut(g, 0, terms)
+        assert (flow, cut.ids, cut.cost) == _single_path_min_cut(g, 0, terms)
+        multi_round += sum(e.cost > 0 and 0 in (e.u, e.v)
+                           for e in g.edges) >= 3 and flow > 0
+    assert multi_round >= 500
+
+
+def test_min_cut_ids_are_the_minimal_terminal_side_by_enumeration():
+    # the cut must be the edges leaving the intersection of every cheapest
+    # terminal side, found here by listing all vertex subsets
+    rng = random.Random(31)
+    zero_crossing = cut_off = 0
+    for _ in range(400):
+        n = rng.randint(2, 8)
+        g, terms = _random_rooted_multigraph(rng, n)
+        rest = [v for v in range(1, n) if v not in terms]
+        best, minimal = None, None
+        for mask in range(1 << len(rest)):
+            side = set(terms) | {v for i, v in enumerate(rest) if mask >> i & 1}
+            cost = sum(e.cost for e in g.edges if (e.u in side) != (e.v in side))
+            if best is None or cost < best:
+                best, minimal = cost, side
+            elif cost == best:
+                minimal &= side
+        flow, cut = min_cut(g, 0, terms)
+        assert flow == best and cut.cost == best
+        assert cut.ids == {e.eid for e in g.edges
+                           if (e.u in minimal) != (e.v in minimal)}
+        zero_crossing += any(g.edges[i].cost == 0 for i in cut.ids)
+        cut_off += any(graphcore.separates(g, 0, (), [t]) for t in terms)
+    assert zero_crossing >= 100 and cut_off >= 100
+
+
 def test_union_find():
     uf = UnionFind(4)
     assert uf.union(0, 1)

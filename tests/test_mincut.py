@@ -1,10 +1,14 @@
 """Thrifty multistage min-cut solver."""
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
 
+from krobust.cli import main, serialize_instance
 from krobust.errors import Infeasible
+from krobust.fixtures import gen_random
 from krobust.graphcore import WeightedGraph, preprocess_cost_scaling
 from krobust.mincut import (
     build_net,
@@ -128,3 +132,15 @@ def test_plan_invariants_on_random_batch(solved_batches):
             assert plan.residuals[v] == sum(
                 (g.edge_by_id(e).cost for e in acts), F(0))
         assert tuple(sorted(plan.day0_purchase)) == plan.day0_purchase
+
+
+def test_large_solve_stdout_is_pinned(tmp_path, capsys):
+    # n = 160 is above the benchmark's graph sizes; the digest was recorded
+    # with the single-path max-flow, so a faster flow loop must print the
+    # same plan and report
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(serialize_instance(
+        gen_random(MINCUT, 160, 480, 3, 1))))
+    assert main(["solve", str(path)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+        "f979ba4b7e296627782bea6e99df392399bfb7b362598475a537dee55add49ee")
