@@ -28,7 +28,7 @@ from .model import (CARDINALITY, KINDS, MINCUT, PROBLEM_KINDS, SETCOVER,
                     require_live, validate_schedule)
 from .oracle import (SizeLimits, exhaustive_robcov, minimax_opt, opt_bounds,
                      partwise_minimax)
-from .setcover import SetSystem
+from .setcover import SetSystem, elements_of
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -141,13 +141,8 @@ def parse_instance(doc) -> ProblemInstance:
             if not isinstance(raw, dict):
                 raise InstanceFormatError(f"sets[{i}]", "expected an object")
             price = cost(raw.get("cost"), f"sets[{i}].cost")
-            members = _list(raw.get("members"), f"sets[{i}].members")
-            # by type, not by value: True == 1.  Another list is read in
-            # order, so a bad range before a bad type is named first
-            if not set(map(type, members)) <= {int}:
-                for j, e in enumerate(members):
-                    _int(e, f"sets[{i}].members[{j}]", 1, size)
-            sets.append((members, price))
+            sets.append((_list(raw.get("members"), f"sets[{i}].members"),
+                         price))
     else:
         gdoc = doc.get("graph")
         if not isinstance(gdoc, dict):
@@ -218,8 +213,9 @@ def serialize_instance(inst: ProblemInstance) -> dict:
     else:
         doc["uncertainty"] = {"kind": CARDINALITY}
     if inst.kind == SETCOVER:
-        doc["sets"] = [{"members": sorted(members), "cost": str(cost)}
-                       for members, cost in inst.payload.sets]
+        doc["sets"] = [{"members": elements_of(mask), "cost": str(cost)}
+                       for mask, cost in zip(inst.payload.masks,
+                                             inst.payload.costs)]
     else:
         g = inst.payload
         graph: dict = {"n": g.n,

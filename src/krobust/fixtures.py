@@ -139,8 +139,7 @@ def gen_random(kind: str, n: int, actions: int, horizon: int,
         for e in range(1, n + 1):
             if not any(e in m for m in members):
                 members[rng.randrange(actions)].add(e)
-        payload = SetSystem.build(
-            n, [(frozenset(m), _rand_cost(rng)) for m in members])
+        payload = SetSystem.build(n, [(m, _rand_cost(rng)) for m in members])
     elif kind == STEINERFOREST:
         pairs = []
         for _ in range(max(1, n // 2)):

@@ -336,15 +336,6 @@ def _reframe(inner: ThriftyPlan, pre: "PreprocessResult") -> ThriftyPlan:
         preprocess_f=pre.f_guess)
 
 
-def on_integers(kind: str, payload):
-    """(L, payload) with a graph's costs multiplied by L to ints (memoised
-    on the graph, so every caller shares one copy and its memo); set cover
-    keeps its payload and L = 1."""
-    if KINDS[kind].scale is None:
-        return 1, payload
-    return payload.integral()
-
-
 def _divided(plan: ThriftyPlan, scale: int) -> ThriftyPlan:
     """A plan computed on costs multiplied by scale, with its money stated
     in the original costs as exact Fractions."""
@@ -368,9 +359,10 @@ def solve_thrifty(kind: str, payload, schedule: Schedule, beta=None,
                   preprocess: bool = False,
                   merge_r=2) -> tuple[ThriftyPlan, CostReport]:
     """Best evaluated plan over the doubling guess grid; ties keep the
-    smaller guess.  A graph is solved on its int-cost copy (on_integers):
-    the candidates are compared on their scaled money, which keeps every
-    order and tie, and only the winner is divided back and re-evaluated.
+    smaller guess.  The payload is solved on its int-cost copy (its
+    integral(), which a graph memoises for every caller): the candidates
+    are compared on their scaled money, which keeps every order and tie,
+    and only the winner is divided back and re-evaluated.
 
     With preprocess=True the grid runs once per distinct edge cost instead,
     on the instance cost-scaled under the first edge of that cost as the
@@ -384,7 +376,7 @@ def solve_thrifty(kind: str, payload, schedule: Schedule, beta=None,
         raise BadParameters("cost scaling applies to graph problems only")
     units = spec.units(payload)
     validate_schedule(schedule, len(units))
-    scale, work = on_integers(kind, payload)
+    scale, work = payload.integral()
     candidates: list[ThriftyPlan] = []
     if schedule.k[schedule.horizon] <= spec.min_live:
         candidates.append(trivial_plan(units))
@@ -406,8 +398,6 @@ def solve_thrifty(kind: str, payload, schedule: Schedule, beta=None,
         report = evaluate_thrifty(plan, schedule, units)
         if best is None or report.robcov < best[1].robcov:
             best = (plan, report)
-    if work is payload:
-        return best
     plan = _divided(best[0], scale)
     return plan, evaluate_thrifty(plan, schedule, units)
 

@@ -20,7 +20,7 @@ from typing import Iterable, Mapping
 
 from .errors import BadParameters, Infeasible, TooLarge
 from .model import (KINDS, SUBSET, ProblemInstance, Schedule, ThriftyPlan,
-                    on_integers, require_live, scaled_to_ints)
+                    require_live, scaled_to_ints)
 from .setcover import SetSystem
 
 _INF = float("inf")
@@ -369,7 +369,7 @@ def opt_bounds(instance: ProblemInstance) -> tuple[Fraction, Fraction]:
     """Grid endpoints: a proven lower bound on the adaptive optimum and the
     cost of a feasible day-0-only solution."""
     require_live(instance.kind, instance.schedule)
-    scale, payload = on_integers(instance.kind, instance.payload)
+    scale, payload = instance.payload.integral()
     lb, ub, _ = KINDS[instance.kind].bounds(payload)
     return Fraction(lb, scale), Fraction(ub, scale)
 
@@ -382,10 +382,10 @@ def _partwise_check(system: SetSystem, schedule: Schedule,
     sets only, one per element, parts partitioning the universe, uniform cost
     inside each part, and k_i = 1 on every revelation day."""
     by_elem: dict[int, Fraction] = {}
-    for members, cost in system.sets:
-        if len(members) != 1:
+    for mask, cost in zip(system.masks, system.costs):
+        if mask.bit_count() != 1:
             raise BadParameters("specialized evaluator needs singleton sets")
-        (e,) = members
+        e = mask.bit_length() - 1
         if e in by_elem:
             raise BadParameters(f"element {e} has multiple covering sets")
         by_elem[e] = cost

@@ -2,15 +2,19 @@
 
 The solver acts on day 0 and on the critical day j* = argmin lam[j]*k[j].
 Day 0 greedily covers a net of expensive elements; on day j* each still
-active element buys its cheapest covering set.
+active element buys its cheapest covering set.  Each set is one int
+bitmask, so unions, coverage tests and coverage counts are int operations.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, compress, count
 from math import lcm
+from operator import or_
 from typing import Iterable, Mapping
 
 from .errors import BadSetField, Infeasible
@@ -18,73 +22,137 @@ from .model import (KINDS, SETCOVER, CostReport, Kind, Schedule, ThriftyPlan,
                     argmin_stage, ln_upper, scaled_to_ints, solve_thrifty,
                     threshold_tau)
 
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def elements_of(mask: int) -> list[int]:
+    """The elements whose bits are set in mask, ascending.  The scan starts
+    at the lowest set bit, so a sparse mask costs its span, not its top."""
+    if not mask:
+        return []
+    low = (mask & -mask).bit_length() - 1
+    return list(compress(count(low),
+                         bin(mask >> low)[:1:-1].encode().translate(_BITS)))
+
+
+def _union(masks, ids: Iterable[int]) -> int:
+    return functools.reduce(or_, map(masks.__getitem__, ids), 0)
+
+
+def _mask(bit: dict, members) -> int:
+    mask = sum(map(bit.__getitem__, members))
+    if mask.bit_count() != len(members):   # a repeated member carried
+        mask = functools.reduce(or_, map(bit.__getitem__, members))
+    return mask
+
+
+def _first_fault(universe_size: int, members, keys) -> BadSetField:
+    """The first fault in set order (a negative cost, then each member in
+    the order the set lists it) or, if there is none, the first element
+    that no set covers."""
+    for sid, (listed, key) in enumerate(zip(members, keys)):
+        if key < 0:
+            return BadSetField(f"sets[{sid}].cost",
+                               f"set {sid} has negative cost")
+        for j, e in enumerate(listed):
+            if type(e) is not int or not 1 <= e <= universe_size:
+                return BadSetField(f"sets[{sid}].members[{j}]",
+                                   f"set {sid} contains unknown element {e!r}")
+    union = set().union(*members)
+    e = next(e for e in count(1) if e not in union)
+    return BadSetField("sets", f"element {e} is not covered by any set")
+
 
 @dataclass(frozen=True)
 class SetSystem:
-    """Universe 1..universe_size plus a tuple of (members, cost) sets.
+    """Universe 1..universe_size plus, per set, its members as one int
+    bitmask (bit e set when the set holds element e) and its cost.
 
-    Set ids are positions in the tuple.  minset_cost/minset_id give, per
-    element, its cheapest covering set (ties to the smallest set id).
+    Set ids are positions in masks and costs.  minset_cost/minset_id give,
+    per element, its cheapest covering set (ties to the smallest set id).
+    scaled is build's (L, keys): the LCM of the costs' denominators and
+    each cost times L as an int.
     """
 
     universe_size: int
-    sets: tuple[tuple[frozenset[int], Fraction], ...]
+    masks: tuple[int, ...]
+    costs: tuple[Fraction, ...]
     minset_cost: Mapping
     minset_id: Mapping
+    scaled: tuple[int, tuple[int, ...]] = field(repr=False, compare=False)
 
     @staticmethod
     def build(universe_size: int, sets: Iterable) -> "SetSystem":
-        """sets holds (members, cost) pairs, each members a collection.
-        Raises BadSetField naming sets[i].cost, sets[i].members[j] (j in
-        the order members lists them) or, for an element that no set
-        covers, sets."""
+        """sets holds (members, cost) pairs, members a list, set or
+        frozenset of element ids, which a list may repeat.  Raises
+        BadSetField naming the first fault in set order: sets[i].cost for a
+        negative cost, sets[i].members[j] (j in the order members lists
+        them) for a member that is not an int in 1..universe_size, or sets
+        for an element that no set covers."""
         sets = tuple(sets)
-        norm = tuple((frozenset(members),
-                      cost if isinstance(cost, Fraction) else Fraction(cost))
-                     for members, cost in sets)
+        members = [m for m, _ in sets]
+        costs = tuple(cost if isinstance(cost, Fraction) else Fraction(cost)
+                      for _, cost in sets)
         # the scale is positive, so the int keys keep every cost's sign,
         # order and tie
-        _, keys = scaled_to_ints(cost for _, cost in norm)
-        union = frozenset().union(*(members for members, _ in norm))
-        if (min(keys, default=0) < 0 or union
-                and not 1 <= min(union) <= max(union) <= universe_size):
-            for sid, (members, _) in enumerate(sets):   # the first fault
-                if norm[sid][1] < 0:
-                    raise BadSetField(f"sets[{sid}].cost",
-                                      f"set {sid} has negative cost")
-                for j, e in enumerate(members):
-                    if not 1 <= e <= universe_size:
-                        raise BadSetField(
-                            f"sets[{sid}].members[{j}]",
-                            f"set {sid} contains unknown element {e}")
-        if len(union) < universe_size:
-            e = next(e for e in range(1, universe_size + 1) if e not in union)
-            raise BadSetField("sets", f"element {e} is not covered by any set")
+        scale, keys = scaled_to_ints(costs)
+        masks = None
+        # a member covers one element, so a universe larger than the
+        # document leaves one uncovered: the bit table stays that small
+        if (min(keys, default=0) >= 0
+                and universe_size <= sum(map(len, members))
+                and set(map(type, chain.from_iterable(members))) <= {int}):
+            bit = {e: 1 << e for e in range(1, universe_size + 1)}
+            try:
+                masks = tuple(_mask(bit, m) for m in members)
+            except KeyError:   # a member out of range
+                pass
+        if (masks is None or functools.reduce(or_, masks, 0).bit_count()
+                != universe_size):
+            raise _first_fault(universe_size, members, keys)
         # sets in (cost, id) order, as the sort is stable: the first set to
         # reach an element is its cheapest, ties to the smallest id
-        minset_cost: dict[int, Fraction] = {}
         minset_id: dict[int, int] = {}
-        for sid in sorted(range(len(norm)), key=keys.__getitem__):
+        seen = 0
+        for sid in sorted(range(len(masks)), key=keys.__getitem__):
             if len(minset_id) == universe_size:
                 break
-            members, cost = norm[sid]
-            new = members.difference(minset_id)
-            minset_cost.update(dict.fromkeys(new, cost))
-            minset_id.update(dict.fromkeys(new, sid))
-        return SetSystem(universe_size, norm, minset_cost, minset_id)
+            new = masks[sid] & ~seen
+            minset_id.update(dict.fromkeys(elements_of(new), sid))
+            seen |= new
+        return SetSystem(universe_size, masks, costs,
+                         {e: costs[sid] for e, sid in minset_id.items()},
+                         minset_id, (scale, keys))
+
+    def integral(self) -> tuple[int, "SetSystem"]:
+        """L and a copy of the system with every cost times L as an int.
+        Every comparison the solver makes is between costs and thresholds
+        linear in the costs, so a plan for the copy is the plan for the
+        system with its money divided by L."""
+        scale, keys = self.scaled
+        return scale, SetSystem(
+            self.universe_size, self.masks, keys,
+            {e: keys[sid] for e, sid in self.minset_id.items()},
+            self.minset_id, (1, keys))
+
+    @functools.cached_property
+    def weights(self) -> tuple[int, ...]:
+        """One int per set that orders newly-covered-per-cost exactly:
+        new / (p/q) = new * q * (P // p) / P with P the LCM of the priced
+        numerators; 0 for a free set."""
+        priced = lcm(*(cost.numerator for cost in self.costs if cost))
+        return tuple(cost.denominator * (priced // cost.numerator)
+                     if cost else 0 for cost in self.costs)
 
     def elements(self) -> tuple[int, ...]:
         return tuple(range(1, self.universe_size + 1))
 
     def actions(self) -> tuple[tuple[int, Fraction], ...]:
         """(set id, cost) for every purchasable set."""
-        return tuple((sid, cost) for sid, (_, cost) in enumerate(self.sets))
+        return tuple(enumerate(self.costs))
 
     def covered_by(self, set_ids: Iterable[int]) -> frozenset[int]:
-        out: set[int] = set()
-        for sid in set_ids:
-            out |= self.sets[sid][0]
-        return frozenset(out)
+        return frozenset(elements_of(_union(self.masks, set_ids)))
 
 
 def greedy_cover(system: SetSystem, targets: Iterable[int]) -> tuple[list[int], Fraction]:
@@ -98,26 +166,22 @@ def greedy_cover(system: SetSystem, targets: Iterable[int]) -> tuple[list[int], 
     upper bound per set and a popped set whose bound is still exact beats
     every other set, ties included.
     """
-    remaining = set(targets)
+    remaining = functools.reduce(or_, map((1).__lshift__, targets), 0)
     chosen: list[int] = []
-    total = Fraction(0)
+    total = 0
     if not remaining:
         return chosen, total
-    # new / (p/q) = new * q * (P // p) / P with P the LCM of the priced
-    # numerators, so one int weight per set orders the ratios exactly
-    priced = lcm(*(cost.numerator for _, cost in system.sets if cost))
-    weight = [cost.denominator * (priced // cost.numerator) if cost else 0
-              for _, cost in system.sets]
+    masks, weight = system.masks, system.weights
 
     def rank(sid: int):
         """Heap key, smaller is better: free sets above every priced ratio,
         None once the set adds nothing."""
-        new = len(system.sets[sid][0] & remaining)
+        new = (masks[sid] & remaining).bit_count()
         if new == 0:
             return None
         return (1, -new * weight[sid], sid) if weight[sid] else (0, 0, sid)
 
-    heap = [key for key in map(rank, range(len(system.sets))) if key]
+    heap = [key for key in map(rank, range(len(masks))) if key]
     heapq.heapify(heap)
     while remaining:
         if not heap:
@@ -128,40 +192,43 @@ def greedy_cover(system: SetSystem, targets: Iterable[int]) -> tuple[list[int], 
             if fresh:
                 heapq.heappush(heap, fresh)
             continue
-        members, cost = system.sets[stale[2]]
         chosen.append(stale[2])
-        total += cost
-        remaining -= members
+        total += system.costs[stale[2]]
+        remaining &= ~masks[stale[2]]
     return chosen, total
 
 
 def build_net(system: SetSystem, tau: Fraction) -> frozenset[int]:
-    """Elements whose cheapest covering set costs at least tau."""
-    return frozenset(e for e in system.elements() if system.minset_cost[e] >= tau)
+    """Elements whose cheapest covering set costs at least tau = p/q,
+    compared as cost * q >= p: exact for int and Fraction costs alike."""
+    p, q = tau.numerator, tau.denominator
+    return frozenset(e for e, cost in system.minset_cost.items()
+                     if cost * q >= p)
 
 
 def thrifty_plan(system: SetSystem, schedule: Schedule, guess: Fraction,
                  beta: Fraction | None = None) -> ThriftyPlan:
     """Build the two-day plan for one guess of the optimal value."""
     if beta is None:
-        beta = 36 * ln_upper(len(system.sets))
+        beta = 36 * ln_upper(len(system.masks))
     tau = threshold_tau(guess, schedule, beta)
     net = build_net(system, tau)
     day0_ids, day0_cost = greedy_cover(system, net)
     covered = system.covered_by(day0_ids)
     residuals = {}
     actions = {}
+    # top-k residual sums are exact only while no two pending elements share
+    # their cheapest set; otherwise the realized union cost can be smaller
+    pending = []
     for e in system.elements():
         if e in covered:
-            residuals[e] = Fraction(0)
+            residuals[e] = 0
             actions[e] = ()
         else:
             residuals[e] = system.minset_cost[e]
             actions[e] = (system.minset_id[e],)
-    # top-k residual sums are exact only while no two pending elements share
-    # their cheapest set; otherwise the realized union cost can be smaller
-    pending = [system.minset_id[e] for e in system.elements()
-               if e not in covered and system.minset_cost[e] > 0]
+            if residuals[e] > 0:
+                pending.append(system.minset_id[e])
     conservative = len(pending) != len(set(pending))
     return ThriftyPlan(guess=Fraction(guess), beta=Fraction(beta), tau=tau,
                        critical_day=argmin_stage(schedule), net=net,
@@ -172,9 +239,13 @@ def thrifty_plan(system: SetSystem, schedule: Schedule, guess: Fraction,
 
 def _bounds(system: SetSystem):
     """The costliest cheapest-set price and the greedy cover of everything."""
-    units = system.elements()
-    all_ids, ub = greedy_cover(system, units)
-    return max(system.minset_cost[e] for e in units), ub, all_ids
+    all_ids, ub = greedy_cover(system, system.elements())
+    return max(system.minset_cost.values()), ub, all_ids
+
+
+def _covers(system: SetSystem, ids, units) -> bool:
+    owned = _union(system.masks, ids)
+    return all(owned >> u & 1 for u in units)
 
 
 def solve(system: SetSystem, schedule: Schedule, beta: Fraction | None = None,
@@ -192,5 +263,4 @@ KINDS[SETCOVER] = Kind(
     bounds=_bounds,
     plan=lambda *args: thrifty_plan(*args),
     solve=lambda *args: solve(*args),
-    covers=lambda system, ids, units: all(
-        any(u in system.sets[sid][0] for sid in ids) for u in units))
+    covers=_covers)

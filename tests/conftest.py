@@ -7,6 +7,7 @@ import pytest
 from krobust.fixtures import gen_random
 from krobust.model import KINDS, PROBLEM_KINDS, guess_grid, threshold_tau
 from krobust.oracle import opt_bounds
+from krobust.setcover import elements_of
 
 BATCH = 100
 
@@ -14,6 +15,13 @@ BATCH = 100
 def solve_instance(inst):
     """Run the matching thrifty solver; returns (plan, report)."""
     return KINDS[inst.kind].solve(inst.payload, inst.schedule)
+
+
+def set_pairs(system):
+    """A SetSystem's sets as (members, cost) pairs in set id order, each
+    members the frozenset decoded from its bitmask."""
+    return tuple((frozenset(elements_of(mask)), cost)
+                 for mask, cost in zip(system.masks, system.costs))
 
 
 def tiny_batch(kind, count=BATCH):

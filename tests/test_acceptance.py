@@ -40,7 +40,7 @@ from krobust.oracle import (
     scripted_worst_case,
 )
 from krobust.steiner import sfnet_build, solve_forest, solve_tree
-from conftest import forest_net_runs, solve_instance
+from conftest import forest_net_runs, set_pairs, solve_instance
 
 F = Fraction
 WIDE = SizeLimits(max_units=64, max_actions=12, max_horizon=9)
@@ -108,7 +108,7 @@ def test_criterion_4_ratio_bounds_hold(solved_batches, oracle_values):
             ratio = report.robcov / opt
             T = inst.schedule.horizon
             if kind == SETCOVER:
-                bound = (36 * ln_upper(len(inst.payload.sets))
+                bound = (36 * ln_upper(len(set_pairs(inst.payload)))
                          + 12 * harmonic(inst.payload.universe_size))
             elif kind == MINCUT:
                 bound = F(150) * T

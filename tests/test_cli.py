@@ -352,11 +352,6 @@ def _mincut(edges, root=0):
     pytest.param(lambda d: d.update(uncertainty={"kind": "subset",
                                                  "parts": [[1], [2]]}),
                  "uncertainty.parts", id="part-count"),
-    # k[0] is checked against the unit count only after the sets are
-    # built, so the uncovered-element search must stop at the first gap
-    pytest.param(lambda d: d.update(
-        schedule={"T": 0, "k": [10**12], "lambda": ["1"]}),
-        "sets", id="huge-k0-uncovered"),
 ])
 def test_field_errors_name_the_path(tmp_path, capsys, mutate, field):
     doc = json.loads(json.dumps(SC_HAND))
@@ -390,10 +385,17 @@ def _run_huge_graph(tmp_path, command, kind, root, k):
     graph = {"n": 10**12, "edges": [[0, 1, "1"], [1, 2, "2"], [0, 2, "3"]]}
     if root is not None:
         graph["root"] = root
-    path = write_doc(tmp_path, {
+    return _run_capped(tmp_path, command, {
         "problem": kind,
         "schedule": {"T": 1, "k": k, "lambda": ["1", "2"]},
         "graph": graph})
+
+
+def _run_capped(tmp_path, command, doc):
+    """Run the CLI on the document in a child process under a 1 GiB
+    address-space cap, so a regression that sizes something by a huge
+    field fails one test instead of exhausting the machine."""
+    path = write_doc(tmp_path, doc)
     cap = 1 << 30
 
     def limit():
@@ -404,6 +406,15 @@ def _run_huge_graph(tmp_path, command, kind, root, k):
         [sys.executable, "-m", "krobust.cli", command, path],
         capture_output=True, text=True, timeout=60, preexec_fn=limit,
         env={**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"})
+
+
+def test_huge_universe_names_the_uncovered_element(tmp_path):
+    # k[0] is the universe size: the uncovered-element search must stop
+    # at the first gap, and no bit table or mask may be sized by k[0]
+    doc = json.loads(json.dumps(SC_HAND))
+    doc["schedule"] = {"T": 0, "k": [10**12], "lambda": ["1"]}
+    done = _run_capped(tmp_path, "solve", doc)
+    assert done.returncode == 2 and "bad instance: sets: " in done.stderr
 
 
 def test_huge_cut_graph_is_refused_by_name_where_its_units_are_listed(

@@ -22,6 +22,7 @@ from krobust.model import (
     SUBSET,
     validate_schedule,
 )
+from conftest import set_pairs
 
 F = Fraction
 
@@ -30,7 +31,7 @@ def test_lowerbound_family_structure():
     inst = gen_lowerbound_allstages(2, F(2, 5))
     assert inst.schedule.k == (3, 2, 1)
     assert inst.schedule.lam == (F(1), F(7, 5), F(49, 25))
-    sets = inst.payload.sets
+    sets = set_pairs(inst.payload)
     assert [(sorted(m), c) for m, c in sets] == [
         ([1, 3], F(7, 5)), ([1, 2], F(7, 5)), ([2], 1), ([3], 1)]
     assert inst.uncertainty.kind == CARDINALITY
@@ -39,12 +40,12 @@ def test_lowerbound_family_structure():
 def test_lowerbound_family_horizons():
     one = gen_lowerbound_allstages(1, F(1, 2))
     assert one.payload.universe_size == 2
-    assert [(sorted(m), c) for m, c in one.payload.sets] == [([1], 1), ([2], 1)]
+    assert [(sorted(m), c) for m, c in set_pairs(one.payload)] == [([1], 1), ([2], 1)]
     three = gen_lowerbound_allstages(3, F(1, 5))
     # 3 day-1 sets, 2 day-2 sets, 2 singletons
-    assert len(three.payload.sets) == 7
+    assert len(set_pairs(three.payload)) == 7
     assert three.schedule.lam[3] == F(216, 125)
-    costs = [c for _, c in three.payload.sets]
+    costs = [c for _, c in set_pairs(three.payload)]
     assert costs == [F(36, 25)] * 3 + [F(6, 5)] * 2 + [1, 1]
 
 
@@ -64,7 +65,7 @@ def test_subset_family_structure():
     assert parts[1] == frozenset(range(10, 37))
     assert inst.schedule.k == (36, 1, 1)
     assert inst.schedule.lam == (1, 3, 9)
-    by_elem = {next(iter(m)): c for m, c in inst.payload.sets}
+    by_elem = {next(iter(m)): c for m, c in set_pairs(inst.payload)}
     assert all(by_elem[e] == F(1, 3) for e in parts[0])
     assert all(by_elem[e] == F(1, 9) for e in parts[1])
 

@@ -12,6 +12,7 @@ from krobust.graphcore import WeightedGraph
 from krobust.model import KINDS, MINCUT, PROBLEM_KINDS, SETCOVER
 from krobust.oracle import exhaustive_robcov, minimax_opt
 from krobust.setcover import SetSystem
+from conftest import set_pairs
 
 F = Fraction
 
@@ -20,7 +21,7 @@ def _rebuilt(inst, c=1, order=None):
     """The instance with every set or edge cost multiplied by c and the sets
     or edges listed in order, a permutation of their ids."""
     p = inst.payload
-    actions = p.sets if inst.kind == SETCOVER else p.edges
+    actions = set_pairs(p) if inst.kind == SETCOVER else p.edges
     actions = [actions[i] for i in order or range(len(actions))]
     if inst.kind == SETCOVER:
         payload = SetSystem.build(p.universe_size,
@@ -74,10 +75,10 @@ def _with_action(inst, rng, price):
     price(its cost), and for a set with a random subset of its members."""
     p = inst.payload
     if inst.kind == SETCOVER:
-        members, cost = rng.choice(p.sets)
+        members, cost = rng.choice(set_pairs(p))
         kept = frozenset(m for m in members if rng.random() < 0.6)
         payload = SetSystem.build(p.universe_size,
-                                  list(p.sets) + [(kept, price(cost))])
+                                  list(set_pairs(p)) + [(kept, price(cost))])
     else:
         e = rng.choice(p.edges)
         payload = WeightedGraph.build(

@@ -29,7 +29,6 @@ from krobust.model import (
     harmonic,
     ln_upper,
     merge_stages,
-    on_integers,
     scaled_candidates,
     solve_thrifty,
     threshold_tau,
@@ -272,7 +271,7 @@ def _reference_candidates(kind, payload, schedule, preprocess):
     """Every plan the driver builds, each divided back to the original
     money, in the driver's order."""
     spec = KINDS[kind]
-    scale, work = on_integers(kind, payload)
+    scale, work = payload.integral()
     candidates = []
     if schedule.k[schedule.horizon] <= spec.min_live:
         candidates.append(trivial_plan(spec.units(payload)))

@@ -37,7 +37,7 @@ from krobust.oracle import (
     scripted_worst_case,
 )
 from krobust.setcover import SetSystem, solve as solve_cover
-from conftest import solve_instance
+from conftest import set_pairs, solve_instance
 
 F = Fraction
 
@@ -344,7 +344,7 @@ def _check_no_idle_sets(system, node, bought=frozenset()):
     assert bought.isdisjoint(node.purchase)
     covered = system.covered_by(bought)
     for sid in node.purchase:
-        assert system.sets[sid][0] & node.active - covered, (node, sid)
+        assert set_pairs(system)[sid][0] & node.active - covered, (node, sid)
     for _, child in node.children:
         _check_no_idle_sets(system, child, bought | set(node.purchase))
 

@@ -1,15 +1,22 @@
 """Set system construction, greedy cover, and the thrifty set cover solver."""
 
+import heapq
+import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
 
 from krobust.cli import parse_instance
-from krobust.errors import Infeasible
+from krobust.errors import BadSetField, Infeasible
 from krobust.fixtures import gen_lowerbound_allstages, gen_random
-from krobust.model import SETCOVER, Schedule, evaluate_thrifty, guess_grid
-from krobust.setcover import SetSystem, build_net, greedy_cover, solve, thrifty_plan
+from krobust.model import (KINDS, SETCOVER, Schedule, ThriftyPlan,
+                           argmin_stage, evaluate_thrifty, guess_grid,
+                           ln_upper, scaled_to_ints, threshold_tau)
+from krobust.setcover import (SetSystem, build_net, elements_of, greedy_cover,
+                              solve, thrifty_plan)
+from conftest import set_pairs
 
 F = Fraction
 
@@ -26,6 +33,14 @@ def test_build_tracks_cheapest_set():
     assert sys_.minset_id == {1: 0, 2: 1}
     assert sys_.elements() == (1, 2)
     assert sys_.covered_by([1, 2]) == frozenset({1, 2})
+
+
+def test_elements_of_decodes_every_bit():
+    rng = random.Random(3)
+    for _ in range(300):
+        members = sorted(rng.sample(range(1, 3000), rng.randint(0, 6)))
+        assert elements_of(sum(1 << e for e in members)) == members
+    assert elements_of(0) == [] and elements_of(1 << 10**5) == [10**5]
 
 
 def _spellings(cost):
@@ -70,6 +85,17 @@ BAD_SETS = [
      "sets[1].members[0]"),
     # the position in the caller's order, not in the set's
     ((([1, 9, 1, 0], 1),), 1, "unknown element 9", "sets[0].members[1]"),
+    # a member that is not an int is refused in the same words, and the
+    # first type or range fault in list order is named; True == 1 is not
+    # the element 1
+    ((([1, True], 1),), 1, "set 0 contains unknown element True",
+     "sets[0].members[1]"),
+    ((([1], 1), ([0, "x"], 1)), 1, "unknown element 0", "sets[1].members[0]"),
+    ((([1], 1), (["x", 0], 1)), 1, "unknown element 'x'",
+     "sets[1].members[0]"),
+    ((([1, [1]], 1), ([1], -1)), 1, r"unknown element \[1\]",
+     "sets[0].members[1]"),
+    ((([1], -1), (["x"], 1)), 1, "set 0 has negative cost", "sets[0].cost"),
 ]
 
 
@@ -107,7 +133,7 @@ def _rescan_greedy(system, targets):
     chosen, total, covered = [], F(0), set()
     while want - covered:
         best_sid, best_key = -1, None
-        for sid, (members, cost) in enumerate(system.sets):
+        for sid, (members, cost) in enumerate(set_pairs(system)):
             new = len((members & want) - covered)
             if new == 0:
                 continue
@@ -117,8 +143,8 @@ def _rescan_greedy(system, targets):
         if best_sid < 0:
             raise Infeasible("targets cannot be covered")
         chosen.append(best_sid)
-        total += system.sets[best_sid][1]
-        covered |= system.sets[best_sid][0]
+        total += set_pairs(system)[best_sid][1]
+        covered |= set_pairs(system)[best_sid][0]
     return chosen, total
 
 
@@ -209,7 +235,215 @@ def test_plan_invariants_on_random_batch(solved_batches):
         for e in sys_.elements():
             acts = plan.residual_actions[e]
             assert plan.residuals[e] == sum(
-                (sys_.sets[s][1] for s in acts), F(0))
+                (set_pairs(sys_)[s][1] for s in acts), F(0))
             if e in covered:
                 assert acts == () and plan.residuals[e] == 0
         assert report.robcov == plan.day0_cost + report.worst_day_cost
+
+
+# The frozenset implementation that the bitmask one replaced, kept as the
+# reference it must agree with.
+
+@dataclass(frozen=True)
+class _FrozenSystem:
+    universe_size: int
+    sets: tuple
+    minset_cost: dict
+    minset_id: dict
+
+    def elements(self):
+        return tuple(range(1, self.universe_size + 1))
+
+    def covered_by(self, set_ids):
+        out = set()
+        for sid in set_ids:
+            out |= self.sets[sid][0]
+        return frozenset(out)
+
+
+def _frozen_build(universe_size, sets):
+    sets = tuple(sets)
+    norm = tuple((frozenset(members),
+                  cost if isinstance(cost, Fraction) else Fraction(cost))
+                 for members, cost in sets)
+    _, keys = scaled_to_ints(cost for _, cost in norm)
+    union = frozenset().union(*(members for members, _ in norm))
+    if (min(keys, default=0) < 0 or union
+            and not 1 <= min(union) <= max(union) <= universe_size):
+        for sid, (members, _) in enumerate(sets):
+            if norm[sid][1] < 0:
+                raise BadSetField(f"sets[{sid}].cost",
+                                  f"set {sid} has negative cost")
+            for j, e in enumerate(members):
+                if not 1 <= e <= universe_size:
+                    raise BadSetField(
+                        f"sets[{sid}].members[{j}]",
+                        f"set {sid} contains unknown element {e}")
+    if len(union) < universe_size:
+        e = next(e for e in range(1, universe_size + 1) if e not in union)
+        raise BadSetField("sets", f"element {e} is not covered by any set")
+    minset_cost, minset_id = {}, {}
+    for sid in sorted(range(len(norm)), key=keys.__getitem__):
+        if len(minset_id) == universe_size:
+            break
+        members, cost = norm[sid]
+        new = members.difference(minset_id)
+        minset_cost.update(dict.fromkeys(new, cost))
+        minset_id.update(dict.fromkeys(new, sid))
+    return _FrozenSystem(universe_size, norm, minset_cost, minset_id)
+
+
+def _frozen_covers(system, ids, units):
+    return all(any(u in system.sets[sid][0] for sid in ids) for u in units)
+
+
+def _frozen_greedy(system, targets):
+    remaining = set(targets)
+    chosen, total = [], Fraction(0)
+    if not remaining:
+        return chosen, total
+    priced = math.lcm(*(cost.numerator for _, cost in system.sets if cost))
+    weight = [cost.denominator * (priced // cost.numerator) if cost else 0
+              for _, cost in system.sets]
+
+    def rank(sid):
+        new = len(system.sets[sid][0] & remaining)
+        if new == 0:
+            return None
+        return (1, -new * weight[sid], sid) if weight[sid] else (0, 0, sid)
+
+    heap = [key for key in map(rank, range(len(system.sets))) if key]
+    heapq.heapify(heap)
+    while remaining:
+        if not heap:
+            raise Infeasible("targets cannot be covered")
+        stale = heapq.heappop(heap)
+        fresh = rank(stale[2])
+        if fresh != stale:
+            if fresh:
+                heapq.heappush(heap, fresh)
+            continue
+        members, cost = system.sets[stale[2]]
+        chosen.append(stale[2])
+        total += cost
+        remaining -= members
+    return chosen, total
+
+
+def _frozen_net(system, tau):
+    return frozenset(e for e in system.elements()
+                     if system.minset_cost[e] >= tau)
+
+
+def _frozen_plan(system, schedule, guess, beta=None):
+    if beta is None:
+        beta = 36 * ln_upper(len(system.sets))
+    tau = threshold_tau(guess, schedule, beta)
+    net = _frozen_net(system, tau)
+    day0_ids, day0_cost = _frozen_greedy(system, net)
+    covered = system.covered_by(day0_ids)
+    residuals, actions = {}, {}
+    for e in system.elements():
+        if e in covered:
+            residuals[e], actions[e] = Fraction(0), ()
+        else:
+            residuals[e] = system.minset_cost[e]
+            actions[e] = (system.minset_id[e],)
+    pending = [system.minset_id[e] for e in system.elements()
+               if e not in covered and system.minset_cost[e] > 0]
+    return ThriftyPlan(guess=Fraction(guess), beta=Fraction(beta), tau=tau,
+                       critical_day=argmin_stage(schedule), net=net,
+                       day0_purchase=tuple(day0_ids), day0_cost=day0_cost,
+                       residuals=residuals, residual_actions=actions,
+                       conservative=len(pending) != len(set(pending)))
+
+
+def _random_sets(rng, size):
+    """Sets over 1..size whose members come as a list (which may repeat a
+    member), a set or a frozenset; costs include zero and equal values
+    written differently."""
+    costs = (0, 0, 1, F(2, 2), 2, F(1, 2), F(3, 2), F(2, 3), F(7, 3), 5)
+    sets = []
+    for _ in range(rng.randint(1, 10)):
+        members = rng.choices(range(1, size + 1), k=rng.randint(0, size))
+        shape = rng.choice((list, set, frozenset))
+        sets.append((shape(members), rng.choice(costs)))
+    if rng.random() < 0.8:
+        sets.append((list(range(1, size + 1)), rng.choice(costs)))
+    if rng.random() < 0.1:   # a member out of range
+        sets.append(([rng.choice((0, size + 1))], 1))
+    if rng.random() < 0.1:
+        sets.insert(rng.randrange(len(sets) + 1), ([1], -1))
+    rng.shuffle(sets)
+    return sets
+
+
+def _fault(build, size, sets):
+    try:
+        build(size, sets)
+    except BadSetField as exc:
+        return exc.field, str(exc)
+    return None
+
+
+def test_bitmask_system_matches_frozenset_reference():
+    rng = random.Random(18)
+    guesses = (F(1, 3), F(1, 2), F(5, 4), F(7, 3), 4)
+    betas = (F(1, 2), F(3, 2), F(11, 5))
+    systems = repeated = below_ceiling = 0
+    while systems < 200:
+        size = rng.randint(1, 10)
+        sets = _random_sets(rng, size)
+        fault = _fault(_frozen_build, size, sets)
+        assert _fault(SetSystem.build, size, sets) == fault
+        if fault:
+            continue
+        systems += 1
+        repeated += any(isinstance(m, list) and len(set(m)) < len(m)
+                        for m, _ in sets)
+        ref, sys_ = _frozen_build(size, sets), SetSystem.build(size, sets)
+        assert set_pairs(sys_) == ref.sets
+        assert (sys_.minset_cost, sys_.minset_id) == (ref.minset_cost,
+                                                      ref.minset_id)
+        for _ in range(5):
+            ids = rng.sample(range(len(sets)), rng.randint(0, len(sets)))
+            units = rng.sample(range(1, size + 1), rng.randint(0, size))
+            assert sys_.covered_by(ids) == ref.covered_by(ids)
+            assert (KINDS[SETCOVER].covers(sys_, set(ids), frozenset(units))
+                    == _frozen_covers(ref, ids, units))
+            targets = units + rng.choice(([], [size + 1]))
+            try:
+                want = _frozen_greedy(ref, targets)
+            except Infeasible:
+                with pytest.raises(Infeasible):
+                    greedy_cover(sys_, targets)
+            else:
+                assert greedy_cover(sys_, targets) == want
+        k = [size]
+        while len(k) < 3 and k[-1] > 1:
+            k.append(rng.randint(1, k[-1]))
+        sched = Schedule.of(k, [F(1), F(3, 2), F(4)][:len(k)])
+        # the --guess path plans on the Fraction payload itself
+        for guess in guesses:
+            for beta in betas:
+                plan = thrifty_plan(sys_, sched, guess, beta)
+                want = _frozen_plan(ref, sched, guess, beta)
+                assert plan == want
+                assert (evaluate_thrifty(plan, sched, sys_.elements())
+                        == evaluate_thrifty(want, sched, ref.elements()))
+                below_ceiling += any(ref.minset_cost[e] < math.ceil(plan.tau)
+                                     for e in plan.net)
+        # solve runs on the int copy and divides only the winner back
+        lb = max(ref.minset_cost.values())
+        ub = _frozen_greedy(ref, ref.elements())[1]
+        if ub > 0:
+            best = None
+            for guess in guess_grid(lb, ub):
+                plan = _frozen_plan(ref, sched, guess)
+                report = evaluate_thrifty(plan, sched, ref.elements())
+                if best is None or report.robcov < best[1].robcov:
+                    best = plan, report
+            assert solve(sys_, sched) == best
+    assert repeated >= 50
+    # nets that an integer threshold ceil(tau) would shrink
+    assert below_ceiling >= 100
