@@ -14,11 +14,11 @@ import functools
 import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Collection, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .errors import (BadGraphField, Disconnected, InvariantViolation,
                      UnknownEdge)
-from .model import Schedule, merge_stages, scaled_to_ints
+from .model import Schedule, bit_columns, merge_stages, scaled_to_ints
 
 
 class Edge(NamedTuple):
@@ -164,8 +164,8 @@ class WeightedGraph:
     @functools.cached_property
     def edges_by_id(self) -> dict[int, Edge]:
         """Each edge under its id, built on first use.  An attribute, not a
-        _memo entry: connects reads it on every oracle coverage check, and
-        a _memo lookup costs about as much as such a check."""
+        _memo entry: edge_set and known_ids read it on every call, and a
+        _memo lookup would cost about as much as their own work."""
         return {e.eid: e for e in self.edges}
 
     @_memoised
@@ -355,25 +355,36 @@ def min_cut(g: WeightedGraph, root: int, terminals: Iterable[int]
     return flow, EdgeSet(frozenset(cut_ids), Fraction(cut_cost))
 
 
-def separates(g: WeightedGraph, root: int, ids: Collection[int],
-              targets: Collection[int]) -> bool:
-    """Whether removing the listed edges leaves every target unreachable
-    from the root."""
-    adj = g.adjacency()
-    seen = {root}
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        if v in targets:
-            return False
-        for e in adj[v]:
-            if e.eid in ids:
-                continue
-            w = e.v if e.u == v else e.u
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return True
+def reach_tables(g: WeightedGraph, ids, source: int,
+                 cut: bool = False) -> tuple[int, list[int]]:
+    """Reachability from the source for every owned subset of ids at once:
+    full and, per vertex, the int whose bit M is set when the vertex is
+    reached once the edges {ids[i] : bit i of M} are owned.  An owned edge
+    is present, or with cut=True removed; an edge outside ids is owned
+    under no M.  Each bit runs its own search, all in the same int
+    operations: the edges relax in rounds until a round changes nothing."""
+    full, columns = bit_columns(len(ids))
+    column = dict(zip(ids, columns))
+    if cut:
+        links = [(e.u, e.v, full & ~column.get(e.eid, 0)) for e in g.edges]
+    else:
+        links = [(e.u, e.v, column[e.eid]) for e in g.edges
+                 if e.eid in column]
+    reach = [0] * g.n
+    reach[source] = full
+    changed = True
+    while changed:
+        changed = False
+        for u, v, present in links:
+            ru, rv = reach[u], reach[v]
+            both = (ru | rv) & present
+            if both & ~ru:
+                reach[u] = ru | both
+                changed = True
+            if both & ~rv:
+                reach[v] = rv | both
+                changed = True
+    return full, reach
 
 
 class UnionFind:
@@ -436,16 +447,6 @@ def mst_steiner_tree(g: WeightedGraph, terminals: Iterable[int]) -> EdgeSet:
         if uf.union(a, b):
             chosen.update(path_edges(preds[a], {a}, b))
     return g.edge_set(chosen)
-
-
-def connects(g: WeightedGraph, ids: Iterable[int], pairs) -> bool:
-    """Whether the listed edges join the two ends of every (s, t) pair."""
-    uf = UnionFind(g.n)
-    by_id = g.edges_by_id
-    for eid in ids:
-        e = by_id[eid]
-        uf.union(e.u, e.v)
-    return all(uf.find(s) == uf.find(t) for s, t in pairs)
 
 
 def gw_steiner_forest(g: WeightedGraph, pairs: Iterable[Pair]) -> EdgeSet:

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .errors import Infeasible, KRobustError
 from .graphcore import (WeightedGraph, delete_or_contract, min_cut,
-                        preprocess_cost_scaling, separates)
+                        preprocess_cost_scaling, reach_tables)
 from .model import (KINDS, MINCUT, CostReport, Kind, Schedule, ThriftyPlan,
                     argmin_stage, solve_thrifty, threshold_tau)
 
@@ -99,6 +99,16 @@ def _scale(g: WeightedGraph, schedule: Schedule, f_guess: int, merge_r):
     return pre
 
 
+def _cover_table(g: WeightedGraph, ids, units) -> int:
+    """Bit M set when removing the edges {ids[i] : bit i of M} leaves no
+    unit reachable from the root."""
+    full, reach = reach_tables(g, ids, g.root, cut=True)
+    table = full
+    for v in units:
+        table &= ~reach[v]
+    return table
+
+
 def solve(g: WeightedGraph, schedule: Schedule, beta: Fraction | None = None,
           preprocess: bool = False, merge_r=2) -> tuple[ThriftyPlan, CostReport]:
     """Best evaluated plan over the doubling guess grid.
@@ -115,5 +125,6 @@ KINDS[MINCUT] = Kind(
     bounds=_bounds,
     plan=lambda *args: thrifty_plan(*args),
     solve=lambda *args: solve(*args),
-    covers=lambda g, ids, units: separates(g, g.root, ids, units),
+    cover_table=_cover_table,
+    ratio_bound=lambda g, schedule: Fraction(150 * schedule.horizon),
     scale=_scale)

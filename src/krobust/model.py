@@ -46,6 +46,17 @@ def scaled_to_ints(values) -> tuple[int, tuple[int, ...]]:
     return scale, tuple(v.numerator * (scale // v.denominator) for v in values)
 
 
+def bit_columns(m: int) -> tuple[int, tuple[int, ...]]:
+    """The truth-table columns of m action bits (Knuth, TAOCP 4A 7.1.3):
+    full, the 2^m-bit int with every bit set, and per i < m the int whose
+    bit M is set when the mask M holds bit i.  ANDs and ORs of columns then
+    decide a formula over the actions for all 2^m masks at once."""
+    full = (1 << (1 << m)) - 1
+    return full, tuple(full // ((1 << (2 << i)) - 1)
+                       * (((1 << (1 << i)) - 1) << (1 << i))
+                       for i in range(m))
+
+
 def harmonic(n: int) -> Fraction:
     """Exact n-th harmonic number."""
     return sum((Fraction(1, i) for i in range(1, n + 1)), Fraction(0))
@@ -280,9 +291,11 @@ class Kind:
     endpoints (a proven lower bound on the adaptive optimum and the cost of a
     day-0 solution covering every unit) and that solution's action ids;
     plan(payload, schedule, guess, beta) builds the plan for one guess.
-    solve is the public per-kind entry point.  covers(payload, ids, units)
-    tells whether the owned action ids cover the active units; the exact
-    oracle checks every strategy with it.  For graph problems,
+    solve is the public per-kind entry point.  cover_table(payload, ids,
+    units) is an int whose bit M is set when the actions {ids[i] : bit i of
+    M} cover the units; the exact oracle checks every strategy against
+    these tables.  ratio_bound(payload, schedule) is the proven bound on a
+    plan's robcov over the adaptive optimum.  For graph problems,
     scale(payload, schedule, f_guess, merge_r) cost-scales the instance
     under a guess of the costliest edge ever bought and raises Infeasible
     when that guess cannot stay feasible.  A graph payload has a root
@@ -294,7 +307,8 @@ class Kind:
     bounds: Callable
     plan: Callable
     solve: Callable
-    covers: Callable
+    cover_table: Callable
+    ratio_bound: Callable
     scale: Callable | None = None
     min_live: int = 0
 

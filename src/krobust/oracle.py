@@ -7,7 +7,10 @@ two-day plans, grid endpoints for the guessing loops, and an exact evaluator
 specialized to partitioned single-survivor instances whose ground sets are
 too large for the generic game solver.
 
-Everything here is exponential by design and guarded by SizeLimits.
+Every coverage check reads the kind's cover table, which decides at once
+whether each subset of the actions covers a unit set.  Everything here is
+exponential by design and guarded by SizeLimits, which is checked before a
+table of 2^actions bits is built.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from .model import (KINDS, SUBSET, ProblemInstance, Schedule, ThriftyPlan,
 from .setcover import SetSystem
 
 _INF = float("inf")
+_BITS = bytes.maketrans(b"01", b"\0\1")
 
 
 @dataclass(frozen=True)
@@ -55,20 +59,17 @@ def _by_cost(costs: tuple[int, ...]) -> list[tuple[int, int]]:
     return sorted(zip(totals, range(len(totals))))
 
 
-def _cheapest(actions, ok, limits: SizeLimits | None) -> Fraction:
-    """Minimum total cost of an action subset whose ids satisfy ok: the
-    first subset in cheapest-first order that passes."""
-    (limits or SizeLimits()).check(0, len(actions), 0)
-    scale, costs = scaled_to_ints(cost for _, cost in actions)
-    for cost, mask in _by_cost(costs):
-        if ok([aid for i, (aid, _) in enumerate(actions) if mask >> i & 1]):
-            return Fraction(cost, scale)
-    raise Infeasible("no action subset is feasible")
+def _truth_bytes(table: int, n_actions: int) -> bytes:
+    """A cover table as bytes: byte M is 1 when bit M of the table is set,
+    so a lookup by owned mask is one index."""
+    return bin(table | 1 << (1 << n_actions))[:2:-1].encode().translate(_BITS)
 
 
 def exact_min(kind: str, payload, units: Iterable,
               limits: SizeLimits | None = None) -> Fraction:
-    """Minimum cost of an action subset covering the units, by enumeration.
+    """Minimum cost of an action subset covering the units, by enumeration:
+    the first subset in cheapest-first order that the kind's cover table
+    marks.
 
     The units are ids of the payload's own units (KINDS[kind].units):
     elements for set cover, non-root vertices to cut off from the root,
@@ -78,10 +79,18 @@ def exact_min(kind: str, payload, units: Iterable,
     alien = want.difference(spec.units(payload))
     if alien:
         raise Infeasible(f"{sorted(alien)} name no unit of this instance")
-    if spec.covers(payload, (), want):
+    if spec.cover_table(payload, (), want):
         return Fraction(0)
-    return _cheapest(payload.actions(),
-                     lambda ids: spec.covers(payload, ids, want), limits)
+    actions = payload.actions()
+    # a table has 2^len(actions) bits: check before building one
+    (limits or SizeLimits()).check(0, len(actions), 0)
+    table = _truth_bytes(spec.cover_table(
+        payload, tuple(aid for aid, _ in actions), want), len(actions))
+    scale, costs = scaled_to_ints(cost for _, cost in actions)
+    for cost, mask in _by_cost(costs):
+        if table[mask]:
+            return Fraction(cost, scale)
+    raise Infeasible("no action subset is feasible")
 
 
 # ------------------------------------------------------------- the exact game
@@ -104,14 +113,15 @@ class _Game:
     Money is integer: action costs are scaled by the LCM of their
     denominators and inflations by the LCM of theirs, so every value the
     search compares is an int in units of 1/money_scale.  The game never
-    asks which kind it plays: its one feasibility test is the kind's
-    covers.  Moves and coverage checks are pure functions of their masks
-    and are cached here, so the caches live exactly as long as the game.
+    asks which kind it plays: its one feasibility test is the kind's cover
+    table, built once per active mask and kept as bytes indexed by the
+    owned mask.  Moves and tables are pure functions of their masks and are
+    cached here, so the caches live exactly as long as the game.
     """
 
     def __init__(self, instance: ProblemInstance):
         self.payload = instance.payload
-        self.covers = KINDS[instance.kind].covers
+        self.cover_table = KINDS[instance.kind].cover_table
         self.units = tuple(instance.units())
         uidx = {u: i for i, u in enumerate(self.units)}
         self.schedule = instance.schedule
@@ -127,7 +137,7 @@ class _Game:
                 sum(1 << uidx[u] for u in part)
                 for part in instance.uncertainty.parts)
         self.move_cache: dict = {}
-        self.feasible_cache: dict = {}
+        self.tables: dict[int, bytes] = {}
 
     @classmethod
     def within(cls, instance: ProblemInstance,
@@ -157,15 +167,17 @@ class _Game:
         return tuple(self.action_ids[i] for i in range(len(self.action_ids))
                      if mask >> i & 1)
 
-    def feasible(self, owned: int, active: int) -> bool:
-        key = owned << len(self.units) | active
-        got = self.feasible_cache.get(key)
+    def table(self, active: int) -> bytes:
+        """Byte M is 1 when the owned mask M covers the active units."""
+        got = self.tables.get(active)
         if got is None:
-            ids = {aid for i, aid in enumerate(self.action_ids)
-                   if owned >> i & 1}
-            got = self.feasible_cache[key] = self.covers(
-                self.payload, ids, self.unit_set(active))
+            got = self.tables[active] = _truth_bytes(self.cover_table(
+                self.payload, self.action_ids, self.unit_set(active)),
+                len(self.action_ids))
         return got
+
+    def feasible(self, owned: int, active: int) -> int:
+        return self.table(active)[owned]
 
     def moves(self, next_day: int, active: int, full: bool) -> tuple[int, ...]:
         """Adversary's reachable next active-unit masks, ascending."""
@@ -242,6 +254,7 @@ def minimax_opt(instance: ProblemInstance, limits: SizeLimits | None = None,
     memo: dict = {}
     settled_cache: dict = {}
     empty_only = [(0, 0)]
+    n_units, span = len(game.units), T + 1
 
     def settled(day: int, active: int) -> bool:
         """Whether the adversary must keep all of active on every day
@@ -257,8 +270,9 @@ def minimax_opt(instance: ProblemInstance, limits: SizeLimits | None = None,
     def completion(active: int, owned: int) -> tuple:
         """The first (cost, mask) in cheapest-first order that owned does
         not meet and that covers active together with owned."""
+        table = game.table(active)
         for cost, mask in game.masks:
-            if not mask & owned and game.feasible(owned | mask, active):
+            if not mask & owned and table[owned | mask]:
                 return cost, mask
         return _INF, 0
 
@@ -288,17 +302,25 @@ def minimax_opt(instance: ProblemInstance, limits: SizeLimits | None = None,
         best, best_mask = _INF, 0
         choices = empty_only if day in forbidden else game.masks
         moves = game.moves(day + 1, active, full_adversary)
+        rate = lam[day]
         for cost, mask in choices:
             if mask & owned:
                 continue
-            spend = lam[day] * cost
+            spend = rate * cost
             if spend >= best:
                 break
+            # game.memo_key of each child is base + move * span: look it
+            # up here and call value only on a miss
+            child = owned | mask
+            base = (child << n_units) * span + day + 1
             worst = 0
             for move in moves:
-                worst = max(worst, value(day + 1, move, owned | mask))
-                if spend + worst >= best:
-                    break
+                got = memo.get(base + move * span)
+                got = value(day + 1, move, child) if got is None else got[0]
+                if got > worst:
+                    worst = got
+                    if spend + worst >= best:
+                        break
             if spend + worst < best:
                 best, best_mask = spend + worst, mask
         memo[key] = (best, best_mask)
@@ -329,18 +351,16 @@ def minimax_opt(instance: ProblemInstance, limits: SizeLimits | None = None,
 
 # -------------------------------------------------- plan evaluation & checking
 
-def _triggered(instance: ProblemInstance, plan: ThriftyPlan,
-               limits: SizeLimits | None):
-    """Each active set the adversary can leave on the plan's critical day,
+def _triggered(game: _Game, plan: ThriftyPlan):
+    """Each active mask the adversary can leave on the plan's critical day,
     with the residual action ids it triggers."""
-    game = _Game.within(instance, limits)
     frontier = {game.full_units}
     for day in range(1, plan.critical_day + 1):
         frontier = {move for active in frontier
                     for move in game.moves(day, active, True)}
     for mask in frontier:
-        active = game.unit_set(mask)
-        yield active, {i for u in active for i in plan.residual_actions[u]}
+        yield mask, {i for u in game.unit_set(mask)
+                     for i in plan.residual_actions[u]}
 
 
 def exhaustive_robcov(instance: ProblemInstance, plan: ThriftyPlan,
@@ -348,8 +368,8 @@ def exhaustive_robcov(instance: ProblemInstance, plan: ThriftyPlan,
     """Exact worst case of executing a two-day plan: maximize over reachable
     critical-day active sets, charging each bought action once."""
     price = dict(instance.payload.actions())
-    worst = max((sum((price[i] for i in ids), Fraction(0))
-                 for _, ids in _triggered(instance, plan, limits)),
+    worst = max((sum((price[i] for i in ids), Fraction(0)) for _, ids
+                 in _triggered(_Game.within(instance, limits), plan)),
                 default=Fraction(0))
     return plan.day0_cost + instance.schedule.lam[plan.critical_day] * worst
 
@@ -360,9 +380,10 @@ def check_plan_feasible(instance: ProblemInstance, plan: ThriftyPlan,
     reachable critical-day active set, day-0 plus the triggered residual
     actions must already cover it (coverage is monotone, so later shrinking
     cannot break it)."""
-    covers = KINDS[instance.kind].covers
-    return all(covers(instance.payload, ids.union(plan.day0_purchase), active)
-               for active, ids in _triggered(instance, plan, limits))
+    game = _Game.within(instance, limits)
+    bit = {aid: 1 << i for i, aid in enumerate(game.action_ids)}
+    return all(game.table(active)[sum(map(bit.__getitem__, ids.union(
+        plan.day0_purchase)))] for active, ids in _triggered(game, plan))
 
 
 def opt_bounds(instance: ProblemInstance) -> tuple[Fraction, Fraction]:

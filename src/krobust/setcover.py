@@ -19,8 +19,8 @@ from typing import Iterable, Mapping
 
 from .errors import BadSetField, Infeasible
 from .model import (KINDS, SETCOVER, CostReport, Kind, Schedule, ThriftyPlan,
-                    argmin_stage, ln_upper, scaled_to_ints, solve_thrifty,
-                    threshold_tau)
+                    argmin_stage, bit_columns, harmonic, ln_upper,
+                    scaled_to_ints, solve_thrifty, threshold_tau)
 
 _BITS = bytes.maketrans(b"01", b"\0\1")
 
@@ -243,9 +243,15 @@ def _bounds(system: SetSystem):
     return max(system.minset_cost.values()), ub, all_ids
 
 
-def _covers(system: SetSystem, ids, units) -> bool:
-    owned = _union(system.masks, ids)
-    return all(owned >> u & 1 for u in units)
+def _cover_table(system: SetSystem, ids, units) -> int:
+    """Bit M set when the sets {ids[i] : bit i of M} hold every unit: per
+    unit, the OR of the columns of the sets holding it, ANDed."""
+    full, columns = bit_columns(len(ids))
+    table = full
+    for u in units:
+        table &= _union(columns, (i for i, sid in enumerate(ids)
+                                  if system.masks[sid] >> u & 1))
+    return table
 
 
 def solve(system: SetSystem, schedule: Schedule, beta: Fraction | None = None,
@@ -263,4 +269,7 @@ KINDS[SETCOVER] = Kind(
     bounds=_bounds,
     plan=lambda *args: thrifty_plan(*args),
     solve=lambda *args: solve(*args),
-    covers=_covers)
+    cover_table=_cover_table,
+    ratio_bound=lambda system, schedule: (
+        36 * ln_upper(len(system.masks))
+        + 12 * harmonic(system.universe_size)))

@@ -12,16 +12,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import pairwise
 
 from .errors import Disconnected, InvariantViolation, TrivialInstance
-from .graphcore import (Edge, EdgeSet, WeightedGraph, connects, diameter,
-                        distance, gw_steiner_forest, mst_steiner_tree,
-                        path_edges, preprocess_cost_scaling, shortest_paths,
-                        spanning_forest, zero_edges)
+from .graphcore import (Edge, EdgeSet, WeightedGraph, diameter, distance,
+                        gw_steiner_forest, mst_steiner_tree, path_edges,
+                        preprocess_cost_scaling, reach_tables,
+                        shortest_paths, spanning_forest, zero_edges)
 from .model import (KINDS, STEINERFOREST, STEINERTREE, CostReport, Kind,
-                    Schedule, ThriftyPlan, argmin_stage, solve_thrifty,
-                    threshold_tau)
+                    Schedule, ThriftyPlan, argmin_stage, bit_columns,
+                    solve_thrifty, threshold_tau)
 
 BETA = Fraction(10)
 
@@ -239,12 +238,28 @@ def solve_forest(g: WeightedGraph, schedule: Schedule,
                          merge_r)
 
 
+def _joined_table(g: WeightedGraph, ids, pairs) -> int:
+    """Bit M set when the edges {ids[i] : bit i of M} join the two ends of
+    every (s, t) pair: one search per distinct s."""
+    targets: dict[int, list[int]] = {}
+    for s, t in pairs:
+        targets.setdefault(s, []).append(t)
+    table = bit_columns(len(ids))[0]
+    for s, ends in targets.items():
+        reach = reach_tables(g, ids, s)[1]
+        for t in ends:
+            table &= reach[t]
+    return table
+
+
 KINDS[STEINERTREE] = Kind(
     units=lambda g: tuple(range(g.n)),
     bounds=_tree_bounds,
     plan=lambda *args: thrifty_tree_plan(*args),
     solve=lambda *args: solve_tree(*args),
-    covers=lambda g, ids, units: connects(g, ids, pairwise(sorted(units))),
+    cover_table=lambda g, ids, units: _joined_table(
+        g, ids, [(min(units), v) for v in units]),
+    ratio_bound=lambda g, schedule: Fraction(50 * schedule.horizon),
     scale=lambda *args: preprocess_cost_scaling(*args),
     min_live=1)
 
@@ -253,6 +268,7 @@ KINDS[STEINERFOREST] = Kind(
     bounds=_forest_bounds,
     plan=lambda *args: thrifty_forest_plan(*args),
     solve=lambda *args: solve_forest(*args),
-    covers=lambda g, ids, units: connects(
+    cover_table=lambda g, ids, units: _joined_table(
         g, ids, [(p.s, p.t) for p in g.pairs if p.pid in units]),
+    ratio_bound=lambda g, schedule: Fraction(224 * schedule.horizon),
     scale=lambda *args: preprocess_cost_scaling(*args))

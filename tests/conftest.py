@@ -4,8 +4,12 @@ from fractions import Fraction
 
 import pytest
 
+from itertools import pairwise
+
 from krobust.fixtures import gen_random
-from krobust.model import KINDS, PROBLEM_KINDS, guess_grid, threshold_tau
+from krobust.graphcore import UnionFind
+from krobust.model import (KINDS, MINCUT, PROBLEM_KINDS, SETCOVER,
+                           STEINERTREE, guess_grid, threshold_tau)
 from krobust.oracle import opt_bounds
 from krobust.setcover import elements_of
 
@@ -22,6 +26,51 @@ def set_pairs(system):
     members the frozenset decoded from its bitmask."""
     return tuple((frozenset(elements_of(mask)), cost)
                  for mask, cost in zip(system.masks, system.costs))
+
+
+def separates(g, root, ids, targets):
+    """Whether removing the listed edges leaves every target unreachable
+    from the root: one graph search."""
+    adj = g.adjacency()
+    seen = {root}
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        if v in targets:
+            return False
+        for e in adj[v]:
+            if e.eid in ids:
+                continue
+            w = e.v if e.u == v else e.u
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return True
+
+
+def connects(g, ids, pairs):
+    """Whether the listed edges join the two ends of every (s, t) pair."""
+    uf = UnionFind(g.n)
+    for eid in ids:
+        e = g.edge_by_id(eid)
+        uf.union(e.u, e.v)
+    return all(uf.find(s) == uf.find(t) for s, t in pairs)
+
+
+def covers(kind, payload, ids, units):
+    """Whether the owned action ids cover the units, one boolean check at
+    a time: the reference for each kind's cover table."""
+    if kind == SETCOVER:
+        owned = 0
+        for sid in ids:
+            owned |= payload.masks[sid]
+        return all(owned >> u & 1 for u in units)
+    if kind == MINCUT:
+        return separates(payload, payload.root, ids, units)
+    if kind == STEINERTREE:
+        return connects(payload, ids, pairwise(sorted(units)))
+    return connects(payload, ids,
+                    [(p.s, p.t) for p in payload.pairs if p.pid in units])
 
 
 def tiny_batch(kind, count=BATCH):

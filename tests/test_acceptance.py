@@ -22,14 +22,7 @@ from krobust.graphcore import (
     shortest_paths,
 )
 from krobust.mincut import solve as solve_cut
-from krobust.model import (
-    MINCUT,
-    SETCOVER,
-    STEINERFOREST,
-    STEINERTREE,
-    harmonic,
-    ln_upper,
-)
+from krobust.model import KINDS, MINCUT, STEINERFOREST, STEINERTREE
 from krobust.oracle import (
     SizeLimits,
     check_plan_feasible,
@@ -40,7 +33,7 @@ from krobust.oracle import (
     scripted_worst_case,
 )
 from krobust.steiner import sfnet_build, solve_forest, solve_tree
-from conftest import forest_net_runs, set_pairs, solve_instance
+from conftest import forest_net_runs, solve_instance
 
 F = Fraction
 WIDE = SizeLimits(max_units=64, max_actions=12, max_horizon=9)
@@ -106,16 +99,7 @@ def test_criterion_4_ratio_bounds_hold(solved_batches, oracle_values):
         for (inst, plan, report), opt in zip(rows, oracle_values[kind]):
             assert opt > 0
             ratio = report.robcov / opt
-            T = inst.schedule.horizon
-            if kind == SETCOVER:
-                bound = (36 * ln_upper(len(set_pairs(inst.payload)))
-                         + 12 * harmonic(inst.payload.universe_size))
-            elif kind == MINCUT:
-                bound = F(150) * T
-            elif kind == STEINERTREE:
-                bound = F(50) * T
-            else:
-                bound = F(224) * T
+            bound = KINDS[kind].ratio_bound(inst.payload, inst.schedule)
             assert ratio <= bound, (kind, inst, ratio, bound)
             ratios.append(ratio)
         medians[kind] = statistics.median(ratios)

@@ -15,7 +15,6 @@ from krobust.graphcore import (
     Pair,
     UnionFind,
     WeightedGraph,
-    connects,
     delete_or_contract,
     distance,
     gw_steiner_forest,
@@ -30,6 +29,8 @@ from krobust.model import (KINDS, MINCUT, STEINERFOREST, STEINERTREE, Schedule,
                            _candidates, evaluate_thrifty, guess_grid,
                            scaled_candidates, solve_thrifty)
 from krobust.oracle import SizeLimits, exact_min, opt_bounds
+
+from conftest import connects, separates
 
 F = Fraction
 
@@ -183,7 +184,7 @@ def test_min_cut_ids_are_the_minimal_terminal_side_by_enumeration():
         assert cut.ids == {e.eid for e in g.edges
                            if (e.u in minimal) != (e.v in minimal)}
         zero_crossing += any(g.edges[i].cost == 0 for i in cut.ids)
-        cut_off += any(graphcore.separates(g, 0, (), [t]) for t in terms)
+        cut_off += any(separates(g, 0, (), [t]) for t in terms)
     assert zero_crossing >= 100 and cut_off >= 100
 
 
@@ -473,8 +474,9 @@ def test_gw_forest_matches_fraction_loop_after_cost_scaling():
 
 def test_gw_forest_reverse_deletes_without_connectivity_checks(monkeypatch):
     # reverse delete reads the pairs' paths off the grown forest; one
-    # connects call per merged edge would make it quadratic again
-    monkeypatch.setattr(graphcore, "connects", None)
+    # union-find connectivity check per merged edge would make it
+    # quadratic again
+    monkeypatch.setattr(graphcore, "UnionFind", None)
     g = gen_random(STEINERFOREST, 24, 72, 1, 3).payload
     assert gw_steiner_forest(g, g.pairs).ids
 

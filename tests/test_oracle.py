@@ -1,13 +1,19 @@
 """Exact minimax oracle, exhaustive plan evaluation, and bounds."""
 
 import gc
+import os
 import random
+import resource
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import krobust
 from krobust.errors import BadParameters, Infeasible, TooLarge, TrivialInstance
 from krobust.fixtures import gen_lowerbound_allstages, gen_random, gen_subset_krobust_bad
 from krobust.graphcore import WeightedGraph
@@ -37,7 +43,7 @@ from krobust.oracle import (
     scripted_worst_case,
 )
 from krobust.setcover import SetSystem, solve as solve_cover
-from conftest import set_pairs, solve_instance
+from conftest import covers, set_pairs, solve_instance
 
 F = Fraction
 
@@ -105,7 +111,8 @@ def test_exact_graph_minima():
 
 
 def test_exact_min_rejects_ids_that_name_no_unit():
-    # ids outside KINDS[kind].units would be ignored by covers and read 0
+    # ids outside KINDS[kind].units would be ignored by the cover tables
+    # and read 0
     g4 = WeightedGraph.build(4, [(i, i + 1, 1) for i in range(3)],
                              pairs=[(0, 3)])
     tri = _triangle_inst().payload
@@ -189,20 +196,32 @@ def test_minimax_exact_under_integer_scaling():
         _check_trace_values(inst, minimax_opt(inst)[1])
 
 
-@pytest.mark.parametrize("kind", PROBLEM_KINDS)
-def test_minimax_checks_each_coverage_once(kind, monkeypatch):
+def _counted_tables(monkeypatch, kind):
+    """Count the kind's cover_table calls per (ids, units)."""
     calls = Counter()
-    covers = KINDS[kind].covers
+    cover_table = KINDS[kind].cover_table
 
     def counted(payload, ids, units):
-        calls[frozenset(ids), frozenset(units)] += 1
-        return covers(payload, ids, units)
+        calls[tuple(ids), frozenset(units)] += 1
+        return cover_table(payload, ids, units)
 
-    monkeypatch.setitem(KINDS, kind, replace(KINDS[kind], covers=counted))
+    monkeypatch.setitem(KINDS, kind, replace(KINDS[kind],
+                                             cover_table=counted))
+    return calls
+
+
+@pytest.mark.parametrize("kind", PROBLEM_KINDS)
+def test_minimax_checks_each_coverage_once(kind, monkeypatch):
+    # one cover table per distinct active set per game, each over every
+    # action of the instance
+    calls = _counted_tables(monkeypatch, kind)
     for seed in range(4):
         calls.clear()
-        minimax_opt(gen_random(kind, 4 + seed % 2, 6, 1 + seed % 2, seed))
+        inst = gen_random(kind, 4 + seed % 2, 6, 1 + seed % 2, seed)
+        minimax_opt(inst)
+        ids = tuple(aid for aid, _ in inst.payload.actions())
         assert calls and max(calls.values()) == 1
+        assert {key[0] for key in calls} == {ids}
 
 
 def _backward_induction(inst, full=False, inactive_days=()):
@@ -281,26 +300,80 @@ def test_settled_states_match_the_plain_search(tiny_batches):
 
 def test_settled_instance_scans_for_one_completion(monkeypatch):
     # with k = |A| on every day the adversary has no choice: the game is
-    # one cheapest-first scan for a cover of everything, bought on day 0
+    # one cheapest-first scan of one table for a cover of everything,
+    # bought on day 0
     inst = gen_random(MINCUT, 5, 9, 2, 3)
     inst = replace(inst, schedule=replace(inst.schedule, k=(4, 4, 4)))
     game, units = _Game(inst), frozenset(inst.units())
-    ids = [[aid for i, aid in enumerate(game.action_ids) if mask >> i & 1]
-           for _, mask in game.masks]
-    covers = KINDS[MINCUT].covers
-    scan = 1 + next(i for i, owned in enumerate(ids)
-                    if covers(inst.payload, owned, units))
+    first = next(mask for _, mask in game.masks
+                 if covers(MINCUT, inst.payload, game.action_set(mask), units))
     cheapest = exact_min(MINCUT, inst.payload, units)
-    calls = Counter()
-
-    def counted(payload, ids, units):
-        calls[frozenset(ids), frozenset(units)] += 1
-        return covers(payload, ids, units)
-
-    monkeypatch.setitem(KINDS, MINCUT, replace(KINDS[MINCUT], covers=counted))
+    price = dict(inst.payload.actions())
+    calls = _counted_tables(monkeypatch, MINCUT)
     opt, trace = minimax_opt(inst)
-    assert opt == cheapest
-    assert trace.purchase and sum(calls.values()) == scan < len(ids) // 2
+    assert trace.purchase == game.action_set(first)
+    assert opt == cheapest == sum(price[aid] for aid in trace.purchase)
+    assert list(calls.values()) == [1] and next(iter(calls))[1] == units
+
+
+def _reference_graph(rng):
+    """A rooted multigraph with parallel and zero-cost edges whose last
+    vertex no edge touches, and pairs that may name that vertex or join a
+    vertex to itself."""
+    n = rng.randint(3, 7)
+    edges = []
+    for _ in range(rng.randint(0, 9)):
+        if edges and rng.random() < 0.25:
+            u, v, _ = rng.choice(edges)
+        else:
+            u, v = rng.sample(range(n - 1), 2)
+        edges.append((u, v, rng.choice((0, 1, 2, F(1, 2)))))
+    pairs = [(rng.randrange(n), rng.randrange(n))
+             for _ in range(rng.randint(1, 4))]
+    return WeightedGraph.build(n, edges, root=0, pairs=pairs)
+
+
+def _table_cases(rng):
+    """(kind, payload, ids, units) draws for every kind: ids a shuffled
+    subset of the actions, often a strict one, and up to three of the
+    kind's units, sometimes none."""
+    for _ in range(500):
+        size = rng.randint(1, 5)
+        system = SetSystem.build(size, [
+            (rng.sample(range(1, size + 1), rng.randint(1, size)),
+             rng.choice((0, 1, 3)))
+            for _ in range(rng.randint(1, 6))] + [(range(1, size + 1), 9)])
+        g = _reference_graph(rng)
+        for kind, payload in ((SETCOVER, system), (MINCUT, g),
+                              (STEINERTREE, g), (STEINERFOREST, g)):
+            actions = [aid for aid, _ in payload.actions()]
+            ids = rng.sample(actions, rng.randint(0, min(7, len(actions))))
+            units = KINDS[kind].units(payload)
+            yield kind, payload, ids, rng.sample(
+                units, rng.randint(0, min(3, len(units))))
+
+
+def test_cover_tables_match_boolean_reference():
+    # every bit of every kind's cover table against one boolean check per
+    # owned mask: a table is the fixpoint of all its masks' searches
+    seen = Counter()
+    for kind, payload, ids, units in _table_cases(random.Random(19)):
+        table = KINDS[kind].cover_table(payload, ids, units)
+        assert 0 <= table < 1 << (1 << len(ids))
+        for mask in range(1 << len(ids)):
+            owned = [aid for i, aid in enumerate(ids) if mask >> i & 1]
+            assert table >> mask & 1 == covers(kind, payload, owned, units), (
+                kind, payload, ids, units, owned)
+        seen[kind, "mixed"] += 0 < table < (1 << (1 << len(ids))) - 1
+        seen["empty units"] += not units
+        seen["strict subset"] += len(ids) < len(payload.actions())
+        if kind != SETCOVER:
+            ends = {(e.u, e.v) for e in payload.edges}
+            seen["parallel"] += len(ends) < len(payload.edges)
+            seen["zero cost"] += any(e.cost == 0 for e in payload.edges)
+            seen["untouched unit"] += (payload.n - 1 in units
+                                       and kind != STEINERFOREST)
+    assert min(seen.values()) >= 20, seen
 
 
 @pytest.mark.parametrize("kind", PROBLEM_KINDS)
@@ -313,6 +386,48 @@ def test_invariant_chain_on_larger_instances(kind):
         opt, _ = minimax_opt(inst)
         lb, _ = opt_bounds(inst)
         assert lb <= opt <= exhaustive_robcov(inst, plan) <= report.robcov
+
+
+@pytest.mark.parametrize("kind", [SETCOVER, MINCUT, STEINERFOREST])
+def test_invariant_chain_at_nine_units(kind):
+    # the same chain at n = 9 and 13 actions under widened limits; the
+    # steinertree game at this size takes up to 11 s and is left out
+    limits = SizeLimits(9, 13, 3)
+    for seed in range(4):
+        inst = gen_random(kind, 9, 13, 1 + seed % 3, seed)
+        plan, report = solve_instance(inst)
+        opt, _ = minimax_opt(inst, limits)
+        lb, _ = opt_bounds(inst)
+        assert lb <= opt <= exhaustive_robcov(inst, plan, limits)
+        assert exhaustive_robcov(inst, plan, limits) <= report.robcov
+
+
+def test_exact_min_checks_the_limits_before_any_table():
+    # a table over 40 actions would have 2^40 bits: exact_min must refuse
+    # it at once, so run it where a table that size cannot be allocated
+    script = (
+        "from krobust.fixtures import gen_random\n"
+        "from krobust.errors import TooLarge\n"
+        "from krobust.oracle import exact_min\n"
+        "for kind in ('setcover', 'mincut', 'steinertree', 'steinerforest'):\n"
+        "    inst = gen_random(kind, 8, 40, 1, 0)\n"
+        "    try:\n"
+        "        exact_min(kind, inst.payload, inst.units())\n"
+        "    except TooLarge as exc:\n"
+        "        print(kind, exc)\n")
+
+    def limit():
+        cap = 1 << 30
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    src = str(Path(krobust.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        timeout=60, preexec_fn=limit,
+        env={**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"})
+    assert done.returncode == 0 and done.stderr == "", done.stderr
+    assert done.stdout.splitlines() == [
+        f"{kind} 40 actions exceed limit 12" for kind in PROBLEM_KINDS]
 
 
 def test_minimax_inactive_days():
