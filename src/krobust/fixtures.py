@@ -9,7 +9,6 @@ random generator for batch testing.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BadParameters
@@ -54,25 +53,14 @@ def gen_lowerbound_allstages(T: int, eps) -> ProblemInstance:
     return ProblemInstance(SETCOVER, system, Schedule.of(k, lam))
 
 
-@dataclass(frozen=True)
-class FollowAlongStrategy:
-    """Scripted reference strategy for the partitioned family: buy the
-    singleton of each day's revealed survivor immediately, nothing else.
-    It spends on every revelation day the adversary uses."""
-
-    horizon: int
-    active_days: tuple[int, ...]
-
-
-def gen_subset_krobust_bad(T: int, lam: int
-                           ) -> tuple[ProblemInstance, FollowAlongStrategy]:
+def gen_subset_krobust_bad(T: int, lam: int) -> ProblemInstance:
     """Partitioned singleton cover punishing strategies that act on few days.
 
     Part i has lam**(i+1) elements of cost lam**-i; day i's adversary keeps
     at most one of them.  Covering a revealed survivor on its own day always
-    costs 1, so the follow-along strategy pays at most T, while prepaying any
-    part whole costs lam times that and waiting one day multiplies the
-    survivor's price by lam.
+    costs 1, so the follow-along strategy (oracle.scripted_worst_case) pays
+    at most T, while prepaying any part whole costs lam times that and
+    waiting one day multiplies the survivor's price by lam.
     """
     if not isinstance(lam, int) or isinstance(lam, bool) or lam < 2:
         raise BadParameters(f"lam must be an integer >= 2, got {lam!r}")
@@ -92,11 +80,9 @@ def gen_subset_krobust_bad(T: int, lam: int
     n = nxt - 1
     k = (n,) + (1,) * T
     lams = tuple(Fraction(lam) ** i for i in range(T + 1))
-    inst = ProblemInstance(SETCOVER, SetSystem.build(n, sets),
+    return ProblemInstance(SETCOVER, SetSystem.build(n, sets),
                            Schedule.of(k, lams),
                            UncertaintySpec(SUBSET, tuple(parts)))
-    return inst, FollowAlongStrategy(horizon=T,
-                                     active_days=tuple(range(1, T + 1)))
 
 
 def _rand_cost(rng: random.Random) -> Fraction:

@@ -629,6 +629,5 @@ def preprocess_cost_scaling(g: WeightedGraph, schedule: Schedule,
             horizon -= 1
     truncated = Schedule(horizon, schedule.k[:horizon + 1],
                          schedule.lam[:horizon + 1])
-    merged, day_map = merge_stages(truncated, merge_r)
-    kept = tuple(sorted(set(day_map)))
+    merged, kept = merge_stages(truncated, merge_r)
     return PreprocessResult(g, merged, prepaid, kept, f_guess)

@@ -136,10 +136,10 @@ def merge_stages(schedule: Schedule, r) -> tuple[Schedule, tuple[int, ...]]:
     grow by at least a factor r.
 
     Day 0 is always kept and each kept day retains its own (k, lam).  Returns
-    the merged schedule and a map sending each original day to the latest kept
-    day at or before it (in original day numbers).  Acting only on kept days
-    stays feasible: covering everything active on the last kept day covers a
-    superset of what is active on day T.
+    the merged schedule and the kept days, ascending, in original day
+    numbers.  Acting only on kept days stays feasible: covering everything
+    active on the last kept day covers a superset of what is active on day
+    T.
     """
     r = Fraction(r)
     if r < 1:
@@ -151,13 +151,7 @@ def merge_stages(schedule: Schedule, r) -> tuple[Schedule, tuple[int, ...]]:
     merged = Schedule(len(kept) - 1,
                       tuple(schedule.k[i] for i in kept),
                       tuple(schedule.lam[i] for i in kept))
-    day_map = []
-    last = 0
-    for d in range(schedule.horizon + 1):
-        if d in kept:
-            last = d
-        day_map.append(last)
-    return merged, tuple(day_map)
+    return merged, tuple(kept)
 
 
 @dataclass(frozen=True)
@@ -407,12 +401,10 @@ def solve_thrifty(kind: str, payload, schedule: Schedule, beta=None,
                 continue
     if not candidates:
         candidates = _candidates(spec, work, schedule, beta)
-    best: tuple[ThriftyPlan, CostReport] | None = None
-    for plan in candidates:
-        report = evaluate_thrifty(plan, schedule, units)
-        if best is None or report.robcov < best[1].robcov:
-            best = (plan, report)
-    plan = _divided(best[0], scale)
+    # min keeps the first least robcov, so ties stay on the smaller guess
+    best = min(candidates,
+               key=lambda plan: evaluate_thrifty(plan, schedule, units).robcov)
+    plan = _divided(best, scale)
     return plan, evaluate_thrifty(plan, schedule, units)
 
 

@@ -180,42 +180,34 @@ class _Game:
         return self.table(active)[owned]
 
     def moves(self, next_day: int, active: int, full: bool) -> tuple[int, ...]:
-        """Adversary's reachable next active-unit masks, ascending."""
+        """Adversary's reachable next active-unit masks, ascending.
+
+        The part is every unit in the cardinality model, or day next_day's
+        part.  A move is a submask S of active with low <= |S & part| <=
+        min(k, |active & part|).  Unless full, S keeps every active unit
+        outside the part and low is that upper bound.  A full cardinality
+        move shows k of all units, so low = k - |inactive|; a full
+        partitioned move may keep none of the part."""
         key = next_day, active, full
         got = self.move_cache.get(key)
         if got is None:
-            got = self.move_cache[key] = tuple(
-                sorted(self._reachable(next_day, active, full)))
+            k = self.schedule.k[next_day]
+            cardinality = self.parts_mask is None
+            part = (self.full_units if cardinality
+                    else self.parts_mask[next_day - 1])
+            high = min(k, (active & part).bit_count())
+            keep = 0 if full else active & ~part
+            low = (high if not full else 0 if not cardinality
+                   else k - len(self.units) + active.bit_count())
+            out, sub = [], active
+            while True:   # the submasks of active, descending
+                if sub & keep == keep and low <= (sub & part).bit_count() <= high:
+                    out.append(sub)
+                if not sub:
+                    break
+                sub = (sub - 1) & active
+            got = self.move_cache[key] = tuple(reversed(out))
         return got
-
-    def _reachable(self, next_day: int, active: int, full: bool) -> set[int]:
-        bits = [i for i in range(len(self.units)) if active >> i & 1]
-        k = self.schedule.k[next_day]
-        out = set()
-        if self.parts_mask is not None:
-            part = self.parts_mask[next_day - 1]
-            inside = [i for i in bits if part >> i & 1]
-            outside_mask = active & ~part
-            keep_sizes = (range(min(k, len(inside)) + 1) if full
-                          else [min(k, len(inside))])
-            for size in keep_sizes:
-                for keep in combinations(inside, size):
-                    kept = sum(1 << i for i in keep)
-                    if full:
-                        rest = [i for i in bits if not part >> i & 1]
-                        for rsize in range(len(rest) + 1):
-                            for rk in combinations(rest, rsize):
-                                out.add(kept | sum(1 << i for i in rk))
-                    else:
-                        out.add(kept | outside_mask)
-            return out
-        n_total = len(self.units)
-        hi = min(k, len(bits))
-        lo = max(0, k - (n_total - len(bits))) if full else hi
-        for size in range(lo, hi + 1):
-            for keep in combinations(bits, size):
-                out.add(sum(1 << i for i in keep))
-        return out
 
     def memo_key(self, day: int, active: int, owned: int) -> int:
         """One int per state, smaller than a tuple in the memo."""

@@ -6,6 +6,7 @@ import random
 import resource
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -466,6 +467,89 @@ def test_missing_file(capsys):
     assert rc == 2 and "cannot read input" in err
 
 
+def test_unreadable_documents_exit_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"problem": ')
+    rc, out, err = run(capsys, "solve", str(bad))
+    assert rc == 2 and out == ""
+    assert err.startswith(f"bad instance: {bad}: invalid JSON")
+    rc, out, err = run(capsys, "solve", write_doc(tmp_path, [SC_HAND]))
+    assert rc == 2 and out == ""
+    assert "bad instance: $: instance document must be an object" in err
+
+
+@pytest.mark.parametrize("kind,root", [("steinertree", None), ("mincut", 0)])
+def test_pairs_are_refused_outside_the_forest(tmp_path, capsys, kind, root):
+    graph = {"n": 3, "edges": [[0, 1, "1"], [1, 2, "1"]], "pairs": [[0, 2]]}
+    if root is not None:
+        graph["root"] = root
+    doc = {"problem": kind,
+           "schedule": {"T": 1, "k": [3 if root is None else 2, 2],
+                        "lambda": ["1", "2"]},
+           "graph": graph}
+    rc, _, err = run(capsys, "solve", write_doc(tmp_path, doc))
+    assert rc == 2
+    assert f"bad instance: graph.pairs: {kind} takes no pairs" in err
+
+
+def test_tree_with_an_isolated_vertex_is_refused(tmp_path, capsys):
+    # vertex 3 touches no edge and k_T = 2 lets the adversary keep it alive
+    # beside another vertex, so no tree serves the document
+    doc = {"problem": "steinertree",
+           "schedule": {"T": 1, "k": [4, 2], "lambda": ["1", "2"]},
+           "graph": {"n": 4, "edges": [[0, 1, "1"], [1, 2, "1"]]}}
+    rc, out, err = run(capsys, "solve", write_doc(tmp_path, doc))
+    assert rc == 2 and out == ""
+    assert err.startswith("bad instance: graph.n: vertex 3 touches no edge")
+    assert "k_T = 2 >= 2" in err
+
+
+def test_compare_trivial_instance(tmp_path, capsys):
+    doc = dict(SC_HAND, schedule={"T": 1, "k": [2, 0], "lambda": ["1", "2"]})
+    rc, out, err = run(capsys, "compare", write_doc(tmp_path, doc))
+    assert rc == 0 and err == ""
+    assert json.loads(out) == {"opt": "0", "algo": "0", "ratio": "n/a",
+                               "exhaustive_algo": "0",
+                               "bounds": {"lb": "0", "ub": "0"}}
+
+
+@pytest.mark.parametrize("batch", [False, True])
+def test_compare_chain_violation_exits_5(allstages, capsys, monkeypatch,
+                                         batch):
+    # an oracle value above the exhaustive worst case breaks the chain
+    # lb <= opt <= exhaustive <= algo; the document is still written
+    from krobust import cli
+
+    monkeypatch.setattr(cli, "minimax_opt",
+                        lambda inst, limits: (Fraction(10**6), None))
+    argv = (["compare", "--batch", "2", "--kind", "setcover", "--n", "3",
+             "--actions", "4"] if batch else ["compare", allstages])
+    rc, out, err = run(capsys, *argv)
+    assert rc == 5
+    assert [json.loads(line)["opt"] for line in out.splitlines()] == \
+        ["1000000"]
+    prefix = "instance 0: " if batch else ""
+    assert err.startswith(prefix + "invariant chain violated: lb=")
+    assert "opt=1000000 " in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["solve", "{path}", "--guess", "abc"],
+     "argument --guess: not an exact rational: 'abc'"),
+    (["oracle", "{path}", "--limits", "1,2"],
+     "argument --limits: expected max_units,max_actions,max_horizon, "
+     "got '1,2'"),
+    (["oracle", "{path}", "--inactive-days", "x"],
+     "argument --inactive-days: expected day,day,..., got 'x'"),
+])
+def test_flag_type_errors_exit_2(allstages, capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:   # argparse rejects the value
+        main([arg.format(path=allstages) for arg in argv])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert message in captured.err and "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("days", ["9", "-1", "0,3"])
 def test_oracle_rejects_out_of_range_inactive_days(allstages, capsys, days):
     rc, out, err = run(capsys, "oracle", allstages, "--inactive-days", days)
@@ -530,7 +614,7 @@ def test_mutated_documents_exit_cleanly(tmp_path, capsys, kind):
     # documents go to the oracle alone, which parses them the same way
     rng = random.Random(kind)
     if kind == SUBSET:
-        bases = [serialize_instance(gen_subset_krobust_bad(T, lam)[0])
+        bases = [serialize_instance(gen_subset_krobust_bad(T, lam))
                  for T, lam in ((1, 2), (2, 2), (1, 3))]
         commands = ("oracle",)
     else:

@@ -6,7 +6,6 @@ import pytest
 
 from krobust.errors import BadParameters
 from krobust.fixtures import (
-    FollowAlongStrategy,
     gen_lowerbound_allstages,
     gen_random,
     gen_subset_krobust_bad,
@@ -56,8 +55,7 @@ def test_lowerbound_family_rejects(T, eps):
 
 
 def test_subset_family_structure():
-    inst, strategy = gen_subset_krobust_bad(2, 3)
-    assert strategy == FollowAlongStrategy(horizon=2, active_days=(1, 2))
+    inst = gen_subset_krobust_bad(2, 3)
     assert inst.uncertainty.kind == SUBSET
     parts = inst.uncertainty.parts
     assert [len(p) for p in parts] == [9, 27]

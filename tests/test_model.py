@@ -134,10 +134,10 @@ def test_threshold_tau_matches_the_max_over_days():
 
 def test_merge_stages_keeps_growth_days():
     s = Schedule.of([5, 4, 3, 2], [1, F(3, 2), 2, 5])
-    merged, day_map = merge_stages(s, 2)
+    merged, kept = merge_stages(s, 2)
     assert merged.lam == (F(1), F(2), F(5))
     assert merged.k == (5, 3, 2)
-    assert day_map == (0, 0, 2, 3)
+    assert kept == (0, 2, 3)
     # Ratio 1 keeps every day verbatim.
     same, ident = merge_stages(s, 1)
     assert same == s and ident == (0, 1, 2, 3)

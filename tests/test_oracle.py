@@ -9,6 +9,7 @@ import sys
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -439,7 +440,7 @@ def test_minimax_inactive_days():
 
 
 def test_minimax_too_large():
-    inst, _ = gen_subset_krobust_bad(2, 3)
+    inst = gen_subset_krobust_bad(2, 3)
     with pytest.raises(TooLarge):
         minimax_opt(inst)
 
@@ -451,6 +452,80 @@ def test_full_adversary_agrees():
             reduced = minimax_opt(inst)[0]
             full = minimax_opt(inst, full_adversary=True)[0]
             assert reduced == full
+
+
+def _cardinality_moves(n_units, k, active, full):
+    """The cardinality adversary by its definition: it shows k of all the
+    units, and the active units it shows stay active.  Without full, only
+    the inclusion-maximal results are moves."""
+    shown = {sum(1 << i for i in keep) & active
+             for keep in combinations(range(n_units), k)}
+    if not full:
+        shown = {m for m in shown
+                 if not any(m != o and m & o == m for o in shown)}
+    return tuple(sorted(shown))
+
+
+def _partitioned_moves(game, next_day, active, full):
+    """The partitioned adversary by explicit enumeration: it keeps
+    min(k, |active & part|) active units of the day's part and every active
+    unit outside it, or with full any at most that many of the part and any
+    of the active units outside it."""
+    bits = [i for i in range(len(game.units)) if active >> i & 1]
+    k = game.schedule.k[next_day]
+    part = game.parts_mask[next_day - 1]
+    inside = [i for i in bits if part >> i & 1]
+    rest = [i for i in bits if not part >> i & 1]
+    sizes = (range(min(k, len(inside)) + 1) if full
+             else [min(k, len(inside))])
+    out = set()
+    for size in sizes:
+        for keep in combinations(inside, size):
+            kept = sum(1 << i for i in keep)
+            if not full:
+                out.add(kept | active & ~part)
+                continue
+            for rsize in range(len(rest) + 1):
+                for rk in combinations(rest, rsize):
+                    out.add(kept | sum(1 << i for i in rk))
+    return tuple(sorted(out))
+
+
+def _move_games(seed):
+    """A seeded random game under each model: k falls from the unit count
+    to as low as 0, and each day's part is a random set of units, possibly
+    empty or overlapping another day's."""
+    rng = random.Random(f"moves:{seed}")
+    kind = PROBLEM_KINDS[seed % len(PROBLEM_KINDS)]
+    inst = gen_random(kind, 4 + seed % 4, 8, 1 + seed % 3, seed)
+    units = inst.units()
+    k = [len(units)]
+    for _ in range(inst.schedule.horizon):
+        k.append(rng.randint(0, k[-1]))
+    inst = replace(inst, schedule=Schedule.of(k, inst.schedule.lam))
+    parts = tuple(frozenset(u for u in units if rng.random() < 0.5)
+                  for _ in range(inst.schedule.horizon))
+    return inst, replace(inst, uncertainty=UncertaintySpec(SUBSET, parts))
+
+
+def test_moves_follow_the_adversary_rule():
+    # every active mask of every day, in both modes, under both models
+    checked = 0
+    for seed in range(40):
+        for inst in _move_games(seed):
+            game = _Game(inst)
+            for day in range(1, inst.schedule.horizon + 1):
+                for active in range(game.full_units + 1):
+                    for full in (False, True):
+                        want = (_cardinality_moves(len(game.units),
+                                                   inst.schedule.k[day],
+                                                   active, full)
+                                if game.parts_mask is None else
+                                _partitioned_moves(game, day, active, full))
+                        assert game.moves(day, active, full) == want, \
+                            (seed, inst.uncertainty.kind, day, active, full)
+                        checked += 1
+    assert checked > 8_000
 
 
 def _check_no_idle_sets(system, node, bought=frozenset()):
@@ -574,19 +649,18 @@ def test_partwise_matches_generic_game():
 
 
 def test_partwise_geometric_family():
-    inst, strategy = gen_subset_krobust_bad(2, 3)
+    inst = gen_subset_krobust_bad(2, 3)
     parts = inst.uncertainty.parts
     assert partwise_minimax(inst.payload, inst.schedule, parts) == 2
     assert partwise_minimax(inst.payload, inst.schedule, parts,
                             inactive_days=(1,)) == 4
     assert partwise_minimax(inst.payload, inst.schedule, parts,
                             inactive_days=(2,)) == 4
-    assert strategy.horizon == 2 and strategy.active_days == (1, 2)
 
 
 def test_scripted_worst_case():
     for lam in (3, 4):
-        inst, _ = gen_subset_krobust_bad(2, lam)
+        inst = gen_subset_krobust_bad(2, lam)
         assert scripted_worst_case(inst) == 2
     with pytest.raises(BadParameters):
         scripted_worst_case(_sc_hand())
