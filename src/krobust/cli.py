@@ -271,7 +271,12 @@ def cmd_generate(args) -> int:
     if args.family == "lowerbound-allstages":
         inst = gen_lowerbound_allstages(args.horizon, Fraction(args.eps))
     elif args.family == "subset-krobust-bad":
-        inst = gen_subset_krobust_bad(args.horizon, args.lam)
+        try:
+            inst = gen_subset_krobust_bad(args.horizon, args.lam)
+        except MemoryError:   # part i holds lam^(i+1) elements
+            n = sum(args.lam ** i for i in range(2, args.horizon + 2))
+            raise BadParameters(f"--horizon {args.horizon} and --lam {args.lam}"
+                                f" make {n} elements, too many for memory") from None
     else:
         if args.kind is None:
             raise BadParameters("generate needs --kind or --family")
@@ -320,17 +325,16 @@ def cmd_oracle(args) -> int:
                                  inactive_days=args.inactive_days)
     except TooLarge:
         # Partitioned single-survivor instances get arbitrarily many ground
-        # units but stay exactly evaluable; fall back to the closed evaluator
-        # (it yields no purchase trace, so days_with_purchase is omitted).
-        # Its work grows with the horizon only, so that cap still applies.
-        lims = args.limits if args.limits is not None else SizeLimits()
+        # units but stay exactly evaluable by the closed form, which yields
+        # no trace (so no days_with_purchase).  It is cheap at any horizon,
+        # but the horizon cap holds for it too: a document's exit code does
+        # not depend on which evaluator answers it.
         if (inst.uncertainty.kind != SUBSET or args.full_adversary
-                or inst.schedule.horizon > lims.max_horizon):
+                or T > (args.limits or SizeLimits()).max_horizon):
             raise
         try:
             opt = partwise_minimax(inst.payload, inst.schedule,
-                                   inst.uncertainty.parts,
-                                   args.inactive_days)
+                                   inst.uncertainty.parts, args.inactive_days)
         except BadParameters:
             raise TooLarge(
                 "instance exceeds game-search limits and lacks the "

@@ -70,13 +70,11 @@ def gen_subset_krobust_bad(T: int, lam: int) -> ProblemInstance:
     sets = []
     nxt = 1
     for i in range(1, T + 1):
-        size = lam ** (i + 1)
-        part = frozenset(range(nxt, nxt + size))
-        nxt += size
-        parts.append(part)
+        part = range(nxt, nxt + lam ** (i + 1))
+        nxt = part.stop
+        parts.append(frozenset(part))
         cost = Fraction(1, lam ** i)
-        for e in range(min(part), max(part) + 1):
-            sets.append((frozenset({e}), cost))
+        sets.extend((frozenset({e}), cost) for e in part)
     n = nxt - 1
     k = (n,) + (1,) * T
     lams = tuple(Fraction(lam) ** i for i in range(T + 1))

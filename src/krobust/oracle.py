@@ -3,14 +3,15 @@
 Provides exact optima by brute force (exact_min, for any kind), the
 exact minimax value of the adaptive game by backward induction with
 memoization, exhaustive worst-case evaluation and feasibility checking of
-two-day plans, grid endpoints for the guessing loops, and an exact evaluator
-specialized to partitioned single-survivor instances whose ground sets are
-too large for the generic game solver.
+two-day plans, grid endpoints for the guessing loops, and a closed form for
+partitioned single-survivor instances whose ground sets are too large for
+the generic game solver: a sum over parts, as each day's adversary touches
+only its own part.
 
 Every coverage check reads the kind's cover table, which decides at once
-whether each subset of the actions covers a unit set.  Everything here is
-exponential by design and guarded by SizeLimits, which is checked before a
-table of 2^actions bits is built.
+whether each subset of the actions covers a unit set; each cheapest cover is
+the first hit of one cheapest-first scan.  The search is guarded by
+SizeLimits, checked before a table of 2^actions bits is built.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
 from typing import Iterable, Mapping
 
 from .errors import BadParameters, Infeasible, TooLarge
@@ -65,6 +65,16 @@ def _truth_bytes(table: int, n_actions: int) -> bytes:
     return bin(table | 1 << (1 << n_actions))[:2:-1].encode().translate(_BITS)
 
 
+def _first_cover(by_cost: list[tuple[int, int]], table: bytes,
+                 owned: int) -> tuple:
+    """The first (cost, mask) of by_cost that owned does not meet and that
+    the table marks as covering with owned; (_INF, 0) if there is none."""
+    for cost, mask in by_cost:
+        if not mask & owned and table[owned | mask]:
+            return cost, mask
+    return _INF, 0
+
+
 def exact_min(kind: str, payload, units: Iterable,
               limits: SizeLimits | None = None) -> Fraction:
     """Minimum cost of an action subset covering the units, by enumeration:
@@ -87,10 +97,10 @@ def exact_min(kind: str, payload, units: Iterable,
     table = _truth_bytes(spec.cover_table(
         payload, tuple(aid for aid, _ in actions), want), len(actions))
     scale, costs = scaled_to_ints(cost for _, cost in actions)
-    for cost, mask in _by_cost(costs):
-        if table[mask]:
-            return Fraction(cost, scale)
-    raise Infeasible("no action subset is feasible")
+    cost, _ = _first_cover(_by_cost(costs), table, 0)
+    if cost == _INF:
+        raise Infeasible("no action subset is feasible")
+    return Fraction(cost, scale)
 
 
 # ------------------------------------------------------------- the exact game
@@ -259,15 +269,6 @@ def minimax_opt(instance: ProblemInstance, limits: SizeLimits | None = None,
                 and settled(day + 1, active))
         return got
 
-    def completion(active: int, owned: int) -> tuple:
-        """The first (cost, mask) in cheapest-first order that owned does
-        not meet and that covers active together with owned."""
-        table = game.table(active)
-        for cost, mask in game.masks:
-            if not mask & owned and table[owned | mask]:
-                return cost, mask
-        return _INF, 0
-
     def value(day: int, active: int, owned: int):
         key = game.memo_key(day, active, owned)
         got = memo.get(key)
@@ -278,17 +279,16 @@ def minimax_opt(instance: ProblemInstance, limits: SizeLimits | None = None,
             # cheapest later open day costs no more: the search reaches the
             # empty purchase first, so it wins a tie
             later = least_later[day]
-            if later is None and day in forbidden:
-                got = (0 if game.feasible(owned, active) else _INF), 0
+            stuck = later is None and day in forbidden   # no day left to buy
+            cost, mask = _first_cover(empty_only if stuck else game.masks,
+                                      game.table(active), owned)
+            if cost == _INF or stuck:
+                got = cost, 0
+            elif day in forbidden or (later is not None
+                                      and later * cost <= lam[day] * cost):
+                got = later * cost, 0
             else:
-                cost, mask = completion(active, owned)
-                if cost == _INF:
-                    got = _INF, 0
-                elif day in forbidden or (later is not None
-                                          and later * cost <= lam[day] * cost):
-                    got = later * cost, 0
-                else:
-                    got = lam[day] * cost, mask
+                got = lam[day] * cost, mask
             memo[key] = got
             return got[0]
         best, best_mask = _INF, 0
@@ -428,85 +428,33 @@ def partwise_minimax(system: SetSystem, schedule: Schedule, parts,
                      inactive_days: Iterable[int] = ()) -> Fraction:
     """Exact adaptive optimum for partitioned single-survivor set cover.
 
-    Day i's adversary keeps at most one element of part i.  Within a part all
-    elements cost the same, so states collapse to which past survivors are
-    still uncovered and which future parts were bought whole; buying a strict
-    subset of a part in advance is wasted (the adversary survives an unowned
-    element), so advance purchases are whole-part-or-nothing.  This matches
-    the generic game solver wherever both are feasible to run.
+    Day i's adversary touches only part i, keeping at most one element of
+    it, and each element lies in one part, so the game separates into a sum
+    over parts.  Part i costs the cheaper of buying it whole on the first
+    open day before i (a strict subset bought early is wasted: the adversary
+    keeps an unowned element) or its survivor on the first open day from i
+    on; inflations are nondecreasing, so the first open day is the cheapest.
     """
     part_cost, part_size = _partwise_check(system, schedule, parts)
-    T = schedule.horizon
-    forbidden = frozenset(inactive_days)
-    prepay = {i: part_cost[i] * part_size[i] for i in part_cost}
-    memo: dict = {}
-
-    def strategy_turn(day: int, pending: frozenset, prepaid: frozenset
-                      ) -> Fraction:
-        """Best cost from the strategy's purchase on `day` onward."""
-        key = (day, pending, prepaid)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        lam = schedule.lam[day]
-        if day == T:
-            # last chance: cover everything still pending
-            if day in forbidden:
-                best = Fraction(0) if not pending else _INF
-            else:
-                best = lam * sum((part_cost[i] for i in pending), Fraction(0))
-        else:
-            best = None
-            future = [m for m in range(day + 1, T + 1) if m not in prepaid]
-            pend = sorted(pending)
-            for ncov in range(len(pend) + 1):
-                for cov in combinations(pend, ncov):
-                    for npre in range(len(future) + 1):
-                        for pre in combinations(future, npre):
-                            if (cov or pre) and day in forbidden:
-                                continue
-                            spend = lam * (
-                                sum((part_cost[i] for i in cov), Fraction(0))
-                                + sum((prepay[m] for m in pre), Fraction(0)))
-                            if best is not None and spend >= best:
-                                continue
-                            total = spend + adversary_turn(
-                                day + 1, pending - frozenset(cov),
-                                prepaid | frozenset(pre))
-                            if best is None or total < best:
-                                best = total
-        memo[key] = best
-        return best
-
-    def adversary_turn(day: int, pending: frozenset, prepaid: frozenset
-                       ) -> Fraction:
-        """Day `day` reveals part `day`'s survivor (or none), then the
-        strategy moves."""
-        outcomes = [strategy_turn(day, pending, prepaid)]
-        if day not in prepaid:
-            outcomes.append(strategy_turn(day, pending | {day}, prepaid))
-        return max(outcomes)
-
-    result = strategy_turn(0, frozenset(), frozenset())
-    if result == _INF:
-        raise Infeasible("no strategy is feasible with these inactive days")
-    return result
+    lam = schedule.lam
+    open_days = sorted(set(range(schedule.horizon + 1)).difference(inactive_days))
+    total = Fraction(0)
+    for i, cost in part_cost.items():
+        early = [lam[d] * cost * part_size[i] for d in open_days[:1] if d < i]
+        late = [lam[d] * cost for d in open_days if d >= i][:1]
+        if not early + late:
+            raise Infeasible("no strategy is feasible with these inactive days")
+        total += min(early + late)
+    return total
 
 
 def scripted_worst_case(instance: ProblemInstance) -> Fraction:
     """Exhaustive worst case of the follow-along strategy that covers each
-    day's revealed survivor immediately and buys nothing else."""
+    day's revealed survivor immediately and buys nothing else: the adversary
+    leaves one every day, so it pays lam[i] * cost_i for each part i."""
     if instance.uncertainty.kind != SUBSET:
         raise BadParameters("the follow-along strategy needs part structure")
     part_cost, _ = _partwise_check(instance.payload, instance.schedule,
                                    instance.uncertainty.parts)
-    sched = instance.schedule
-
-    def worst(day: int) -> Fraction:
-        if day > sched.horizon:
-            return Fraction(0)
-        skip = worst(day + 1)
-        reveal = sched.lam[day] * part_cost[day] + worst(day + 1)
-        return max(skip, reveal)
-
-    return worst(1)
+    return sum((instance.schedule.lam[i] * cost
+                for i, cost in part_cost.items()), Fraction(0))

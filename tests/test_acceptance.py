@@ -78,6 +78,17 @@ def test_criterion_2_few_active_days_forces_overpay():
                                  inactive_days=(skipped,))
         # silencing either revelation day doubles the bill
         assert value == 4
+    # in general the optimum is T, and silencing revelation day d makes
+    # part d cost lam (prepaid whole, or its survivor a day late)
+    for lam, horizons in ((2, range(1, 9)), (3, range(1, 6))):
+        for T in horizons:
+            inst = gen_subset_krobust_bad(T, lam)
+            args = inst.payload, inst.schedule, inst.uncertainty.parts
+            assert partwise_minimax(*args) == scripted_worst_case(inst) == T
+            assert partwise_minimax(*args, inactive_days=(0,)) == T
+            for skipped in range(1, T + 1):
+                assert partwise_minimax(*args, inactive_days=(skipped,)) \
+                    == T - 1 + lam
     elapsed = time.perf_counter() - started
     assert elapsed < 60
     print(f"\n  follow-along 2, one-day-silent optimum 4, {elapsed:.2f}s")

@@ -203,6 +203,19 @@ def test_oracle_partitioned_fallback(tmp_path, capsys):
     rc, out, _ = run(capsys, "oracle", path, "--inactive-days", "1")
     assert rc == 0
     assert json.loads(out) == {"opt": "4"}
+    path = gen_file(tmp_path, capsys, "--family", "subset-krobust-bad",
+                    "--horizon", "3", "--lam", "2")
+    rc, out, _ = run(capsys, "oracle", path)
+    assert rc == 0
+    assert json.loads(out) == {"opt": "3"}
+    # the horizon cap holds for the closed form as for the game search
+    path = gen_file(tmp_path, capsys, "--family", "subset-krobust-bad",
+                    "--horizon", "4", "--lam", "2")
+    rc, out, err = run(capsys, "oracle", path)
+    assert rc == 4 and out == "" and "too large for exhaustive" in err
+    rc, out, _ = run(capsys, "oracle", path, "--limits", "8,12,4")
+    assert rc == 0
+    assert json.loads(out) == {"opt": "4"}
 
 
 def test_oracle_too_large(allstages, tmp_path, capsys):
@@ -396,17 +409,34 @@ def _run_capped(tmp_path, command, doc):
     """Run the CLI on the document in a child process under a 1 GiB
     address-space cap, so a regression that sizes something by a huge
     field fails one test instead of exhausting the machine."""
-    path = write_doc(tmp_path, doc)
-    cap = 1 << 30
+    return _run_cli_capped([command, write_doc(tmp_path, doc)], 1 << 30)
+
+
+def _run_cli_capped(argv, cap):
+    """Run the CLI on argv in a child process under an address-space cap
+    of cap bytes."""
 
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
     src = str(Path(krobust.__file__).resolve().parents[1])
     return subprocess.run(
-        [sys.executable, "-m", "krobust.cli", command, path],
+        [sys.executable, "-m", "krobust.cli", *argv],
         capture_output=True, text=True, timeout=60, preexec_fn=limit,
         env={**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"})
+
+
+@pytest.mark.parametrize("horizon,elements", [(14, 65532), (17, 524284)])
+def test_generate_refuses_a_family_too_large_for_memory(horizon, elements):
+    # part i of the family holds 2^(i+1) elements and each singleton's mask
+    # is as wide as the universe, so neither fits under a 512 MiB cap: the
+    # generator names its flags instead of printing a MemoryError
+    # traceback.  Never run these cases without a cap
+    done = _run_cli_capped(["generate", "--family", "subset-krobust-bad",
+                            "--horizon", str(horizon), "--lam", "2"], 512 << 20)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr == (f"error: --horizon {horizon} and --lam 2 make "
+                           f"{elements} elements, too many for memory\n")
 
 
 def test_huge_universe_names_the_uncovered_element(tmp_path):

@@ -628,24 +628,52 @@ def test_partwise_validation(sets, parts, k1, msg):
         partwise_minimax(sys_, sched, tuple(frozenset(p) for p in parts))
 
 
+def _value_or_none(evaluate):
+    try:
+        return evaluate()
+    except Infeasible:
+        return None
+
+
 def test_partwise_matches_generic_game():
     cases = [
-        ((1, 1, 2, 2), (1, 2, 3), [{1, 2}, {3, 4}]),
-        ((3, 3, 1, 1), (1, 2, 5), [{1, 2}, {3, 4}]),
-        ((2, 2, 2), (1, 3), [{1, 2, 3}]),
+        (costs, lam, parts, off)
+        for costs, lam, parts in [
+            ((1, 1, 2, 2), (1, 2, 3), [{1, 2}, {3, 4}]),
+            ((3, 3, 1, 1), (1, 2, 5), [{1, 2}, {3, 4}]),
+            ((2, 2, 2), (1, 3), [{1, 2, 3}]),
+        ]
+        for off in [()] + [(day,) for day in range(1, len(lam))]
     ]
-    for costs, lam, parts in cases:
+    # seeded instances: T <= 3, n <= 7, zero-cost and one-element parts,
+    # nondecreasing inflations and inactive-day sets of every size
+    rng = random.Random("partwise")
+    seen = Counter()
+    for _ in range(150):
+        T = rng.randint(1, 3)
+        sizes = [rng.randint(1, 7 // T) for _ in range(T)]
+        costs = []
+        for size in sizes:
+            costs += [rng.choice((0, 1, 2, F(1, 2), 3))] * size
+        lam = [1]
+        for _ in range(T):
+            lam.append(lam[-1] * rng.choice((1, F(3, 2), 2, 3)))
+        starts = [1 + sum(sizes[:i]) for i in range(T + 1)]
+        parts = [set(range(a, b)) for a, b in zip(starts, starts[1:])]
+        off = tuple(rng.sample(range(T + 1), rng.randint(0, T + 1)))
+        cases.append((costs, lam, parts, off))
+        seen["zero cost"] += 0 in costs
+        seen["one-element part"] += 1 in sizes
+        seen["day 0 off"] += 0 in off
+        seen["all days off"] += len(off) == T + 1
+    assert min(seen.values()) >= 10, seen
+    for costs, lam, parts, off in cases:
         inst = _part_instance(costs, lam, parts)
-        want = minimax_opt(inst)[0]
-        got = partwise_minimax(inst.payload, inst.schedule,
-                               inst.uncertainty.parts)
-        assert got == want
-        for day in range(1, inst.schedule.horizon + 1):
-            want_d = minimax_opt(inst, inactive_days=(day,))[0]
-            got_d = partwise_minimax(inst.payload, inst.schedule,
-                                     inst.uncertainty.parts,
-                                     inactive_days=(day,))
-            assert got_d == want_d
+        want = _value_or_none(
+            lambda: minimax_opt(inst, inactive_days=off)[0])
+        got = _value_or_none(lambda: partwise_minimax(
+            inst.payload, inst.schedule, inst.uncertainty.parts, off))
+        assert got == want, (costs, lam, parts, off)
 
 
 def test_partwise_geometric_family():
