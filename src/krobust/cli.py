@@ -6,7 +6,8 @@ outright, so a parse -> serialize -> parse round trip is the identity.
 Reports go to standard output, diagnostics to standard error.
 
 Exit codes: 0 success, 2 bad input or parameters, 3 trivial instance,
-4 instance too large for exhaustive search, 5 internal invariant violation.
+4 instance too large for exhaustive search, 5 internal invariant violation,
+141 standard output closed by its reader (128 + SIGPIPE).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -35,6 +37,7 @@ EXIT_INPUT = 2
 EXIT_TRIVIAL = 3
 EXIT_TOOLARGE = 4
 EXIT_INVARIANT = 5
+EXIT_PIPE = 141   # 128 + SIGPIPE, as a shell reports a process a pipe killed
 
 
 # ------------------------------------------------------------- document I/O
@@ -70,10 +73,12 @@ def load_document(path: str):
         raise InstanceFormatError(
             path, f"floating-point literal {text}; write rationals as strings")
 
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:   # RFC 8259 requires UTF-8
         try:
             return json.load(fh, parse_float=no_floats)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # bad syntax, bytes that are not UTF-8, an integer literal past
+            # int's digit limit, or nesting past the parser's recursion limit
             raise InstanceFormatError(path, f"invalid JSON: {exc}") from None
 
 
@@ -363,7 +368,7 @@ def _compare_one(inst: ProblemInstance, limits) -> tuple[dict, str | None]:
                  "exhaustive_algo": "0",
                  "bounds": {"lb": "0", "ub": "0"}}, None)
     plan, report = _run_solver(inst, None, None, False, 2)
-    opt, _ = minimax_opt(inst, limits)
+    opt, _ = minimax_opt(inst, limits, with_trace=False)
     exhaustive = exhaustive_robcov(inst, plan, limits)
     lb, ub = opt_bounds(inst)
     doc = {
@@ -538,6 +543,22 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        code = _run(args)
+        sys.stdout.flush()   # a reader that has gone shows here at the latest
+    except BrokenPipeError:
+        # point stdout at devnull, so that the flush at interpreter
+        # shutdown has nothing left to fail on
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
+    return code
+
+
+def _run(args) -> int:
+    """The command's exit code, with each library error reported on
+    stderr under its own code."""
+    try:
         return args.func(args)
     except TrivialInstance as exc:
         _emit({"robcov": "0"})
@@ -555,6 +576,8 @@ def main(argv=None) -> int:
     except KRobustError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except BrokenPipeError:
+        raise   # stdout's reader has gone; main reports it
     except OSError as exc:
         print(f"cannot read input: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -52,11 +52,11 @@ class SizeLimits:
 def _by_cost(costs: tuple[int, ...]) -> list[tuple[int, int]]:
     """Every action mask with its total int cost, cheapest first (ties to
     the smaller mask)."""
-    totals = [0] * (1 << len(costs))
-    for mask in range(1, len(totals)):
-        low = mask & -mask
-        totals[mask] = totals[mask ^ low] + costs[low.bit_length() - 1]
-    return sorted(zip(totals, range(len(totals))))
+    totals = [0]
+    for cost in costs:   # the masks with bit i are the ones without it, plus i
+        totals += [total + cost for total in totals]
+    order = sorted(range(len(totals)), key=totals.__getitem__)   # stable
+    return list(zip(map(totals.__getitem__, order), order))
 
 
 def _truth_bytes(table: int, n_actions: int) -> bytes:
@@ -227,10 +227,11 @@ class _Game:
 
 def minimax_opt(instance: ProblemInstance, limits: SizeLimits | None = None,
                 full_adversary: bool = False,
-                inactive_days: Iterable[int] = ()
-                ) -> tuple[Fraction, TraceNode]:
+                inactive_days: Iterable[int] = (), with_trace: bool = True
+                ) -> tuple[Fraction, TraceNode | None]:
     """Exact optimal adaptive value by backward induction, with one optimal
-    strategy as a trace tree (children cover every adversary move).
+    strategy as a trace tree (children cover every adversary move); with
+    with_trace False the tree is not built and None takes its place.
 
     inactive_days forbids any purchase on the listed days; full_adversary
     enumerates every reachable next active set instead of only the
@@ -243,7 +244,11 @@ def minimax_opt(instance: ProblemInstance, limits: SizeLimits | None = None,
     best play buys the cheapest completion of owned on the cheapest open
     day.  Such a state is answered from that completion alone, without
     searching: buy it today, or buy nothing if a later open day costs no
-    more, since the search would reach the empty purchase first.
+    more, since the search would reach the empty purchase first.  Each
+    (day, active) has one leaf record: None if it is not settled, else the
+    scan, the cover table and the price rule of its states.  The move loop
+    reads its children's records and prices a settled child itself, so only
+    unsettled children cost a call into the recursion.
     """
     game = _Game.within(instance, limits)
     T = game.schedule.horizon
@@ -254,46 +259,58 @@ def minimax_opt(instance: ProblemInstance, limits: SizeLimits | None = None,
                         if i not in forbidden), default=None)
                    for day in range(T + 1)]
     memo: dict = {}
-    settled_cache: dict = {}
+    leaves: dict = {}
     empty_only = [(0, 0)]
     n_units, span = len(game.units), T + 1
 
-    def settled(day: int, active: int) -> bool:
-        """Whether the adversary must keep all of active on every day
-        after day, so that the state has nothing left to learn."""
-        key = active * (T + 1) + day
-        got = settled_cache.get(key)
-        if got is None:
-            got = settled_cache[key] = day == T or (
-                game.moves(day + 1, active, full_adversary) == (active,)
-                and settled(day + 1, active))
+    def leaf(day: int, active: int):
+        """The leaf record of (day, active): None unless the adversary must
+        keep all of active on every day after day, else (scan, table, rate,
+        floor).  A state owning owned then has the memo entry (rate * cost,
+        mask if cost > floor else 0), where (cost, mask) is owned's first
+        cover in the scan."""
+        key = active * span + day
+        if key in leaves:
+            return leaves[key]
+        got = None
+        if day == T or (game.moves(day + 1, active, full_adversary)
+                        == (active,) and leaf(day + 1, active) is not None):
+            # buy the cheapest completion on the cheapest open day; on a
+            # tie a later day wins, as the search reaches the empty purchase
+            # first.  Inflations are positive, so rate * _INF is _INF
+            later, today = least_later[day], lam[day]
+            if day in forbidden:
+                scan, rate, floor = ((game.masks, later, _INF) if later
+                                     is not None else (empty_only, 1, _INF))
+            elif later is None:       # the last open day: buy now
+                scan, rate, floor = game.masks, today, -1
+            elif later <= today:      # a later open day costs no more
+                scan, rate, floor = game.masks, later, _INF
+            else:                     # a free completion can still wait
+                scan, rate, floor = game.masks, today, 0
+            got = scan, game.table(active), rate, floor
+        leaves[key] = got
         return got
+
+    def settle(record, owned: int) -> tuple:
+        """The memo entry of a settled state, from its leaf record."""
+        scan, table, rate, floor = record
+        cost, mask = _first_cover(scan, table, owned)
+        return rate * cost, (mask if cost > floor else 0)
 
     def value(day: int, active: int, owned: int):
         key = game.memo_key(day, active, owned)
         got = memo.get(key)
         if got is not None:
             return got[0]
-        if day == T or settled(day, active):
-            # buy the cheapest completion today, or buy nothing if the
-            # cheapest later open day costs no more: the search reaches the
-            # empty purchase first, so it wins a tie
-            later = least_later[day]
-            stuck = later is None and day in forbidden   # no day left to buy
-            cost, mask = _first_cover(empty_only if stuck else game.masks,
-                                      game.table(active), owned)
-            if cost == _INF or stuck:
-                got = cost, 0
-            elif day in forbidden or (later is not None
-                                      and later * cost <= lam[day] * cost):
-                got = later * cost, 0
-            else:
-                got = lam[day] * cost, mask
-            memo[key] = got
+        record = leaf(day, active)
+        if record is not None:
+            got = memo[key] = settle(record, owned)
             return got[0]
         best, best_mask = _INF, 0
         choices = empty_only if day in forbidden else game.masks
-        moves = game.moves(day + 1, active, full_adversary)
+        kids = [(move, leaf(day + 1, move))
+                for move in game.moves(day + 1, active, full_adversary)]
         rate = lam[day]
         for cost, mask in choices:
             if mask & owned:
@@ -302,12 +319,16 @@ def minimax_opt(instance: ProblemInstance, limits: SizeLimits | None = None,
             if spend >= best:
                 break
             # game.memo_key of each child is base + move * span: look it
-            # up here and call value only on a miss
+            # up here, price a settled child from its record, and call
+            # value only for an unsettled one
             child = owned | mask
             base = (child << n_units) * span + day + 1
             worst = 0
-            for move in moves:
-                got = memo.get(base + move * span)
+            for move, record in kids:
+                kid = base + move * span
+                got = memo.get(kid)
+                if got is None and record is not None:
+                    got = memo[kid] = settle(record, child)
                 got = value(day + 1, move, child) if got is None else got[0]
                 if got > worst:
                     worst = got
@@ -334,11 +355,12 @@ def minimax_opt(instance: ProblemInstance, limits: SizeLimits | None = None,
         opt = value(0, game.full_units, 0)
         if opt == _INF:
             raise Infeasible("no strategy is feasible for every scenario")
-        return game.money(opt), trace(0, game.full_units, 0)
+        return (game.money(opt),
+                trace(0, game.full_units, 0) if with_trace else None)
     finally:
         # the recursive closures hold their own cells: break that cycle so
         # the memo and the game are freed without a cyclic collection
-        del value, trace, settled
+        del value, trace, leaf
 
 
 # -------------------------------------------------- plan evaluation & checking

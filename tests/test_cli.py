@@ -412,6 +412,15 @@ def _run_capped(tmp_path, command, doc):
     return _run_cli_capped([command, write_doc(tmp_path, doc)], 1 << 30)
 
 
+def _run_cli(argv, **kwargs):
+    """Run the CLI on argv in a child process that imports this krobust."""
+    src = str(Path(krobust.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "krobust.cli", *argv], text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
+        **kwargs)
+
+
 def _run_cli_capped(argv, cap):
     """Run the CLI on argv in a child process under an address-space cap
     of cap bytes."""
@@ -419,11 +428,7 @@ def _run_cli_capped(argv, cap):
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
-    src = str(Path(krobust.__file__).resolve().parents[1])
-    return subprocess.run(
-        [sys.executable, "-m", "krobust.cli", *argv],
-        capture_output=True, text=True, timeout=60, preexec_fn=limit,
-        env={**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"})
+    return _run_cli(argv, capture_output=True, preexec_fn=limit)
 
 
 @pytest.mark.parametrize("horizon,elements", [(14, 65532), (17, 524284)])
@@ -506,6 +511,40 @@ def test_unreadable_documents_exit_2(tmp_path, capsys):
     rc, out, err = run(capsys, "solve", write_doc(tmp_path, [SC_HAND]))
     assert rc == 2 and out == ""
     assert "bad instance: $: instance document must be an object" in err
+    # a Latin-1 file, a document nested 200,000 lists deep and an integer
+    # literal of 5,000 digits fail in the JSON reader, not in a traceback
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(json.dumps(dict(SC_HAND, note="caf\u00e9"),
+                                 ensure_ascii=False).encode("latin-1"))
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    long_int = tmp_path / "long_int.json"
+    long_int.write_text(json.dumps(SC_HAND).replace('"1"', "1" * 5000, 1))
+    for path, reason in ((latin, "'utf-8' codec can't decode byte 0xe9"),
+                         (deep, "maximum recursion depth exceeded"),
+                         (long_int, "Exceeds the limit (4300 digits)")):
+        rc, out, err = run(capsys, "solve", str(path))
+        assert rc == 2 and out == ""
+        assert err.startswith(f"bad instance: {path}: invalid JSON: {reason}")
+        assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--kind", "setcover", "--n", "300", "--actions", "900"],
+    ["solve", "{doc}"],
+])
+def test_closed_stdout_exits_141(tmp_path, argv):
+    # a reader that has gone is not bad input: the large document fails
+    # mid-write, the one-line report only at the final flush, and neither
+    # prints a word or a traceback
+    argv = [arg.format(doc=write_doc(tmp_path, SC_HAND)) for arg in argv]
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = _run_cli(argv, stdout=write, stderr=subprocess.PIPE)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (141, "")
 
 
 @pytest.mark.parametrize("kind,root", [("steinertree", None), ("mincut", 0)])
@@ -551,7 +590,8 @@ def test_compare_chain_violation_exits_5(allstages, capsys, monkeypatch,
     from krobust import cli
 
     monkeypatch.setattr(cli, "minimax_opt",
-                        lambda inst, limits: (Fraction(10**6), None))
+                        lambda inst, limits, with_trace=True:
+                        (Fraction(10**6), None))
     argv = (["compare", "--batch", "2", "--kind", "setcover", "--n", "3",
              "--actions", "4"] if batch else ["compare", allstages])
     rc, out, err = run(capsys, *argv)

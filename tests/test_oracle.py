@@ -35,6 +35,7 @@ from krobust.oracle import (
     SizeLimits,
     TraceNode,
     _Game,
+    _by_cost,
     check_plan_feasible,
     exact_min,
     exhaustive_robcov,
@@ -83,6 +84,27 @@ def test_size_limits():
         lim.check(1, 13, 1)
     with pytest.raises(TooLarge):
         lim.check(1, 1, 4)
+
+
+def _by_cost_reference(costs):
+    """Each mask's total from the mask without its lowest bit, then one
+    sort of (total, mask) pairs."""
+    totals = [0] * (1 << len(costs))
+    for mask in range(1, len(totals)):
+        low = mask & -mask
+        totals[mask] = totals[mask ^ low] + costs[low.bit_length() - 1]
+    return sorted(zip(totals, range(len(totals))))
+
+
+def test_by_cost_matches_the_bitwise_construction():
+    # cheapest first, ties to the smaller mask, on cost vectors with zeros
+    # and many ties
+    rng = random.Random("by-cost")
+    for size in range(11):
+        for _ in range(6):
+            costs = tuple(rng.choice((0, 0, 1, 2, 3, 7)) for _ in range(size))
+            assert _by_cost(costs) == _by_cost_reference(costs), costs
+    assert _by_cost(()) == [(0, 0)]
 
 
 def test_exact_cover():
@@ -289,14 +311,34 @@ def _settled_variants(inst):
 
 def test_settled_states_match_the_plain_search(tiny_batches):
     # the closed-form answer for states the adversary can no longer change
-    # gives the plain search's value and trace, purchases and ties included
-    for kind in PROBLEM_KINDS:
-        for inst in tiny_batches[kind][::13]:
-            for case, full, days in _settled_variants(inst):
-                want = _backward_induction(case, full, days)
-                got = minimax_opt(case, full_adversary=full,
-                                  inactive_days=days)
-                assert (got[0], repr(got[1])) == (want[0], repr(want[1]))
+    # gives the plain search's value and trace, purchases and ties included;
+    # the last instance has a free cover, which waits for a later open day
+    free = ProblemInstance(SETCOVER, SetSystem.build(
+        3, [({1, 2}, 0), ({3}, 0), ({1, 2, 3}, 1)]),
+        Schedule.of([3, 2, 1], [1, 2, 4]))
+    for inst in [inst for kind in PROBLEM_KINDS
+                 for inst in tiny_batches[kind][::13]] + [free]:
+        for case, full, days in _settled_variants(inst):
+            want = _backward_induction(case, full, days)
+            got = minimax_opt(case, full_adversary=full, inactive_days=days)
+            assert (got[0], repr(got[1])) == (want[0], repr(want[1]))
+            # the untraced search reads the same memo
+            assert minimax_opt(case, full_adversary=full, inactive_days=days,
+                               with_trace=False) == (want[0], None)
+
+
+@pytest.mark.parametrize("inst,kwargs,error", [
+    (_sc_hand(), {"inactive_days": (0, 1)}, Infeasible),
+    (gen_subset_krobust_bad(2, 3), {}, TooLarge),
+    (_sc_hand(), {"limits": SizeLimits(8, 2, 3)}, TooLarge),
+])
+def test_untraced_search_raises_as_the_traced_one(inst, kwargs, error):
+    messages = set()
+    for with_trace in (True, False):
+        with pytest.raises(error) as caught:
+            minimax_opt(inst, with_trace=with_trace, **kwargs)
+        messages.add(str(caught.value))
+    assert len(messages) == 1
 
 
 def test_settled_instance_scans_for_one_completion(monkeypatch):
@@ -737,14 +779,18 @@ def _collected_after(call):
 def test_minimax_opt_leaves_no_reference_cycle(kind, args):
     # the memo and the game are freed by reference counting alone
     inst = gen_random(kind, *args)
-    assert _collected_after(lambda: minimax_opt(inst)) == 0
+    for with_trace in (True, False):
+        assert _collected_after(
+            lambda: minimax_opt(inst, with_trace=with_trace)) == 0
 
 
 def test_minimax_opt_infeasible_leaves_no_reference_cycle():
-    def call():
+    def call(with_trace):
         try:
-            minimax_opt(_sc_hand(), inactive_days=(0, 1))
+            minimax_opt(_sc_hand(), inactive_days=(0, 1),
+                        with_trace=with_trace)
         except Infeasible:
             return
         raise AssertionError("expected Infeasible")
-    assert _collected_after(call) == 0
+    for with_trace in (True, False):
+        assert _collected_after(lambda: call(with_trace)) == 0
