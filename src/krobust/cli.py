@@ -346,15 +346,11 @@ def cmd_oracle(args) -> int:
                 "partitioned single-survivor structure") from None
         _emit({"opt": str(opt)})
         return EXIT_OK
-    days = set()
-
-    def walk(node):
-        if node.purchase:
-            days.add(node.day)
-        for _, child in node.children:
-            walk(child)
-
-    walk(trace)
+    days, stack = set(), [trace]
+    while stack:
+        node = stack.pop()
+        days.update([node.day] if node.purchase else ())
+        stack.extend(child for _, child in node.children)
     _emit({"opt": str(opt), "days_with_purchase": sorted(days)})
     return EXIT_OK
 

@@ -355,15 +355,16 @@ def min_cut(g: WeightedGraph, root: int, terminals: Iterable[int]
     return flow, EdgeSet(frozenset(cut_ids), Fraction(cut_cost))
 
 
-def reach_tables(g: WeightedGraph, ids, source: int,
-                 cut: bool = False) -> tuple[int, list[int]]:
+def reach_tables(g: WeightedGraph, ids, source: int, cut: bool = False,
+                 columns=None) -> tuple[int, list[int]]:
     """Reachability from the source for every owned subset of ids at once:
     full and, per vertex, the int whose bit M is set when the vertex is
     reached once the edges {ids[i] : bit i of M} are owned.  An owned edge
     is present, or with cut=True removed; an edge outside ids is owned
     under no M.  Each bit runs its own search, all in the same int
-    operations: the edges relax in rounds until a round changes nothing."""
-    full, columns = bit_columns(len(ids))
+    operations: the edges relax in rounds until a round changes nothing.
+    With columns = bit_columns(len(ids), order), bit p is mask order[p]."""
+    full, columns = columns or bit_columns(len(ids))
     column = dict(zip(ids, columns))
     if cut:
         links = [(e.u, e.v, full & ~column.get(e.eid, 0)) for e in g.edges]

@@ -61,8 +61,7 @@ def thrifty_plan(g: WeightedGraph, schedule: Schedule, guess: Fraction,
                  beta: Fraction | None = None) -> ThriftyPlan:
     """Build the two-day plan for one guess of the optimal value."""
     root = _require_root(g)
-    if beta is None:
-        beta = BETA
+    beta = BETA if beta is None else beta
     tau = threshold_tau(guess, schedule, beta)
     net = build_net(g, root, 2 * schedule.horizon * tau)
     reps = _reps(g, root)
@@ -99,11 +98,10 @@ def _scale(g: WeightedGraph, schedule: Schedule, f_guess: int, merge_r):
     return pre
 
 
-def _cover_table(g: WeightedGraph, ids, units) -> int:
+def _cover_table(g: WeightedGraph, ids, units, columns=None) -> int:
     """Bit M set when removing the edges {ids[i] : bit i of M} leaves no
     unit reachable from the root."""
-    full, reach = reach_tables(g, ids, g.root, cut=True)
-    table = full
+    table, reach = reach_tables(g, ids, g.root, cut=True, columns=columns)
     for v in units:
         table &= ~reach[v]
     return table

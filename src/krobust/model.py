@@ -11,6 +11,7 @@ thrifty driver they all run through and the registry of their Kind records.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
@@ -24,6 +25,8 @@ if TYPE_CHECKING:
 
 CARDINALITY = "cardinality"
 SUBSET = "subset"
+# per bit i < 8, the table that maps a byte to the ASCII digit of its bit i
+_DIGITS = tuple(bytes(48 + (b >> i & 1) for b in range(256)) for i in range(8))
 
 
 def ln_upper(n: int) -> Fraction:
@@ -46,15 +49,17 @@ def scaled_to_ints(values) -> tuple[int, tuple[int, ...]]:
     return scale, tuple(v.numerator * (scale // v.denominator) for v in values)
 
 
-def bit_columns(m: int) -> tuple[int, tuple[int, ...]]:
-    """The truth-table columns of m action bits (Knuth, TAOCP 4A 7.1.3):
-    full, the 2^m-bit int with every bit set, and per i < m the int whose
-    bit M is set when the mask M holds bit i.  ANDs and ORs of columns then
-    decide a formula over the actions for all 2^m masks at once."""
-    full = (1 << (1 << m)) - 1
-    return full, tuple(full // ((1 << (2 << i)) - 1)
-                       * (((1 << (1 << i)) - 1) << (1 << i))
-                       for i in range(m))
+def bit_columns(m: int, order=None) -> tuple[int, tuple[int, ...]]:
+    """The truth-table columns of m action bits (Knuth, TAOCP 4A 7.1.3) for
+    order, a list of every mask (mask order by default): full, one bit per
+    mask, and per i < m the int whose bit p is set when order[p] holds bit
+    i.  ANDs, ORs and complements of columns decide a formula over the
+    actions for every mask at once, with order[p]'s answer at bit p."""
+    order = range(1 << m) if order is None else order
+    # byte j of each 64-bit mask, highest rank first: eight columns' digits
+    masks = struct.pack(f"<{len(order)}Q", *reversed(order))
+    return (1 << len(order)) - 1, tuple(
+        int(masks[i // 8::8].translate(_DIGITS[i % 8]), 2) for i in range(m))
 
 
 def harmonic(n: int) -> Fraction:
@@ -113,13 +118,8 @@ def argmin_stage(schedule: Schedule) -> int:
     """Day j in 0..T minimizing lam[j]*k[j]; ties go to the smallest day."""
     if schedule.k[schedule.horizon] == 0:
         raise TrivialInstance("k_T = 0: nothing is ever required")
-    best = 0
-    best_val = schedule.lam[0] * schedule.k[0]
-    for j in range(1, schedule.horizon + 1):
-        val = schedule.lam[j] * schedule.k[j]
-        if val < best_val:
-            best, best_val = j, val
-    return best
+    return min(range(schedule.horizon + 1),   # min keeps the first least day
+               key=lambda j: schedule.lam[j] * schedule.k[j])
 
 
 def threshold_tau(guess: Fraction, schedule: Schedule, beta: Fraction) -> Fraction:
@@ -262,10 +262,8 @@ def guess_grid(lb: Fraction, ub: Fraction) -> list[Fraction]:
     if lb <= 0:
         raise ValueError("guess grid needs a positive lower bound")
     grid = [lb]
-    g = lb
-    while g < ub:
-        g = min(2 * g, ub)
-        grid.append(g)
+    while grid[-1] < ub:
+        grid.append(min(2 * grid[-1], ub))
     return grid
 
 
@@ -286,10 +284,11 @@ class Kind:
     day-0 solution covering every unit) and that solution's action ids;
     plan(payload, schedule, guess, beta) builds the plan for one guess.
     solve is the public per-kind entry point.  cover_table(payload, ids,
-    units) is an int whose bit M is set when the actions {ids[i] : bit i of
-    M} cover the units; the exact oracle checks every strategy against
-    these tables.  ratio_bound(payload, schedule) is the proven bound on a
-    plan's robcov over the adaptive optimum.  For graph problems,
+    units, columns=bit_columns(len(ids), order)) is an int whose bit p is
+    set when the actions {ids[i] : bit i of order[p]} cover the units; the
+    exact oracle checks every strategy against these tables, in its
+    cheapest-first order.  ratio_bound(payload, schedule) is the proven
+    bound on a plan's robcov over the adaptive optimum.  For graph problems,
     scale(payload, schedule, f_guess, merge_r) cost-scales the instance
     under a guess of the costliest edge ever bought and raises Infeasible
     when that guess cannot stay feasible.  A graph payload has a root

@@ -9,9 +9,9 @@ the generic game solver: a sum over parts, as each day's adversary touches
 only its own part.
 
 Every coverage check reads the kind's cover table, which decides at once
-whether each subset of the actions covers a unit set; each cheapest cover is
-the first hit of one cheapest-first scan.  The search is guarded by
-SizeLimits, checked before a table of 2^actions bits is built.
+whether each subset of the actions covers a unit set.  Its bits are in rank
+order, cheapest action mask first, so a cheapest cover is one lowest-set-bit
+lookup.  SizeLimits is checked before a table of 2^actions bits is built.
 """
 
 from __future__ import annotations
@@ -23,11 +23,10 @@ from typing import Iterable, Mapping
 
 from .errors import BadParameters, Infeasible, TooLarge
 from .model import (KINDS, SUBSET, ProblemInstance, Schedule, ThriftyPlan,
-                    require_live, scaled_to_ints)
+                    bit_columns, require_live, scaled_to_ints)
 from .setcover import SetSystem
 
 _INF = float("inf")
-_BITS = bytes.maketrans(b"01", b"\0\1")
 
 
 @dataclass(frozen=True)
@@ -49,42 +48,60 @@ class SizeLimits:
 
 # ---------------------------------------------------------------- exact optima
 
-def _by_cost(costs: tuple[int, ...]) -> list[tuple[int, int]]:
-    """Every action mask with its total int cost, cheapest first (ties to
-    the smaller mask)."""
-    totals = [0]
-    for cost in costs:   # the masks with bit i are the ones without it, plus i
-        totals += [total + cost for total in totals]
-    order = sorted(range(len(totals)), key=totals.__getitem__)   # stable
-    return list(zip(map(totals.__getitem__, order), order))
+class _CostOrder:
+    """totals[M], action mask M's int cost; order, every mask by (total,
+    mask); columns, bit_columns in that rank order.  Totals add up, so
+    owned | mask runs over owned's supersets in (total, mask) order as mask
+    runs over the masks owned does not meet: owned's cheapest completion is
+    order[p] ^ owned for the lowest bit p of the table ANDed with owned's
+    supersets, the AND of owned's columns, cached per owned mask."""
 
+    def __init__(self, costs: tuple[int, ...]) -> None:
+        totals = [0]
+        for cost in costs:   # the masks with bit i are those without it, plus i
+            totals += [total + cost for total in totals]
+        order = sorted(range(len(totals)), key=totals.__getitem__)   # stable
+        full, columns = bit_columns(len(costs), order)
+        sup = {0: full}
 
-def _truth_bytes(table: int, n_actions: int) -> bytes:
-    """A cover table as bytes: byte M is 1 when bit M of the table is set,
-    so a lookup by owned mask is one index."""
-    return bin(table | 1 << (1 << n_actions))[:2:-1].encode().translate(_BITS)
+        def price(record: tuple, owned: int) -> tuple:
+            """(rate * cost, mask if cost > floor else 0) for owned's
+            cheapest completion mask, of total cost; (_INF, 0) if none, or
+            if rate is None and mask is not 0.  A closure: faster to call."""
+            table, rate, floor = record
+            got = sup.get(owned)
+            if got is None:
+                got, rest = full, owned
+                while rest:
+                    got &= columns[(rest & -rest).bit_length() - 1]
+                    rest &= rest - 1
+                sup[owned] = got
+            hit = table & got
+            if not hit:
+                return _INF, 0
+            top = order[(hit & -hit).bit_length() - 1]
+            if rate is None:
+                return (0 if top == owned else _INF), 0
+            cost = totals[top] - totals[owned]
+            return rate * cost, (top ^ owned if cost > floor else 0)
 
+        self.totals, self.order, self.columns = totals, order, (full, columns)
+        self.price = price
 
-def _first_cover(by_cost: list[tuple[int, int]], table: bytes,
-                 owned: int) -> tuple:
-    """The first (cost, mask) of by_cost that owned does not meet and that
-    the table marks as covering with owned; (_INF, 0) if there is none."""
-    for cost, mask in by_cost:
-        if not mask & owned and table[owned | mask]:
-            return cost, mask
-    return _INF, 0
+    def completion(self, table: int, owned: int) -> tuple:
+        """(cost, mask) of owned's cheapest completion to a cover in the
+        rank-ordered table, ties to the smaller mask; (_INF, 0) if none."""
+        return self.price((table, 1, -1), owned)
 
 
 def exact_min(kind: str, payload, units: Iterable,
               limits: SizeLimits | None = None) -> Fraction:
-    """Minimum cost of an action subset covering the units, by enumeration:
-    the first subset in cheapest-first order that the kind's cover table
-    marks.
-
-    The units are ids of the payload's own units (KINDS[kind].units):
-    elements for set cover, non-root vertices to cut off from the root,
-    vertices to join, and pair ids for a forest.  No action covers an id
-    the payload does not have, so such an id raises Infeasible."""
+    """Minimum cost of an action subset covering the units: the first
+    mask in rank order that the kind's cover table marks.  The units are
+    ids of the payload's own units (KINDS[kind].units): elements for set
+    cover, non-root vertices to cut off from the root, vertices to join,
+    and pair ids for a forest.  No action covers an id the payload does not
+    have, so such an id raises Infeasible."""
     spec, want = KINDS[kind], frozenset(units)
     alien = want.difference(spec.units(payload))
     if alien:
@@ -94,10 +111,10 @@ def exact_min(kind: str, payload, units: Iterable,
     actions = payload.actions()
     # a table has 2^len(actions) bits: check before building one
     (limits or SizeLimits()).check(0, len(actions), 0)
-    table = _truth_bytes(spec.cover_table(
-        payload, tuple(aid for aid, _ in actions), want), len(actions))
     scale, costs = scaled_to_ints(cost for _, cost in actions)
-    cost, _ = _first_cover(_by_cost(costs), table, 0)
+    ranked = _CostOrder(costs)
+    cost, _ = ranked.completion(spec.cover_table(
+        payload, tuple(aid for aid, _ in actions), want, ranked.columns), 0)
     if cost == _INF:
         raise Infeasible("no action subset is feasible")
     return Fraction(cost, scale)
@@ -124,9 +141,10 @@ class _Game:
     denominators and inflations by the LCM of theirs, so every value the
     search compares is an int in units of 1/money_scale.  The game never
     asks which kind it plays: its one feasibility test is the kind's cover
-    table, built once per active mask and kept as bytes indexed by the
-    owned mask.  Moves and tables are pure functions of their masks and are
-    cached here, so the caches live exactly as long as the game.
+    table, built once per active mask in the rank order of the game's one
+    _CostOrder.  Moves, tables and supersets are pure functions of their
+    masks and are cached here, so the caches live exactly as long as the
+    game.
     """
 
     def __init__(self, instance: ProblemInstance):
@@ -147,7 +165,7 @@ class _Game:
                 sum(1 << uidx[u] for u in part)
                 for part in instance.uncertainty.parts)
         self.move_cache: dict = {}
-        self.tables: dict[int, bytes] = {}
+        self.tables: dict[int, int] = {}
 
     @classmethod
     def within(cls, instance: ProblemInstance,
@@ -165,9 +183,8 @@ class _Game:
         return Fraction(value, self.money_scale)
 
     @cached_property
-    def masks(self) -> list[tuple[int, int]]:
-        """Every owned-action mask with its scaled cost, cheapest first."""
-        return _by_cost(self.costs)
+    def ranked(self) -> _CostOrder:
+        return _CostOrder(self.costs)
 
     def unit_set(self, mask: int) -> frozenset:
         return frozenset(self.units[i] for i in range(len(self.units))
@@ -177,17 +194,17 @@ class _Game:
         return tuple(self.action_ids[i] for i in range(len(self.action_ids))
                      if mask >> i & 1)
 
-    def table(self, active: int) -> bytes:
-        """Byte M is 1 when the owned mask M covers the active units."""
+    def table(self, active: int) -> int:
+        """Bit p is set when the owned mask order[p] covers the active units."""
         got = self.tables.get(active)
         if got is None:
-            got = self.tables[active] = _truth_bytes(self.cover_table(
-                self.payload, self.action_ids, self.unit_set(active)),
-                len(self.action_ids))
+            got = self.tables[active] = self.cover_table(
+                self.payload, self.action_ids, self.unit_set(active),
+                self.ranked.columns)
         return got
 
-    def feasible(self, owned: int, active: int) -> int:
-        return self.table(active)[owned]
+    def feasible(self, owned: int, active: int) -> bool:
+        return self.ranked.completion(self.table(active), owned) == (0, 0)
 
     def moves(self, next_day: int, active: int, full: bool) -> tuple[int, ...]:
         """Adversary's reachable next active-unit masks, ascending.
@@ -246,9 +263,10 @@ def minimax_opt(instance: ProblemInstance, limits: SizeLimits | None = None,
     searching: buy it today, or buy nothing if a later open day costs no
     more, since the search would reach the empty purchase first.  Each
     (day, active) has one leaf record: None if it is not settled, else the
-    scan, the cover table and the price rule of its states.  The move loop
-    reads its children's records and prices a settled child itself, so only
-    unsettled children cost a call into the recursion.
+    cover table and the price rule of its states, which one lowest-set-bit
+    lookup answers.  The move loop reads its children's records and prices
+    a settled child itself, so only unsettled children cost a call into the
+    recursion.
     """
     game = _Game.within(instance, limits)
     T = game.schedule.horizon
@@ -260,15 +278,14 @@ def minimax_opt(instance: ProblemInstance, limits: SizeLimits | None = None,
                    for day in range(T + 1)]
     memo: dict = {}
     leaves: dict = {}
-    empty_only = [(0, 0)]
     n_units, span = len(game.units), T + 1
+    totals, order, settle = (game.ranked.totals, game.ranked.order,
+                             game.ranked.price)
 
     def leaf(day: int, active: int):
-        """The leaf record of (day, active): None unless the adversary must
-        keep all of active on every day after day, else (scan, table, rate,
-        floor).  A state owning owned then has the memo entry (rate * cost,
-        mask if cost > floor else 0), where (cost, mask) is owned's first
-        cover in the scan."""
+        """None unless the adversary must keep all of active on every day
+        after day, else the record (table, rate, floor): settle(record,
+        owned) is the memo entry of the state (day, active, owned)."""
         key = active * span + day
         if key in leaves:
             return leaves[key]
@@ -277,26 +294,19 @@ def minimax_opt(instance: ProblemInstance, limits: SizeLimits | None = None,
                         == (active,) and leaf(day + 1, active) is not None):
             # buy the cheapest completion on the cheapest open day; on a
             # tie a later day wins, as the search reaches the empty purchase
-            # first.  Inflations are positive, so rate * _INF is _INF
+            # first
             later, today = least_later[day], lam[day]
             if day in forbidden:
-                scan, rate, floor = ((game.masks, later, _INF) if later
-                                     is not None else (empty_only, 1, _INF))
+                rate, floor = later, _INF
             elif later is None:       # the last open day: buy now
-                scan, rate, floor = game.masks, today, -1
+                rate, floor = today, -1
             elif later <= today:      # a later open day costs no more
-                scan, rate, floor = game.masks, later, _INF
+                rate, floor = later, _INF
             else:                     # a free completion can still wait
-                scan, rate, floor = game.masks, today, 0
-            got = scan, game.table(active), rate, floor
+                rate, floor = today, 0
+            got = game.table(active), rate, floor
         leaves[key] = got
         return got
-
-    def settle(record, owned: int) -> tuple:
-        """The memo entry of a settled state, from its leaf record."""
-        scan, table, rate, floor = record
-        cost, mask = _first_cover(scan, table, owned)
-        return rate * cost, (mask if cost > floor else 0)
 
     def value(day: int, active: int, owned: int):
         key = game.memo_key(day, active, owned)
@@ -308,14 +318,14 @@ def minimax_opt(instance: ProblemInstance, limits: SizeLimits | None = None,
             got = memo[key] = settle(record, owned)
             return got[0]
         best, best_mask = _INF, 0
-        choices = empty_only if day in forbidden else game.masks
+        choices = (0,) if day in forbidden else order
         kids = [(move, leaf(day + 1, move))
                 for move in game.moves(day + 1, active, full_adversary)]
         rate = lam[day]
-        for cost, mask in choices:
+        for mask in choices:
             if mask & owned:
                 continue
-            spend = rate * cost
+            spend = rate * totals[mask]
             if spend >= best:
                 break
             # game.memo_key of each child is base + move * span: look it
@@ -342,11 +352,9 @@ def minimax_opt(instance: ProblemInstance, limits: SizeLimits | None = None,
     def trace(day: int, active: int, owned: int) -> TraceNode:
         value(day, active, owned)   # the search skips settled states' children
         val, mask = memo[game.memo_key(day, active, owned)]
-        kids = ()
-        if day < T:
-            kids = tuple(
-                (game.unit_set(move), trace(day + 1, move, owned | mask))
-                for move in game.moves(day + 1, active, full_adversary))
+        kids = tuple((game.unit_set(move), trace(day + 1, move, owned | mask))
+                     for move in (game.moves(day + 1, active, full_adversary)
+                                  if day < T else ()))
         return TraceNode(day=day, active=game.unit_set(active),
                          purchase=game.action_set(mask),
                          value=game.money(val), children=kids)
@@ -396,8 +404,8 @@ def check_plan_feasible(instance: ProblemInstance, plan: ThriftyPlan,
     cannot break it)."""
     game = _Game.within(instance, limits)
     bit = {aid: 1 << i for i, aid in enumerate(game.action_ids)}
-    return all(game.table(active)[sum(map(bit.__getitem__, ids.union(
-        plan.day0_purchase)))] for active, ids in _triggered(game, plan))
+    return all(game.feasible(sum(map(bit.__getitem__, ids.union(
+        plan.day0_purchase))), active) for active, ids in _triggered(game, plan))
 
 
 def opt_bounds(instance: ProblemInstance) -> tuple[Fraction, Fraction]:

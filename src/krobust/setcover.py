@@ -209,8 +209,7 @@ def build_net(system: SetSystem, tau: Fraction) -> frozenset[int]:
 def thrifty_plan(system: SetSystem, schedule: Schedule, guess: Fraction,
                  beta: Fraction | None = None) -> ThriftyPlan:
     """Build the two-day plan for one guess of the optimal value."""
-    if beta is None:
-        beta = 36 * ln_upper(len(system.masks))
+    beta = 36 * ln_upper(len(system.masks)) if beta is None else beta
     tau = threshold_tau(guess, schedule, beta)
     net = build_net(system, tau)
     day0_ids, day0_cost = greedy_cover(system, net)
@@ -243,11 +242,10 @@ def _bounds(system: SetSystem):
     return max(system.minset_cost.values()), ub, all_ids
 
 
-def _cover_table(system: SetSystem, ids, units) -> int:
+def _cover_table(system: SetSystem, ids, units, columns=None) -> int:
     """Bit M set when the sets {ids[i] : bit i of M} hold every unit: per
     unit, the OR of the columns of the sets holding it, ANDed."""
-    full, columns = bit_columns(len(ids))
-    table = full
+    table, columns = columns or bit_columns(len(ids))   # full, until ANDed
     for u in units:
         table &= _union(columns, (i for i, sid in enumerate(ids)
                                   if system.masks[sid] >> u & 1))

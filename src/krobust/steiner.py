@@ -52,8 +52,7 @@ def thrifty_tree_plan(g: WeightedGraph, schedule: Schedule, guess: Fraction,
     if schedule.k[schedule.horizon] <= 1:
         raise TrivialInstance(
             "a lone surviving vertex needs no connection; optimal value is 0")
-    if beta is None:
-        beta = BETA
+    beta = BETA if beta is None else beta
     tau = threshold_tau(guess, schedule, beta)
     radius = 4 * schedule.horizon * tau
     net = ball_packing_net(g, radius)
@@ -163,8 +162,7 @@ def thrifty_forest_plan(g: WeightedGraph, schedule: Schedule,
                         beta: Fraction | None = None) -> ThriftyPlan:
     """Two-day Steiner forest plan for one guess of the optimal value,
     connecting the graph's pairs."""
-    if beta is None:
-        beta = BETA
+    beta = BETA if beta is None else beta
     tau = threshold_tau(guess, schedule, beta)
     gamma = 2 * schedule.horizon * tau
     built = sfnet_build(g, g.pairs, gamma)
@@ -238,15 +236,16 @@ def solve_forest(g: WeightedGraph, schedule: Schedule,
                          merge_r)
 
 
-def _joined_table(g: WeightedGraph, ids, pairs) -> int:
+def _joined_table(g: WeightedGraph, ids, pairs, columns=None) -> int:
     """Bit M set when the edges {ids[i] : bit i of M} join the two ends of
     every (s, t) pair: one search per distinct s."""
     targets: dict[int, list[int]] = {}
     for s, t in pairs:
         targets.setdefault(s, []).append(t)
-    table = bit_columns(len(ids))[0]
+    columns = columns or bit_columns(len(ids))
+    table = columns[0]
     for s, ends in targets.items():
-        reach = reach_tables(g, ids, s)[1]
+        reach = reach_tables(g, ids, s, columns=columns)[1]
         for t in ends:
             table &= reach[t]
     return table
@@ -257,8 +256,8 @@ KINDS[STEINERTREE] = Kind(
     bounds=_tree_bounds,
     plan=lambda *args: thrifty_tree_plan(*args),
     solve=lambda *args: solve_tree(*args),
-    cover_table=lambda g, ids, units: _joined_table(
-        g, ids, [(min(units), v) for v in units]),
+    cover_table=lambda g, ids, units, columns=None: _joined_table(
+        g, ids, [(min(units), v) for v in units], columns),
     ratio_bound=lambda g, schedule: Fraction(50 * schedule.horizon),
     scale=lambda *args: preprocess_cost_scaling(*args),
     min_live=1)
@@ -268,7 +267,7 @@ KINDS[STEINERFOREST] = Kind(
     bounds=_forest_bounds,
     plan=lambda *args: thrifty_forest_plan(*args),
     solve=lambda *args: solve_forest(*args),
-    cover_table=lambda g, ids, units: _joined_table(
-        g, ids, [(p.s, p.t) for p in g.pairs if p.pid in units]),
+    cover_table=lambda g, ids, units, columns=None: _joined_table(
+        g, ids, [(p.s, p.t) for p in g.pairs if p.pid in units], columns),
     ratio_bound=lambda g, schedule: Fraction(224 * schedule.horizon),
     scale=lambda *args: preprocess_cost_scaling(*args))

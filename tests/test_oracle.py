@@ -29,13 +29,15 @@ from krobust.model import (
     ProblemInstance,
     Schedule,
     UncertaintySpec,
+    bit_columns,
+    scaled_to_ints,
 )
 from krobust.oracle import (
     _INF,
     SizeLimits,
     TraceNode,
     _Game,
-    _by_cost,
+    _CostOrder,
     check_plan_feasible,
     exact_min,
     exhaustive_robcov,
@@ -96,6 +98,11 @@ def _by_cost_reference(costs):
     return sorted(zip(totals, range(len(totals))))
 
 
+def _by_cost(costs):
+    ranked = _CostOrder(costs)
+    return list(zip(map(ranked.totals.__getitem__, ranked.order), ranked.order))
+
+
 def test_by_cost_matches_the_bitwise_construction():
     # cheapest first, ties to the smaller mask, on cost vectors with zeros
     # and many ties
@@ -105,6 +112,26 @@ def test_by_cost_matches_the_bitwise_construction():
             costs = tuple(rng.choice((0, 0, 1, 2, 3, 7)) for _ in range(size))
             assert _by_cost(costs) == _by_cost_reference(costs), costs
     assert _by_cost(()) == [(0, 0)]
+
+
+def _permuted_columns(order, m):
+    """The truth-table columns of m action bits by their definition: full,
+    one bit per mask, and per i < m the int whose bit p is set when mask
+    order[p] holds bit i."""
+    return (1 << len(order)) - 1, tuple(
+        int("".join(str(mask >> i & 1) for mask in reversed(order)), 2)
+        for i in range(m))
+
+
+@pytest.mark.parametrize("m", [0, 1, 8, 9, 16, 17])
+def test_rank_columns_at_every_size(m):
+    # in rank order and in mask order, at sizes one and two bytes of action
+    # bits and past them
+    costs = tuple(random.Random(m).choice((0, 1, 2, 5)) for _ in range(m))
+    ranked = _CostOrder(costs)
+    assert sorted(ranked.order) == list(range(1 << m))
+    assert ranked.columns == _permuted_columns(ranked.order, m)
+    assert bit_columns(m) == _permuted_columns(range(1 << m), m)
 
 
 def test_exact_cover():
@@ -131,6 +158,18 @@ def test_exact_graph_minima():
     tri = _triangle_inst().payload
     assert exact_min(MINCUT, tri, (1, 2)) == 3
     assert exact_min(MINCUT, tri, ()) == 0
+
+
+def test_exact_min_with_zero_actions():
+    # with no action the one mask is the empty one: it covers or nothing does
+    g = WeightedGraph.build(3, [], root=0, pairs=[(0, 1), (2, 2)])
+    assert exact_min(SETCOVER, SetSystem.build(0, []), ()) == 0
+    assert exact_min(STEINERTREE, g, (0,)) == 0
+    assert exact_min(MINCUT, g, (1, 2)) == 0
+    assert exact_min(STEINERFOREST, g, (2,)) == 0
+    for kind, units in ((STEINERTREE, (0, 2)), (STEINERFOREST, (1, 2))):
+        with pytest.raises(Infeasible, match="no action subset"):
+            exact_min(kind, g, units)
 
 
 def test_exact_min_rejects_ids_that_name_no_unit():
@@ -224,9 +263,9 @@ def _counted_tables(monkeypatch, kind):
     calls = Counter()
     cover_table = KINDS[kind].cover_table
 
-    def counted(payload, ids, units):
+    def counted(payload, ids, units, columns=None):
         calls[tuple(ids), frozenset(units)] += 1
-        return cover_table(payload, ids, units)
+        return cover_table(payload, ids, units, columns)
 
     monkeypatch.setitem(KINDS, kind, replace(KINDS[kind],
                                              cover_table=counted))
@@ -259,10 +298,10 @@ def _backward_induction(inst, full=False, inactive_days=()):
         if (day, active, owned) in memo:
             return memo[day, active, owned][0]
         best, best_mask = _INF, 0
-        for cost, mask in [(0, 0)] if day in inactive_days else game.masks:
+        for mask in [0] if day in inactive_days else game.ranked.order:
             if mask & owned:
                 continue
-            spend = lam[day] * cost
+            spend = lam[day] * game.ranked.totals[mask]
             if spend >= best:
                 break
             if day == T:
@@ -348,7 +387,7 @@ def test_settled_instance_scans_for_one_completion(monkeypatch):
     inst = gen_random(MINCUT, 5, 9, 2, 3)
     inst = replace(inst, schedule=replace(inst.schedule, k=(4, 4, 4)))
     game, units = _Game(inst), frozenset(inst.units())
-    first = next(mask for _, mask in game.masks
+    first = next(mask for mask in game.ranked.order
                  if covers(MINCUT, inst.payload, game.action_set(mask), units))
     cheapest = exact_min(MINCUT, inst.payload, units)
     price = dict(inst.payload.actions())
@@ -398,8 +437,11 @@ def _table_cases(rng):
 
 def test_cover_tables_match_boolean_reference():
     # every bit of every kind's cover table against one boolean check per
-    # owned mask: a table is the fixpoint of all its masks' searches
-    seen = Counter()
+    # owned mask: a table is the fixpoint of all its masks' searches.  Built
+    # from the columns under any permutation of the masks, the table is the
+    # same table with its bits permuted alike, which the oracle's rank order
+    # rests on
+    seen, shuffle = Counter(), random.Random("permuted columns")
     for kind, payload, ids, units in _table_cases(random.Random(19)):
         table = KINDS[kind].cover_table(payload, ids, units)
         assert 0 <= table < 1 << (1 << len(ids))
@@ -407,6 +449,11 @@ def test_cover_tables_match_boolean_reference():
             owned = [aid for i, aid in enumerate(ids) if mask >> i & 1]
             assert table >> mask & 1 == covers(kind, payload, owned, units), (
                 kind, payload, ids, units, owned)
+        order = shuffle.sample(range(1 << len(ids)), 1 << len(ids))
+        permuted = KINDS[kind].cover_table(
+            payload, ids, units, _permuted_columns(order, len(ids)))
+        assert permuted == sum(1 << p for p, mask in enumerate(order)
+                               if table >> mask & 1), (kind, ids, units, order)
         seen[kind, "mixed"] += 0 < table < (1 << (1 << len(ids))) - 1
         seen["empty units"] += not units
         seen["strict subset"] += len(ids) < len(payload.actions())
@@ -417,6 +464,53 @@ def test_cover_tables_match_boolean_reference():
             seen["untouched unit"] += (payload.n - 1 in units
                                        and kind != STEINERFOREST)
     assert min(seen.values()) >= 20, seen
+
+
+def _first_cover_reference(by_cost, covered, owned):
+    """The linear cheapest-first scan: the first (cost, mask) of by_cost
+    that owned does not meet and that completes owned to a cover;
+    (_INF, 0) if there is none."""
+    for cost, mask in by_cost:
+        if not mask & owned and covered(owned | mask):
+            return cost, mask
+    return _INF, 0
+
+
+def test_completion_lookup_matches_the_scan():
+    # every owned mask's cheapest completion, by the lowest set bit of a
+    # rank-ordered table, against the scan of a natural-order table: on the
+    # table draws (zero costs and ties, parallel edges, strict id subsets,
+    # empty units) and on whole seeded games' tables
+    ties = 0
+    for kind, payload, ids, units in _table_cases(random.Random(23)):
+        price = dict(payload.actions())
+        costs = scaled_to_ints(price[aid] for aid in ids)[1]
+        ranked = _CostOrder(costs)
+        table = KINDS[kind].cover_table(payload, ids, units, ranked.columns)
+        natural = KINDS[kind].cover_table(payload, ids, units)
+        by_cost = _by_cost_reference(costs)
+        for owned in range(1 << len(ids)):
+            assert ranked.completion(table, owned) == _first_cover_reference(
+                by_cost, lambda mask: natural >> mask & 1, owned), (
+                kind, ids, units, owned)
+        ties += len(set(costs)) < len(costs)
+    assert ties >= 500   # draws with two ids of equal cost
+    ties = 0
+    for kind in PROBLEM_KINDS:
+        for seed in range(6):
+            inst = gen_random(kind, 3 + seed % 3, 5 + seed % 3, 1, seed)
+            game = _Game(inst)
+            by_cost = _by_cost_reference(game.costs)
+            ties += len(set(game.costs)) < len(game.costs)
+            for active in range(1, game.full_units + 1):
+                natural = KINDS[kind].cover_table(
+                    inst.payload, game.action_ids, game.unit_set(active))
+                for owned in range(1 << len(game.costs)):
+                    assert game.ranked.completion(
+                        game.table(active), owned) == _first_cover_reference(
+                        by_cost, lambda mask: natural >> mask & 1, owned)
+                    assert game.feasible(owned, active) == natural >> owned & 1
+    assert ties >= 8   # games with two actions of equal cost
 
 
 @pytest.mark.parametrize("kind", PROBLEM_KINDS)
