@@ -4,8 +4,9 @@ All algorithms take int or Fraction costs, compute exactly and break ties by
 the smallest numeric id, so identical inputs always give identical outputs.
 The thrifty driver scales a graph's costs to ints once (WeightedGraph.integral)
 and solves on that copy, since int arithmetic is far cheaper than Fraction
-arithmetic.  Edge ids are positions in the original edge tuple and stay
-stable under zeroing, deletion and contraction.
+arithmetic: it decides every threshold, day and candidate there in ints and
+divides only the winner back by L.  Edge ids are positions in the original
+edge tuple and stay stable under zeroing, deletion and contraction.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Iterable, NamedTuple
 
 from .errors import (BadGraphField, Disconnected, InvariantViolation,
                      UnknownEdge)
-from .model import Schedule, bit_columns, merge_stages, scaled_to_ints
+from .model import Schedule, bit_columns, scaled_to_ints
 
 
 class Edge(NamedTuple):
@@ -98,7 +99,8 @@ class WeightedGraph:
     @staticmethod
     def build(n: int, edges: Iterable, root: int | None = None,
               pairs: Iterable = ()) -> "WeightedGraph":
-        es = tuple(Edge(int(u), int(v), Fraction(c), i)
+        es = tuple(Edge(int(u), int(v),
+                        c if type(c) is Fraction else Fraction(c), i)
                    for i, (u, v, c) in enumerate(edges))
         for e in es:
             if not (0 <= e.u < n and 0 <= e.v < n):
@@ -108,7 +110,7 @@ class WeightedGraph:
             if e.u == e.v:
                 raise BadGraphField(f"edges[{e.eid}]",
                                     f"edge {e.eid} is a self-loop")
-            if e.cost < 0:
+            if e.cost.numerator < 0:
                 raise BadGraphField(f"edges[{e.eid}][2]",
                                     f"edge {e.eid} has negative cost")
         ps = tuple(Pair(int(s), int(t), i + 1) for i, (s, t) in enumerate(pairs))
@@ -625,10 +627,9 @@ def preprocess_cost_scaling(g: WeightedGraph, schedule: Schedule,
     priced = [e.cost for e in g.edges if e.cost > 0]
     horizon = schedule.horizon
     if priced:
-        lam_cap = Fraction(n2 * max(priced), min(priced))
-        while horizon > 0 and schedule.lam[horizon] > lam_cap:
+        scale, lam, _ = schedule.priced
+        cap, cheapest = n2 * max(priced) * scale, min(priced)
+        while horizon > 0 and lam[horizon] * cheapest > cap:
             horizon -= 1
-    truncated = Schedule(horizon, schedule.k[:horizon + 1],
-                         schedule.lam[:horizon + 1])
-    merged, kept = merge_stages(truncated, merge_r)
+    merged, kept = schedule.merged(horizon, merge_r)
     return PreprocessResult(g, merged, prepaid, kept, f_guess)

@@ -51,10 +51,11 @@ def _root_cuts(g: WeightedGraph, root: int, reps) -> dict[int, Fraction]:
 def build_net(g: WeightedGraph, root: int,
               threshold: Fraction) -> frozenset[int]:
     """Units whose representative's min cut from the root strictly exceeds
-    the threshold (the solvers pass 2*T*tau)."""
+    the threshold p/q (the solvers pass 2*T*tau), tested as cut * q > p."""
     reps = _reps(g, root)
     cuts = _root_cuts(g, root, reps.values())
-    return frozenset(v for v, r in reps.items() if cuts[r] > threshold)
+    p, q = threshold.numerator, threshold.denominator
+    return frozenset(v for v, r in reps.items() if cuts[r] * q > p)
 
 
 def thrifty_plan(g: WeightedGraph, schedule: Schedule, guess: Fraction,

@@ -10,6 +10,7 @@ thrifty driver they all run through and the registry of their Kind records.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass, field, replace
@@ -80,6 +81,21 @@ class Schedule:
         return Schedule(len(k) - 1, tuple(int(x) for x in k),
                         tuple(Fraction(x) for x in lam))
 
+    @functools.cached_property
+    def priced(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+        """D, the LCM of the inflations' denominators, and per day j the
+        ints lam[j]*D and lam[j]*k[j]*D, which keep each order and tie."""
+        scale, lam = scaled_to_ints(self.lam)
+        return scale, lam, tuple(x * k for x, k in zip(lam, self.k))
+
+    def merged(self, horizon: int, r) -> tuple["Schedule", tuple[int, ...]]:
+        """merge_stages of days 0..horizon, kept for the next cost guess."""
+        memo = self.__dict__.setdefault("_merged", {})
+        if (horizon, r) not in memo:
+            memo[horizon, r] = merge_stages(Schedule(
+                horizon, self.k[:horizon + 1], self.lam[:horizon + 1]), r)
+        return memo[horizon, r]
+
 
 def validate_schedule(schedule: Schedule, ground_size: int) -> None:
     """Raise BadSchedule naming the first violated invariant and its field:
@@ -118,8 +134,7 @@ def argmin_stage(schedule: Schedule) -> int:
     """Day j in 0..T minimizing lam[j]*k[j]; ties go to the smallest day."""
     if schedule.k[schedule.horizon] == 0:
         raise TrivialInstance("k_T = 0: nothing is ever required")
-    return min(range(schedule.horizon + 1),   # min keeps the first least day
-               key=lambda j: schedule.lam[j] * schedule.k[j])
+    return min(range(schedule.horizon + 1), key=schedule.priced[2].__getitem__)
 
 
 def threshold_tau(guess: Fraction, schedule: Schedule, beta: Fraction) -> Fraction:
@@ -127,8 +142,8 @@ def threshold_tau(guess: Fraction, schedule: Schedule, beta: Fraction) -> Fracti
     a guess >= 0 is beta * guess / min_j lam[j]*k[j]: one division."""
     if any(ki == 0 for ki in schedule.k):
         raise TrivialInstance("k_j = 0 for some day j")
-    return Fraction(beta) * Fraction(guess) / min(
-        lam * k for lam, k in zip(schedule.lam, schedule.k))
+    scale, _, products = schedule.priced
+    return Fraction(beta) * Fraction(guess) * scale / min(products)
 
 
 def merge_stages(schedule: Schedule, r) -> tuple[Schedule, tuple[int, ...]]:
@@ -222,14 +237,12 @@ def evaluate_thrifty(plan: ThriftyPlan, schedule: Schedule,
     The witness lists the attaining units (ties to the smallest id), keeping
     only those with positive residual.
     """
-    if units is not None:
-        for u in units:
-            if u not in plan.residuals:
-                raise MissingResidual(u)
+    for u in units or ():
+        if u not in plan.residuals:
+            raise MissingResidual(u)
     j = plan.critical_day
-    kj = schedule.k[j]
-    ranked = sorted(plan.residuals.items(), key=lambda kv: (-kv[1], kv[0]))
-    top = ranked[:kj]
+    top = sorted(plan.residuals.items(),
+                 key=lambda kv: (-kv[1], kv[0]))[:schedule.k[j]]
     worst = schedule.lam[j] * Fraction(sum(v for _, v in top))
     witness = tuple(u for u, v in top if v > 0)
     return CostReport(day0_cost=plan.day0_cost,
@@ -259,11 +272,12 @@ def free_plan(units: Iterable, purchase: Iterable[int], critical_day: int,
 
 def guess_grid(lb: Fraction, ub: Fraction) -> list[Fraction]:
     """Geometric grid of ratio 2 from lb to ub, both endpoints included."""
-    if lb <= 0:
+    a, b = lb.numerator * ub.denominator, ub.numerator * lb.denominator
+    if a <= 0:
         raise ValueError("guess grid needs a positive lower bound")
     grid = [lb]
-    while grid[-1] < ub:
-        grid.append(min(2 * grid[-1], ub))
+    while a < b:
+        grid.append(2 * grid[-1] if (a := 2 * a) <= b else ub)
     return grid
 
 
@@ -367,9 +381,9 @@ def solve_thrifty(kind: str, payload, schedule: Schedule, beta=None,
                   merge_r=2) -> tuple[ThriftyPlan, CostReport]:
     """Best evaluated plan over the doubling guess grid; ties keep the
     smaller guess.  The payload is solved on its int-cost copy (its
-    integral(), which a graph memoises for every caller): the candidates
-    are compared on their scaled money, which keeps every order and tie,
-    and only the winner is divided back and re-evaluated.
+    integral(), which a graph memoises for every caller), where all money
+    is int: the candidates are ranked on robcov times D, which keeps every
+    order and tie, and only the winner is evaluated and divided back by L.
 
     With preprocess=True the grid runs once per distinct edge cost instead,
     on the instance cost-scaled under the first edge of that cost as the
@@ -388,23 +402,31 @@ def solve_thrifty(kind: str, payload, schedule: Schedule, beta=None,
     if schedule.k[schedule.horizon] <= spec.min_live:
         candidates.append(trivial_plan(units))
     elif preprocess:
-        seen_costs = set()
-        for e in sorted(work.edges, key=lambda e: (e.cost, e.eid)):
-            if e.cost in seen_costs:
-                continue
-            seen_costs.add(e.cost)
+        # the smallest id of each distinct cost, cheapest first
+        first = {e.cost: e.eid for e in sorted(
+            work.edges, key=lambda e: e.eid, reverse=True)}
+        for cost in sorted(first):
             try:
                 candidates.extend(scaled_candidates(
-                    kind, work, schedule, e.eid, beta, merge_r))
+                    kind, work, schedule, first[cost], beta, merge_r))
             except Infeasible:
                 continue
     if not candidates:
         candidates = _candidates(spec, work, schedule, beta)
-    # min keeps the first least robcov, so ties stay on the smaller guess
-    best = min(candidates,
-               key=lambda plan: evaluate_thrifty(plan, schedule, units).robcov)
-    plan = _divided(best, scale)
-    return plan, evaluate_thrifty(plan, schedule, units)
+    missing = [u for plan in candidates for u in units
+               if u not in plan.residuals]
+    if missing:
+        raise MissingResidual(missing[0])
+    days, lam, _ = schedule.priced
+    # robcov * D, an int; the first least wins, so ties keep the smaller guess
+    best = min(candidates, key=lambda plan: (
+        plan.day0_cost.numerator * days + lam[plan.critical_day] * sum(
+            sorted(plan.residuals.values(), reverse=True)[
+                :schedule.k[plan.critical_day]])))
+    report = evaluate_thrifty(best, schedule)
+    return _divided(best, scale), replace(report, **{
+        money: Fraction(getattr(report, money), scale)
+        for money in ("day0_cost", "worst_day_cost", "robcov")})
 
 
 @dataclass(frozen=True)

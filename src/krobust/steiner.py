@@ -32,9 +32,10 @@ def ball_packing_net(g: WeightedGraph, radius: Fraction) -> frozenset[int]:
     far.  Every excluded vertex ends up within radius of some member, and the
     result is nonempty on any nonempty graph.  Searches run only from the
     members: each marks its ball, and a vertex is taken unless a ball holds
-    it.
+    it.  A distance d is within radius p/q when d * q <= p.
     """
-    if radius < 0:
+    p, q = radius.numerator, radius.denominator
+    if p < 0:
         raise ValueError("radius must be nonnegative")
     chosen: list[int] = []
     covered: set[int] = set()
@@ -42,7 +43,7 @@ def ball_packing_net(g: WeightedGraph, radius: Fraction) -> frozenset[int]:
         if v not in covered:
             chosen.append(v)
             dv, _ = shortest_paths(g, [v])
-            covered.update(u for u, d in dv.items() if d <= radius)
+            covered.update(u for u, d in dv.items() if d * q <= p)
     return frozenset(chosen)
 
 
@@ -59,12 +60,11 @@ def thrifty_tree_plan(g: WeightedGraph, schedule: Schedule, guess: Fraction,
     day0 = mst_steiner_tree(g, net)
     zeroed = zero_edges(g, day0.ids)
     dist, pred = shortest_paths(zeroed, net)
-    residuals = {}
-    actions = {}
+    residuals, actions = {}, {}
     for v in range(g.n):
         if v not in dist:
             raise Disconnected(f"vertex {v} cannot reach the net")
-        if dist[v] > radius:
+        if dist[v] * radius.denominator > radius.numerator:
             raise InvariantViolation(
                 f"vertex {v} lies beyond the net radius {radius}")
         residuals[v] = dist[v]
@@ -104,9 +104,11 @@ def sfnet_build(g: WeightedGraph, pairs, gamma: Fraction) -> SfnetResult:
     endpoint distance, with previously taken pairs and links identified,
     still exceeds 4*gamma; record its endpoints as witnesses unless they sit
     within 2*gamma of an existing witness, in which case they attach to it
-    as a link.  Identified vertices are joined by zero-cost glue edges."""
+    as a link.  Identified vertices are joined by zero-cost glue edges.
+    With gamma = p/q the tests are d * q > 4p and d * q < 2p."""
     gamma = Fraction(gamma)
-    if gamma < 0:
+    num, den = gamma.numerator, gamma.denominator
+    if num < 0:
         raise ValueError("gamma must be nonnegative")
     plist = sorted(pairs, key=lambda p: p.pid)
     glued = g
@@ -117,14 +119,14 @@ def sfnet_build(g: WeightedGraph, pairs, gamma: Fraction) -> SfnetResult:
     links: list[tuple[int, int]] = []
     link_ids: set[int] = set()
     witnesses: list[int] = []
-    apart, near_by = 4 * gamma, 2 * gamma
+    apart, near_by = 4 * num, 2 * num
     while True:
         pick = None
         for p in plist:
             if p.pid in sr:
                 continue
             d = distance(glued, p.s, p.t)
-            if d is None or d > apart:
+            if d is None or d * den > apart:
                 pick = p
                 break
         if pick is None:
@@ -134,7 +136,7 @@ def sfnet_build(g: WeightedGraph, pairs, gamma: Fraction) -> SfnetResult:
         delta = 0
         for x in (pick.s, pick.t):
             dx, pred = shortest_paths(g, [x])
-            near = [w for w in witnesses if w in dx and dx[w] < near_by]
+            near = [w for w in witnesses if w in dx and dx[w] * den < near_by]
             if near:
                 w = min(near)
                 links.append((x, w))
@@ -168,14 +170,13 @@ def thrifty_forest_plan(g: WeightedGraph, schedule: Schedule,
     built = sfnet_build(g, g.pairs, gamma)
     day0 = built.e_alg
     zeroed = zero_edges(g, day0.ids)
-    residuals = {}
-    actions = {}
+    residuals, actions = {}, {}
     apart = 4 * gamma
     for p in g.pairs:
         dist, pred = shortest_paths(zeroed, [p.s])
         if p.t not in dist:
             raise Disconnected(f"pair {p.pid} cannot be connected")
-        if dist[p.t] > apart:
+        if dist[p.t] * apart.denominator > apart.numerator:
             raise InvariantViolation(
                 f"pair {p.pid} lies beyond 4*gamma = {apart}")
         residuals[p.pid] = dist[p.t]

@@ -568,6 +568,18 @@ def test_preprocess_merge_ratio():
     assert pre.kept_days == (0, 2)
 
 
+def test_preprocess_keeps_a_day_at_the_inflation_cap():
+    # costs 2/5 and 3/5 on 3 vertices cap the inflation at 9 * 3/2 = 27/2,
+    # compared cross-multiplied: a day at the cap stays, one above it goes
+    g = WeightedGraph.build(3, [(0, 1, F(2, 5)), (1, 2, F(3, 5))])
+    cap = F(27, 2)
+    for h in (g, g.integral()[1]):
+        for lam, kept in ((cap - F(1, 100), (0, 1)), (cap, (0, 1)),
+                          (cap + F(1, 100), (0,))):
+            sched = Schedule.of([3, 2], [1, lam])
+            assert preprocess_cost_scaling(h, sched, 1).kept_days == kept
+
+
 def test_distance_matches_shortest_paths():
     checked = 0
     for seed in range(24):

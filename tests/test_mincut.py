@@ -39,6 +39,18 @@ def test_build_net_strict_threshold():
     assert build_net(g, 0, F(29, 10)) == frozenset({1, 2})
 
 
+def test_build_net_at_a_fractional_threshold():
+    # root cuts 7/3 and 5/2, compared as cut * q > p at each cut and 1/100
+    # to either side, on the graph and on its int-cost copy (costs times 6)
+    g = WeightedGraph.build(3, [(0, 1, F(7, 3)), (0, 2, F(5, 2))], root=0)
+    cuts = {1: F(7, 3), 2: F(5, 2)}
+    for scale, h in ((1, g), g.integral()):
+        for cut in cuts.values():
+            for threshold in (cut - F(1, 100), cut, cut + F(1, 100)):
+                want = {v for v, c in cuts.items() if c > threshold}
+                assert build_net(h, 0, threshold * scale) == want, threshold
+
+
 def test_thrifty_plan_values():
     g = _triangle()
     sched = Schedule.of([2, 1], [1, 3])

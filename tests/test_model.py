@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from krobust.model import (
     KINDS,
     PROBLEM_KINDS,
     SETCOVER,
+    STEINERTREE,
     SUBSET,
     CostReport,
     ProblemInstance,
@@ -130,6 +132,18 @@ def test_threshold_tau_matches_the_max_over_days():
                                      for j in range(T + 1))
         with pytest.raises(TrivialInstance):
             threshold_tau(guess, Schedule.of(k + [0], lam + [lam[-1]]), beta)
+
+
+def test_schedule_keeps_its_products_and_merges():
+    s = Schedule.of([6, 4, 3, 1], [1, F(3, 2), F(10, 3), 9])
+    assert s.priced == (6, (6, 9, 20, 54), (36, 36, 60, 54))
+    assert argmin_stage(s) == 0 and threshold_tau(F(6), s, F(2)) == 2
+    for horizon in range(4):
+        for r in (2, F(9, 4)):
+            want = merge_stages(Schedule(horizon, s.k[:horizon + 1],
+                                         s.lam[:horizon + 1]), r)
+            assert s.merged(horizon, r) == want
+            assert s.merged(horizon, r) is s.merged(horizon, r)
 
 
 def test_merge_stages_keeps_growth_days():
@@ -267,9 +281,9 @@ def _reference_evaluate(plan: ThriftyPlan, schedule: Schedule,
                       tuple(u for u, v in top if v > 0), plan.conservative)
 
 
-def _reference_candidates(kind, payload, schedule, preprocess):
-    """Every plan the driver builds, each divided back to the original
-    money, in the driver's order."""
+def _int_candidates(kind, payload, schedule, preprocess, beta=None):
+    """L and every plan the driver builds on the int-cost copy, in the
+    driver's order."""
     spec = KINDS[kind]
     scale, work = payload.integral()
     candidates = []
@@ -283,14 +297,19 @@ def _reference_candidates(kind, payload, schedule, preprocess):
             seen_costs.add(e.cost)
             try:
                 candidates.extend(scaled_candidates(
-                    kind, work, schedule, e.eid, None, 2))
+                    kind, work, schedule, e.eid, beta, 2))
             except Infeasible:
                 continue
     if not candidates:
-        candidates = _candidates(spec, work, schedule, None)
-    if work is not payload:
-        candidates = [_divided(plan, scale) for plan in candidates]
-    return candidates
+        candidates = _candidates(spec, work, schedule, beta)
+    return scale, candidates
+
+
+def _reference_candidates(kind, payload, schedule, preprocess):
+    """Every plan the driver builds, each divided back to the original
+    money, in the driver's order."""
+    scale, candidates = _int_candidates(kind, payload, schedule, preprocess)
+    return [_divided(plan, scale) for plan in candidates]
 
 
 def _reference_solve(kind, payload, schedule, preprocess):
@@ -330,3 +349,88 @@ def test_scaled_driver_matches_dividing_every_candidate():
         ties += robcovs.count(min(robcovs)) > 1
     # the first of several equal candidates must win, so ties must occur
     assert ties >= 1
+
+
+def _evaluated_selection(kind, payload, schedule, beta, preprocess):
+    """The selection the int key replaced: every int candidate evaluated,
+    the first with the least robcov divided by L and evaluated again."""
+    units = KINDS[kind].units(payload)
+    scale, candidates = _int_candidates(kind, payload, schedule, preprocess,
+                                        beta)
+    best = min(candidates,
+               key=lambda plan: evaluate_thrifty(plan, schedule, units).robcov)
+    plan = _divided(best, scale)
+    return plan, evaluate_thrifty(plan, schedule, units)
+
+
+@pytest.mark.parametrize("beta", [None, F(1)])
+def test_int_key_selects_as_the_evaluated_robcov(beta):
+    # ranked on robcov times D and only the winner evaluated, divided by L:
+    # the same plan and report as evaluating every candidate
+    ties = 0
+    for kind, preprocess, inst in _driver_cases():
+        got = solve_thrifty(kind, inst.payload, inst.schedule, beta,
+                            preprocess)
+        want = _evaluated_selection(kind, inst.payload, inst.schedule, beta,
+                                    preprocess)
+        assert got == want and repr(got) == repr(want), (kind, preprocess)
+        if preprocess:
+            continue
+        scale, candidates = _int_candidates(kind, inst.payload,
+                                            inst.schedule, False, beta)
+        robcovs = [evaluate_thrifty(plan, inst.schedule).robcov
+                   for plan in candidates]
+        tied = [plan.guess for plan, robcov in zip(candidates, robcovs)
+                if robcov == min(robcovs)]
+        if len(tied) > 1:
+            ties += 1
+            assert got[0].guess == F(min(tied), scale) < F(max(tied), scale)
+    # the smaller of several equal guesses must win, so ties must occur
+    assert ties >= 1
+
+
+def test_driver_checks_every_candidate_for_missing_residuals(monkeypatch):
+    # a unit missing from a losing plan raises, as it did when every
+    # candidate was evaluated against the units
+    inst = gen_random(SETCOVER, 10, 14, 2, 3)
+    spec = KINDS[SETCOVER]
+    won, _ = solve_thrifty(SETCOVER, inst.payload, inst.schedule, F(1))
+    winner = won.guess * inst.payload.integral()[0]
+    lost = []
+
+    def lacking(system, schedule, guess, beta):
+        plan = spec.plan(system, schedule, guess, beta)
+        if guess == winner:
+            return plan
+        lost.append(guess)
+        residuals = dict(plan.residuals)
+        del residuals[1]
+        return replace(plan, residuals=residuals)
+
+    monkeypatch.setitem(KINDS, SETCOVER, replace(spec, plan=lacking))
+    with pytest.raises(MissingResidual):
+        solve_thrifty(SETCOVER, inst.payload, inst.schedule, F(1))
+    assert lost
+
+
+@pytest.mark.parametrize("preprocess", [False, True])
+def test_tree_solve_compares_fractions_a_fixed_number_of_times(
+        monkeypatch, preprocess):
+    # every threshold, day and candidate is decided on ints: the Fraction
+    # comparisons left (the schedule's checks) do not grow with n
+    counts = []
+    compare = Fraction._richcmp
+    for n in (12, 36):
+        inst = gen_random(STEINERTREE, n, 3 * n, 3, 1)
+        calls = []
+
+        def counted(a, b, op):
+            calls.append(op)
+            return compare(a, b, op)
+
+        with monkeypatch.context() as m:
+            m.setattr(Fraction, "_richcmp", counted)
+            solve_thrifty(STEINERTREE, inst.payload, inst.schedule,
+                          preprocess=preprocess)
+        counts.append(len(calls))
+    assert counts[1] <= counts[0], counts

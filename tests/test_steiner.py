@@ -7,14 +7,15 @@ from fractions import Fraction
 import pytest
 
 from krobust import graphcore, steiner
-from krobust.errors import Disconnected, TrivialInstance
+from krobust.errors import Disconnected, InvariantViolation, TrivialInstance
 from krobust.fixtures import gen_random
-from krobust.graphcore import (UnionFind, WeightedGraph, mst_steiner_tree,
-                               shortest_paths, zero_edges)
+from krobust.graphcore import (EdgeSet, UnionFind, WeightedGraph,
+                               mst_steiner_tree, shortest_paths, zero_edges)
 from krobust.model import (KINDS, STEINERFOREST, STEINERTREE, ProblemInstance,
                            Schedule)
 from krobust.oracle import opt_bounds
 from krobust.steiner import (
+    SfnetResult,
     _tree_bounds,
     ball_packing_net,
     sfnet_build,
@@ -44,6 +45,101 @@ def test_ball_packing_net_radius_sweep():
 def test_ball_packing_net_unreachable_is_far():
     g = WeightedGraph.build(4, [(0, 1, 1), (2, 3, 1)])
     assert ball_packing_net(g, F(10)) == frozenset({0, 2})
+
+
+# Thresholds are compared cross-multiplied (d * q against p for p/q); each
+# is checked at a distance equal to it and 1/100 to either side, on a graph
+# of thirds and halves and on its int-cost copy (costs times L = 6, the
+# threshold with them).
+EPS = F(1, 100)
+
+
+def _thirds_and_halves(pairs=()):
+    """The path 0 -7/3- 1 -5/2- 2: distances 7/3, 5/2 and 29/6."""
+    return WeightedGraph.build(3, [(0, 1, F(7, 3)), (1, 2, F(5, 2))],
+                               pairs=pairs)
+
+
+def _at_and_beside(x):
+    return (x - EPS, x, x + EPS)
+
+
+def _reference_packing(g, radius):
+    """ball_packing_net by its definition, on Fraction comparisons."""
+    chosen = []
+    for v in range(g.n):
+        dv, _ = shortest_paths(g, [v])
+        if all(c not in dv or F(dv[c]) > radius for c in chosen):
+            chosen.append(v)
+    return frozenset(chosen)
+
+
+def test_ball_packing_net_at_the_radius():
+    g = _thirds_and_halves()
+    assert ball_packing_net(g, F(7, 3)) == frozenset({0, 2})
+    assert ball_packing_net(g, F(7, 3) - EPS) == frozenset({0, 1, 2})
+    for d in (F(7, 3), F(5, 2), F(29, 6)):
+        for radius in _at_and_beside(d):
+            want = _reference_packing(g, radius)
+            for scale, h in ((1, g), g.integral()):
+                assert ball_packing_net(h, radius * scale) == want, radius
+
+
+def test_tree_plan_radius_invariant_at_the_radius(monkeypatch):
+    # a net of vertex 0 alone leaves vertex 2 at 29/6: the plan holds at a
+    # radius of 29/6 or more and raises below it
+    monkeypatch.setattr(steiner, "ball_packing_net", lambda g, r: {0})
+    g = _thirds_and_halves()
+    sched = Schedule.of([3, 2], [1, 2])   # T = 1 and min lam*k = 3
+    for scale, h in ((1, g), g.integral()):
+        for radius in _at_and_beside(F(29, 6)):
+            # radius = 4 T tau and tau = guess / 3 at beta = 1
+            guess = radius * scale * 3 / 4
+            if radius < F(29, 6):
+                with pytest.raises(InvariantViolation):
+                    thrifty_tree_plan(h, sched, guess, F(1))
+            else:
+                plan = thrifty_tree_plan(h, sched, guess, F(1))
+                assert plan.residuals[2] == F(29, 6) * scale
+
+
+def test_sfnet_picks_a_pair_only_beyond_four_gamma():
+    g = _thirds_and_halves(pairs=[(0, 2)])
+    for scale, h in ((1, g), g.integral()):
+        for apart in _at_and_beside(F(29, 6)):
+            built = sfnet_build(h, h.pairs, apart * scale / 4)
+            assert built.sr == ({1} if apart < F(29, 6) else set()), apart
+
+
+def test_sfnet_links_only_within_two_gamma():
+    # both pairs are picked; pair 2's end 2 lies 7/3 from witness 0
+    g = WeightedGraph.build(4, [(0, 1, 10), (0, 2, F(7, 3)), (2, 3, 10)],
+                            pairs=[(0, 1), (2, 3)])
+    for scale, h in ((1, g), g.integral()):
+        for near_by in _at_and_beside(F(7, 3)):
+            built = sfnet_build(h, h.pairs, near_by * scale / 2)
+            assert built.sr == {1, 2}
+            assert built.sf_links == (
+                ((2, 0),) if near_by > F(7, 3) else ()), near_by
+
+
+def test_forest_plan_radius_invariant_at_four_gamma(monkeypatch):
+    # with nothing bought on day 0 the pair's residual is its distance 29/6
+    monkeypatch.setattr(steiner, "sfnet_build", lambda g, pairs, gamma: (
+        SfnetResult(gamma, *[frozenset()] * 5, (), frozenset(),
+                    EdgeSet.empty())))
+    g = _thirds_and_halves(pairs=[(0, 2)])
+    sched = Schedule.of([1, 1], [1, 2])   # T = 1 and min lam*k = 1
+    for scale, h in ((1, g), g.integral()):
+        for apart in _at_and_beside(F(29, 6)):
+            # 4 gamma = 8 T tau and tau = guess at beta = 1
+            guess = apart * scale / 8
+            if apart < F(29, 6):
+                with pytest.raises(InvariantViolation):
+                    thrifty_forest_plan(h, sched, guess, F(1))
+            else:
+                plan = thrifty_forest_plan(h, sched, guess, F(1))
+                assert plan.residuals[1] == F(29, 6) * scale
 
 
 def test_tree_plan_values():
