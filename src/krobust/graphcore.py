@@ -55,7 +55,9 @@ def _memoised(fn):
     only on the graph and the other arguments.  An int argument keys as it
     is; any other is read once into a frozenset, which is both its key and
     what fn receives.  Results are shared and must not be mutated.
-    peek(g, *args) returns the kept result, or None when there is none."""
+    peek(g, *args) returns the kept result, or None when there is none;
+    keep(g, result, *args) stores a result known to equal fn(g, *args),
+    unless one is kept already."""
 
     def key(args) -> tuple:
         for a in args:
@@ -73,6 +75,8 @@ def _memoised(fn):
         return got
 
     cached.peek = lambda g, *args: g._memo.get(key(args))
+    cached.keep = lambda g, result, *args: g._memo.setdefault(
+        key(args), result)
     return cached
 
 
@@ -85,7 +89,8 @@ class WeightedGraph:
     contraction (identity when None); merged-away vertex ids keep existing
     so ids stay stable.  _memo holds the results of the memoised
     primitives; it takes no part in equality, hashing or repr, and every
-    derived graph starts with an empty one.
+    derived graph starts with an empty one (a cost-scaled cut graph then
+    gets the instance's root cuts that it shares, see mincut._scale).
     """
 
     n: int

@@ -345,16 +345,19 @@ def _candidates(spec: Kind, payload, schedule: Schedule,
 def _reframe(inner: ThriftyPlan, pre: "PreprocessResult") -> ThriftyPlan:
     """Restate a plan computed on a preprocessed instance in original terms:
     prepaid edges join day 0 and its cost, action lists drop them, and the
-    critical day is mapped back to original day numbering."""
+    critical day is mapped back to original day numbering.  With nothing
+    prepaid, the purchase (sorted already) and the action lists stay as
+    they are."""
     owned = pre.prepaid.ids
-    return replace(
-        inner,
-        critical_day=pre.kept_days[inner.critical_day],
-        day0_purchase=tuple(sorted(owned | set(inner.day0_purchase))),
-        day0_cost=pre.prepaid.cost + inner.day0_cost,
-        residual_actions={u: tuple(i for i in acts if i not in owned)
-                          for u, acts in inner.residual_actions.items()},
-        preprocess_f=pre.f_guess)
+    if owned:
+        inner = replace(
+            inner,
+            day0_purchase=tuple(sorted(owned | set(inner.day0_purchase))),
+            residual_actions={u: tuple(i for i in acts if i not in owned)
+                              for u, acts in inner.residual_actions.items()})
+    return replace(inner, critical_day=pre.kept_days[inner.critical_day],
+                   day0_cost=pre.prepaid.cost + inner.day0_cost,
+                   preprocess_f=pre.f_guess)
 
 
 def _divided(plan: ThriftyPlan, scale: int) -> ThriftyPlan:

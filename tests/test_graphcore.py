@@ -653,19 +653,30 @@ def test_tree_solve_searches_each_source_set_once(monkeypatch, seed):
 
 
 @pytest.mark.parametrize("kind", [MINCUT, STEINERTREE, STEINERFOREST])
-def test_solves_leave_memoised_results_intact(kind):
+def test_solves_leave_memoised_results_intact(monkeypatch, kind):
     # memoised results are shared between callers, so no caller may
-    # mutate one
+    # mutate one; a cost-scaled cut graph also holds the root cuts it
+    # shares with the instance, each of which must be its own
+    graphs, scaled = [], []
+    scale = KINDS[kind].scale
+
+    def kept(*args):
+        pre = scale(*args)
+        scaled.append(pre.graph)
+        return pre
+
+    monkeypatch.setitem(KINDS, kind, replace(KINDS[kind], scale=kept))
     for seed in range(4):
         inst = gen_random(kind, 7, 14, 2, seed)
         g = inst.payload
         for preprocess in (False, True):
             solve_thrifty(kind, g, inst.schedule, None, preprocess)
         # the solves ran on the int-cost copy memoised on the graph
-        for h in (g, g.integral()[1]):
-            assert h._memo
-            for (fn, *args), result in h._memo.items():
-                assert fn(replace(h), *args) == result, (fn.__name__, args)
+        graphs += [g, g.integral()[1]]
+    assert all(h._memo for h in graphs) and any(h._memo for h in scaled)
+    for h in graphs + scaled:
+        for (fn, *args), result in h._memo.items():
+            assert fn(replace(h), *args) == result, (fn.__name__, args)
 
 
 def _fraction_solve(kind, g, schedule, preprocess):

@@ -2,21 +2,27 @@
 
 import hashlib
 import json
+import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from krobust import mincut
 from krobust.cli import main, serialize_instance
 from krobust.errors import Infeasible
 from krobust.fixtures import gen_random
-from krobust.graphcore import WeightedGraph, preprocess_cost_scaling
+from krobust.graphcore import (WeightedGraph, delete_or_contract,
+                               preprocess_cost_scaling)
 from krobust.mincut import (
+    _reps,
     build_net,
     solve,
     thrifty_plan,
     units_of,
 )
-from krobust.model import MINCUT, ProblemInstance, Schedule, scaled_candidates
+from krobust.model import (KINDS, MINCUT, ProblemInstance, Schedule,
+                           scaled_candidates)
 from krobust.oracle import exhaustive_robcov, minimax_opt
 
 F = Fraction
@@ -156,3 +162,116 @@ def test_large_solve_stdout_is_pinned(tmp_path, capsys):
     assert main(["solve", str(path)]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
         "f979ba4b7e296627782bea6e99df392399bfb7b362598475a537dee55add49ee")
+
+
+def _scaling_cases():
+    """Cut instances for the cost-scaling tests, each with its schedule:
+    seeded Fraction-cost graphs; the same with zero-cost edges and parallel
+    copies; already contracted payloads (rep set, merged vertices smaller
+    than their representative); and graphs with a third of their costs
+    times n^3, a spread above n^2, whose costly guesses prepay edges."""
+    cases = []
+    for n, seed in [(6, 1), (7, 2), (9, 3), (10, 4), (12, 5), (14, 6)]:
+        inst = gen_random(MINCUT, n, 3 * n, 2, seed)
+        g, rng = inst.payload, random.Random(seed)
+        edges = [(e.u, e.v, e.cost) for e in g.edges]
+        odd = [(u, v, 0 if i % 4 == 0 else c) for i, (u, v, c) in
+               enumerate(edges)] + [(u, v, c * 2) for u, v, c in edges[::3]]
+        # contracting (v, u) names the larger end: a smaller vertex then
+        # stands for it
+        flip = [(v, u, c) for u, v, c in edges]
+        high = [(u, v, c * n ** 3 if rng.random() < 0.35 else c)
+                for u, v, c in edges]
+        cases += [(g, inst.schedule),
+                  (WeightedGraph.build(n, odd, g.root), inst.schedule),
+                  (delete_or_contract(WeightedGraph.build(n, flip, g.root),
+                                      [1, n], "contract"), inst.schedule),
+                  (WeightedGraph.build(n, high, g.root), inst.schedule)]
+    return cases
+
+
+def _guesses(g):
+    """The smallest edge id of each distinct cost, cheapest first."""
+    first = {e.cost: e.eid for e in reversed(g.edges)}
+    return [first[cost] for cost in sorted(first)]
+
+
+def test_scaled_graphs_share_exact_root_cuts():
+    # every cut a guess shares from the instance is the scaled graph's own
+    shared = skipped = prepaid = 0
+    for g, schedule in _scaling_cases():
+        for f in _guesses(g):
+            try:
+                pre = KINDS[MINCUT].scale(g, schedule, f, 2)
+            except Infeasible:
+                continue
+            h = pre.graph
+            if h is g:   # nothing scaled: the instance's memo is its own
+                continue
+            for (fn, *args), result in h._memo.items():
+                assert fn.__name__ == "min_cut"
+                assert fn(replace(h), *args) == result, args
+            shared += len(h._memo)
+            if not pre.prepaid.ids:
+                skipped += len(set(_reps(h, h.root).values())) - len(h._memo)
+            prepaid += bool(pre.prepaid.ids)
+    assert shared > 50 and skipped > 10 and prepaid > 10
+
+
+def _scale_reference(g, schedule, f, merge_r):
+    """Cost scaling as it was first written: build the scaled graph, then
+    look for a unit whose representative is the root."""
+    pre = preprocess_cost_scaling(g, schedule, f, merge_r)
+    for v in units_of(g):
+        if pre.graph.representative(v) == pre.graph.root:
+            raise Infeasible(f"vertex {v} is only separable by costlier edges")
+    return pre
+
+
+def _refusal(scale, *args):
+    try:
+        scale(*args)
+    except Infeasible as exc:
+        return str(exc)
+    return None
+
+
+def test_early_refusal_matches_the_scaled_graph():
+    refused = 0
+    for g, schedule in _scaling_cases():
+        for e in g.edges:
+            want = _refusal(_scale_reference, g, schedule, e.eid, 2)
+            assert _refusal(KINDS[MINCUT].scale, g, schedule, e.eid, 2) == want
+            refused += want is not None
+    assert refused > 100
+
+
+@pytest.mark.parametrize("seed", range(1, 4))
+def test_cost_scaling_computes_each_instance_root_cut_once(monkeypatch, seed):
+    # infeasible guesses build no scaled graph, and a scaled graph reads
+    # the instance's root cuts instead of computing them again
+    inst = gen_random(MINCUT, 16, 48, 3, seed)
+    g = replace(inst.payload)
+    work = g.integral()[1]
+    feasible = [f for f in _guesses(work) if _refusal(
+        _scale_reference, work, inst.schedule, f, 2) is None]
+    scaled, computed = [], []
+    cut, scale = mincut.min_cut, mincut.preprocess_cost_scaling
+
+    def counted_cut(h, root, terminals):
+        terminals = frozenset(terminals)
+        if len(terminals) == 1 and cut.peek(h, root, terminals) is None:
+            computed.append((*terminals, cut(h, root, terminals)))
+        return cut(h, root, terminals)
+
+    def counted_scale(*args):
+        scaled.append(args[2])
+        return scale(*args)
+
+    monkeypatch.setattr(mincut, "min_cut", counted_cut)
+    monkeypatch.setattr(mincut, "preprocess_cost_scaling", counted_scale)
+    solve(g, inst.schedule, preprocess=True)
+    assert scaled == feasible and len(feasible) < len(_guesses(work))
+    own = [(r, result) for r, result in computed
+           if result == cut(work, work.root, [r])]
+    assert len(own) == len(set(r for r, _ in own)) == len(units_of(g))
