@@ -468,7 +468,10 @@ def _add_sizes(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: building it costs far more than
+    a parse."""
     parser = argparse.ArgumentParser(
         prog="krobust",
         description="Thrifty solvers and exact oracles for multistage "
@@ -529,15 +532,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built once per process: building it costs far more than
-    a parse."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         code = _run(args)
         sys.stdout.flush()   # a reader that has gone shows here at the latest

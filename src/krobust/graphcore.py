@@ -137,9 +137,6 @@ class WeightedGraph:
         except KeyError:
             raise UnknownEdge(f"edge id {eid} not in graph") from None
 
-    def edge_ids(self) -> frozenset[int]:
-        return frozenset(e.eid for e in self.edges)
-
     def known_ids(self, ids: Iterable[int]) -> frozenset[int]:
         """The ids as a frozenset; raises UnknownEdge naming every id that
         is not an edge of the graph."""
@@ -186,6 +183,30 @@ class WeightedGraph:
         edges = tuple(e._replace(cost=c) for e, c in zip(self.edges, costs))
         return scale, WeightedGraph(self.n, edges, self.root, self.pairs,
                                     self.rep)
+
+    @_memoised
+    def scaling_floor(self) -> Fraction | None:
+        """The least c_f under which preprocess_cost_scaling keeps every
+        unit coverable, or None when none does; like it, read off the root:
+        for a cut the costliest edge at the root (contracting a costlier one
+        merges a unit into it), else the cost at which a Kruskal sweep joins
+        the last pair (vertex 0 and each vertex for a tree).  Exact, as a
+        cheaper guess contracts or deletes a superset of the edges."""
+        if self.root is not None:
+            return max((e.cost for e in self.edges
+                        if self.root in (e.u, e.v)), default=0)
+        apart = [p[:2] for p in self.pairs] or [(0, v) for v in range(self.n)]
+        uf, floor = UnionFind(self.n), 0
+        edges = iter(sorted(self.edges, key=lambda e: e.cost))
+        while apart:
+            if uf.find(apart[-1][0]) == uf.find(apart[-1][1]):
+                apart.pop()
+            elif (e := next(edges, None)) is None:
+                return None
+            else:
+                uf.union(e.u, e.v)
+                floor = e.cost
+        return floor
 
 
 def _dijkstra(g: WeightedGraph, sources: Iterable[int],

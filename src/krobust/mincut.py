@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import graphcore
-from .errors import Infeasible, KRobustError
+from .errors import KRobustError
 from .graphcore import (WeightedGraph, delete_or_contract, min_cut,
                         preprocess_cost_scaling, reach_tables)
 from .model import (KINDS, MINCUT, CostReport, Kind, Schedule, ThriftyPlan,
@@ -90,30 +90,15 @@ def _bounds(g: WeightedGraph):
 
 
 def _scale(g: WeightedGraph, schedule: Schedule, f_guess: int, merge_r):
-    """Cost scaling under edge f_guess.  A unit merges into the root exactly
-    when an edge at the root costs more than c_f, so such a guess raises
-    Infeasible before anything is built, naming the smallest unit the root
-    reaches over those edges: every cut for it needs a costlier edge.
-    If the guess contracted edges and prepaid none, the scaled graph keeps
-    each representative's instance root cut that has no edge above c_f.
-    Exact: every side the scaled graph allows is one of the instance at the
-    same cost, and the instance's minimal minimum side, which lies inside
-    every minimum side, is allowed, so it is the scaled graph's too."""
-    root = _require_root(g)
-    cf = g.edge_by_id(f_guess).cost
-    adj, merged, stack = g.adjacency(), {root}, [root]
-    while stack:
-        x = stack.pop()
-        for e in adj[x]:
-            w = e.v if e.u == x else e.u
-            if e.cost > cf and w not in merged:
-                merged.add(w)
-                stack.append(w)
-    if len(merged) > 1:
-        v = next(v for v in units_of(g) if g.representative(v) in merged)
-        raise Infeasible(f"vertex {v} is only separable by costlier edges")
+    """Cost scaling under edge f_guess, at or above g.scaling_floor().  If
+    the guess contracted edges and prepaid none, the scaled graph keeps each
+    representative's instance root cut that has no edge above c_f.  Exact:
+    every side the scaled graph allows is one of the instance at the same
+    cost, and the instance's minimal minimum side, which lies inside every
+    minimum side, is allowed, so it is the scaled graph's too."""
     pre = preprocess_cost_scaling(g, schedule, f_guess, merge_r)
     if pre.graph is not g and not pre.prepaid.ids:
+        root, cf = g.root, g.edge_by_id(f_guess).cost
         for r in set(_reps(pre.graph, root).values()):
             cut = min_cut(g, root, [r])
             if all(g.edges_by_id[i].cost <= cf for i in cut[1].ids):
@@ -132,12 +117,8 @@ def _cover_table(g: WeightedGraph, ids, units, columns=None) -> int:
 
 def solve(g: WeightedGraph, schedule: Schedule, beta: Fraction | None = None,
           preprocess: bool = False, merge_r=2) -> tuple[ThriftyPlan, CostReport]:
-    """Best evaluated plan over the doubling guess grid.
-
-    With preprocess=True the grid runs once per guess of the costliest edge
-    instead, after cost scaling; guesses that cannot stay feasible are
-    skipped (the costliest edge of the graph always can).
-    """
+    """Best evaluated plan over the doubling guess grid (and, with
+    preprocess=True, over every guess of the costliest edge after scaling)."""
     return solve_thrifty(MINCUT, g, schedule, beta, preprocess, merge_r)
 
 

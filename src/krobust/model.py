@@ -304,10 +304,10 @@ class Kind:
     cheapest-first order.  ratio_bound(payload, schedule) is the proven
     bound on a plan's robcov over the adaptive optimum.  For graph problems,
     scale(payload, schedule, f_guess, merge_r) cost-scales the instance
-    under a guess of the costliest edge ever bought and raises Infeasible
-    when that guess cannot stay feasible.  A graph payload has a root
-    exactly when it is a cut instance.  min_live is the largest k_T for
-    which the instance is trivial.
+    under a guess of the costliest edge ever bought, never one below the
+    payload's scaling_floor(), so it raises no Infeasible.  A graph payload
+    has a root exactly when it is a cut instance.  min_live is the largest
+    k_T for which the instance is trivial.
     """
 
     units: Callable
@@ -372,8 +372,12 @@ def _divided(plan: ThriftyPlan, scale: int) -> ThriftyPlan:
 def scaled_candidates(kind: str, payload, schedule: Schedule, f_guess: int,
                       beta, merge_r) -> list[ThriftyPlan]:
     """All grid plans for one guess of the costliest edge ever bought, in
-    original terms.  Raises Infeasible when the guess cannot stay feasible."""
+    original terms.  Raises Infeasible, before scaling, when the guess
+    costs less than the payload's scaling_floor() or there is no floor."""
     spec = KINDS[kind]
+    floor = payload.scaling_floor()
+    if floor is None or payload.edge_by_id(f_guess).cost < floor:
+        raise Infeasible(f"edge {f_guess} leaves a unit uncoverable")
     pre = spec.scale(payload, schedule, f_guess, merge_r)
     return [_reframe(plan, pre)
             for plan in _candidates(spec, pre.graph, pre.schedule, beta)]
@@ -390,8 +394,8 @@ def solve_thrifty(kind: str, payload, schedule: Schedule, beta=None,
 
     With preprocess=True the grid runs once per distinct edge cost instead,
     on the instance cost-scaled under the first edge of that cost as the
-    costliest one ever bought.  Guesses that cannot stay feasible are
-    skipped.  If none is left (a graph without edges, or a disconnected
+    costliest one ever bought.  Guesses below the payload's scaling_floor()
+    are skipped.  If none is left (a graph without edges, or a disconnected
     one) the plain grid decides: it returns the free plan or raises the
     instance's own error.
     """

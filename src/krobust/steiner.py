@@ -206,13 +206,10 @@ def _tree_bounds(g: WeightedGraph):
 
 
 def _forest_bounds(g: WeightedGraph):
-    """The largest pair distance and the Steiner forest on all pairs."""
-    lb = 0
-    for p in g.pairs:
-        dist, _ = shortest_paths(g, [p.s])
-        if p.t not in dist:
-            raise Disconnected(f"pair {p.pid} cannot be connected")
-        lb = max(lb, dist[p.t])
+    """The largest pair distance and the Steiner forest on all pairs; the
+    forest raises Disconnected naming the first pair it cannot join."""
+    lb = max([shortest_paths(g, [p.s])[0].get(p.t, 0) for p in g.pairs],
+             default=0)
     ub = gw_steiner_forest(g, g.pairs)
     return lb, ub.cost, sorted(ub.ids)
 

@@ -1,5 +1,6 @@
 """Session-wide instance batches shared by the unit and acceptance tests."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from itertools import pairwise
 
 from krobust.fixtures import gen_random
-from krobust.graphcore import UnionFind
+from krobust.graphcore import UnionFind, WeightedGraph
 from krobust.model import (KINDS, MINCUT, PROBLEM_KINDS, SETCOVER,
                            STEINERTREE, guess_grid, threshold_tau)
 from krobust.oracle import opt_bounds
@@ -100,6 +101,46 @@ def forest_net_runs(insts):
         for guess in guess_grid(lb, ub):
             yield g, 2 * sched.horizon * threshold_tau(guess, sched,
                                                        Fraction(10))
+
+
+def cost_guesses(g):
+    """The smallest edge id of each distinct cost, cheapest first: the
+    guesses solve_thrifty tries under cost scaling."""
+    first = {e.cost: e.eid for e in reversed(g.edges)}
+    return [first[cost] for cost in sorted(first)]
+
+
+def floor_cases(kind):
+    """Seeded graphs of a graph kind for the cost-scaling floor tests, each
+    with its schedule: gen_random(kind, n, 3n, 3, seed) for n = 5, 8, ...,
+    20 and seeds 1-6; a copy with every fourth cost zero and the rest
+    rounded up to halves, so many tie, and (for a forest) one pair whose
+    ends are the same vertex; and a sparse copy with every third edge,
+    often disconnected."""
+    for n in range(5, 21, 3):
+        for seed in range(1, 7):
+            inst = gen_random(kind, n, 3 * n, 3, seed)
+            g = inst.payload
+            edges = [(e.u, e.v, e.cost) for e in g.edges]
+            tied = [(u, v, 0 if i % 4 == 0 else Fraction(math.ceil(2 * c), 2))
+                    for i, (u, v, c) in enumerate(edges)]
+            pairs = [(p.s, p.t) for p in g.pairs]
+            same = pairs and pairs[:-1] + [(pairs[-1][0],) * 2]
+            for es, ps in [(edges, pairs), (tied, same), (edges[::3], pairs)]:
+                yield WeightedGraph.build(n, es, g.root, ps), inst.schedule
+
+
+def check_floor(g, accepts):
+    """Assert that the guesses accepts(f), a build-then-check reference,
+    takes are exactly those costing at least g.scaling_floor(), and that
+    the floor is None exactly when it takes none; the refused count."""
+    floor = g.scaling_floor()
+    guesses = cost_guesses(g)
+    taken = [f for f in guesses if accepts(f)]
+    assert (floor is None) == (not taken), floor
+    assert taken == [f for f in guesses if floor is not None
+                     and g.edge_by_id(f).cost >= floor], floor
+    return len(guesses) - len(taken)
 
 
 @pytest.fixture(scope="session")

@@ -25,6 +25,8 @@ from krobust.model import (KINDS, MINCUT, ProblemInstance, Schedule,
                            scaled_candidates)
 from krobust.oracle import exhaustive_robcov, minimax_opt
 
+from conftest import check_floor, cost_guesses, floor_cases
+
 F = Fraction
 
 
@@ -95,8 +97,10 @@ def test_solve_trivial_and_free():
 def test_preprocess_guess_can_be_infeasible():
     g = WeightedGraph.build(3, [(0, 1, 100), (1, 2, 1)], root=0)
     sched = Schedule.of([2, 1], [1, 2])
-    # guessing the cheap edge as costliest contracts vertex 1 into the root
-    with pytest.raises(Infeasible, match="separable"):
+    # guessing the cheap edge as costliest contracts vertex 1 into the root,
+    # so the root's costliest edge is the floor
+    assert g.scaling_floor() == 100
+    with pytest.raises(Infeasible, match="edge 1 leaves a unit uncoverable"):
         scaled_candidates(MINCUT, g, sched, 1, F(50), 2)
     plans = scaled_candidates(MINCUT, g, sched, 0, F(50), 2)
     assert len(plans) == 1
@@ -122,6 +126,8 @@ def test_preprocess_contraction_moves_the_root():
     # contracting the pricey edge merges the root into vertex 1
     assert preprocess_cost_scaling(g, sched, 1, 2).graph.root == 1
     with pytest.raises(Infeasible, match="vertex 1 is only separable"):
+        _scale_reference(g, sched, 1, 2)
+    with pytest.raises(Infeasible, match="edge 1 leaves a unit uncoverable"):
         scaled_candidates(MINCUT, g, sched, 1, F(50), 2)
     plan, report = solve(g, sched, preprocess=True)
     assert report.robcov == 101
@@ -190,21 +196,14 @@ def _scaling_cases():
     return cases
 
 
-def _guesses(g):
-    """The smallest edge id of each distinct cost, cheapest first."""
-    first = {e.cost: e.eid for e in reversed(g.edges)}
-    return [first[cost] for cost in sorted(first)]
-
-
 def test_scaled_graphs_share_exact_root_cuts():
     # every cut a guess shares from the instance is the scaled graph's own
     shared = skipped = prepaid = 0
     for g, schedule in _scaling_cases():
-        for f in _guesses(g):
-            try:
-                pre = KINDS[MINCUT].scale(g, schedule, f, 2)
-            except Infeasible:
+        for f in cost_guesses(g):
+            if _refusal(_scale_reference, g, schedule, f, 2):
                 continue
+            pre = KINDS[MINCUT].scale(g, schedule, f, 2)
             h = pre.graph
             if h is g:   # nothing scaled: the instance's memo is its own
                 continue
@@ -236,14 +235,14 @@ def _refusal(scale, *args):
     return None
 
 
-def test_early_refusal_matches_the_scaled_graph():
+def test_scaling_floor_decides_every_cut_guess():
+    # the costliest edge at the root is the least guess under which no
+    # unit merges into the root, also on contracted payloads
     refused = 0
-    for g, schedule in _scaling_cases():
-        for e in g.edges:
-            want = _refusal(_scale_reference, g, schedule, e.eid, 2)
-            assert _refusal(KINDS[MINCUT].scale, g, schedule, e.eid, 2) == want
-            refused += want is not None
-    assert refused > 100
+    for g, schedule in _scaling_cases() + list(floor_cases(MINCUT)):
+        refused += check_floor(g, lambda f: _refusal(
+            _scale_reference, g, schedule, f, 2) is None)
+    assert refused > 500
 
 
 @pytest.mark.parametrize("seed", range(1, 4))
@@ -253,7 +252,7 @@ def test_cost_scaling_computes_each_instance_root_cut_once(monkeypatch, seed):
     inst = gen_random(MINCUT, 16, 48, 3, seed)
     g = replace(inst.payload)
     work = g.integral()[1]
-    feasible = [f for f in _guesses(work) if _refusal(
+    feasible = [f for f in cost_guesses(work) if _refusal(
         _scale_reference, work, inst.schedule, f, 2) is None]
     scaled, computed = [], []
     cut, scale = mincut.min_cut, mincut.preprocess_cost_scaling
@@ -271,7 +270,7 @@ def test_cost_scaling_computes_each_instance_root_cut_once(monkeypatch, seed):
     monkeypatch.setattr(mincut, "min_cut", counted_cut)
     monkeypatch.setattr(mincut, "preprocess_cost_scaling", counted_scale)
     solve(g, inst.schedule, preprocess=True)
-    assert scaled == feasible and len(feasible) < len(_guesses(work))
+    assert scaled == feasible and len(feasible) < len(cost_guesses(work))
     own = [(r, result) for r, result in computed
            if result == cut(work, work.root, [r])]
     assert len(own) == len(set(r for r, _ in own)) == len(units_of(g))

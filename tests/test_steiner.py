@@ -7,12 +7,13 @@ from fractions import Fraction
 import pytest
 
 from krobust import graphcore, steiner
-from krobust.errors import Disconnected, InvariantViolation, TrivialInstance
+from krobust.errors import (Disconnected, Infeasible, InvariantViolation,
+                            TrivialInstance)
 from krobust.fixtures import gen_random
 from krobust.graphcore import (EdgeSet, UnionFind, WeightedGraph,
                                mst_steiner_tree, shortest_paths, zero_edges)
 from krobust.model import (KINDS, STEINERFOREST, STEINERTREE, ProblemInstance,
-                           Schedule)
+                           Schedule, scaled_candidates)
 from krobust.oracle import opt_bounds
 from krobust.steiner import (
     SfnetResult,
@@ -24,7 +25,7 @@ from krobust.steiner import (
     thrifty_forest_plan,
     thrifty_tree_plan,
 )
-from conftest import forest_net_runs
+from conftest import check_floor, cost_guesses, floor_cases, forest_net_runs
 
 F = Fraction
 
@@ -256,6 +257,68 @@ def test_solve_forest_preprocess():
                                 preprocess=True)
     assert report.robcov <= plain.robcov
     assert plan.preprocess_f is not None
+
+
+def _has_bounds(kind, g, schedule, f):
+    """Whether the graph cost-scaled under edge f has grid bounds: the
+    build-then-check reference for the tree's and forest's floor."""
+    pre = graphcore.preprocess_cost_scaling(g, schedule, f, 2)
+    try:
+        KINDS[kind].bounds(pre.graph)
+    except Disconnected:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("kind", [STEINERTREE, STEINERFOREST])
+def test_scaling_floor_decides_every_guess(kind):
+    # the floor is where a Kruskal sweep joins the last pair: every guess
+    # below it leaves a pair apart, none at or above it does, and a graph
+    # whose edges never join every pair has none
+    refused = nowhere = 0
+    for g, schedule in floor_cases(kind):
+        refused += check_floor(g, lambda f: _has_bounds(kind, g, schedule, f))
+        nowhere += g.scaling_floor() is None
+    assert refused > 500 and nowhere > 10
+
+
+@pytest.mark.parametrize("kind", [STEINERTREE, STEINERFOREST])
+@pytest.mark.parametrize("seed", range(1, 4))
+def test_cost_scaling_builds_no_graph_it_refuses(monkeypatch, kind, seed):
+    # a guess below the floor is refused before preprocess_cost_scaling
+    inst = gen_random(kind, 16, 48, 3, seed)
+    g = replace(inst.payload)
+    work = g.integral()[1]
+    feasible = [f for f in cost_guesses(work)
+                if _has_bounds(kind, work, inst.schedule, f)]
+    scaled = []
+    scale = steiner.preprocess_cost_scaling
+
+    def counted(*args):
+        scaled.append(args[2])
+        return scale(*args)
+
+    monkeypatch.setattr(steiner, "preprocess_cost_scaling", counted)
+    KINDS[kind].solve(g, inst.schedule, None, True)
+    assert scaled == feasible and len(feasible) < len(cost_guesses(work))
+
+
+def test_a_graph_without_floor_scales_no_guess(monkeypatch):
+    # no cost joins vertex 0 with vertex 2, or pair 2's ends: every guess
+    # is refused unscaled, and the plain grid raises the instance's error
+    edges = [(0, 1, 1), (2, 3, 2), (0, 1, 3)]
+    tree = WeightedGraph.build(4, edges)
+    forest = WeightedGraph.build(4, edges, pairs=[(0, 1), (1, 2)])
+    monkeypatch.setattr(steiner, "preprocess_cost_scaling", None)
+    for kind, g, k, error in [(STEINERTREE, tree, 4, "vertices 0 and 2"),
+                              (STEINERFOREST, forest, 2, "pair 2 cannot")]:
+        sched = Schedule.of([k, 2], [1, 2])
+        assert g.scaling_floor() is None
+        for f in range(len(edges)):
+            with pytest.raises(Infeasible, match=f"edge {f} leaves a unit"):
+                scaled_candidates(kind, g, sched, f, None, 2)
+        with pytest.raises(Disconnected, match=error):
+            KINDS[kind].solve(g, sched, None, True)
 
 
 @pytest.mark.parametrize("seed", range(5))
