@@ -428,7 +428,7 @@ def _at_least(low: int, convert=_frac_arg):
 
 def _limits_arg(text: str) -> SizeLimits:
     try:
-        units, actions, horizon = (int(x) for x in text.split(","))
+        units, actions, horizon = map(_at_least(0, int), text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected max_units,max_actions,max_horizon, got {text!r}")

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
-from .errors import (BadParameters, BadSchedule, Infeasible,
-                     MalformedSchedule, MissingResidual, TrivialInstance)
+from .errors import (BadParameters, BadSchedule, MalformedSchedule,
+                     MissingResidual, TrivialInstance)
 
 if TYPE_CHECKING:
     from .graphcore import PreprocessResult, WeightedGraph
@@ -199,11 +199,14 @@ class ThriftyPlan:
     """A two-day strategy: a day-0 purchase plus, on the critical day, a
     precomputed per-unit residual purchase for whatever is still active.
 
-    residuals maps every ground unit to the cost of its day-critical purchase;
+    guess is the grid's guess of the optimum and tau the threshold it sets;
+    net holds the units tau marks expensive, which day 0 covers.  residuals
+    maps every ground unit to the cost of its day-critical purchase;
     residual_actions maps it to the action ids bought then (empty if the unit
     is already handled by day 0).  conservative marks plans whose residual
     purchases may share actions, making the evaluated robcov an upper bound
-    rather than exact.
+    rather than exact.  preprocess_f is the id of the edge guessed costliest
+    under cost scaling (None for the plain grid), solve's preprocess_f key.
     """
 
     guess: Fraction
@@ -304,10 +307,10 @@ class Kind:
     cheapest-first order.  ratio_bound(payload, schedule) is the proven
     bound on a plan's robcov over the adaptive optimum.  For graph problems,
     scale(payload, schedule, f_guess, merge_r) cost-scales the instance
-    under a guess of the costliest edge ever bought, never one below the
-    payload's scaling_floor(), so it raises no Infeasible.  A graph payload
-    has a root exactly when it is a cut instance.  min_live is the largest
-    k_T for which the instance is trivial.
+    under a guess of the costliest edge ever bought; solve_thrifty asks for
+    none below the payload's scaling_floor(), so it raises no Infeasible.
+    A graph payload has a root exactly when it is a cut instance.  min_live
+    is the largest k_T for which the instance is trivial.
     """
 
     units: Callable
@@ -369,20 +372,6 @@ def _divided(plan: ThriftyPlan, scale: int) -> ThriftyPlan:
         residuals={u: Fraction(v, scale) for u, v in plan.residuals.items()})
 
 
-def scaled_candidates(kind: str, payload, schedule: Schedule, f_guess: int,
-                      beta, merge_r) -> list[ThriftyPlan]:
-    """All grid plans for one guess of the costliest edge ever bought, in
-    original terms.  Raises Infeasible, before scaling, when the guess
-    costs less than the payload's scaling_floor() or there is no floor."""
-    spec = KINDS[kind]
-    floor = payload.scaling_floor()
-    if floor is None or payload.edge_by_id(f_guess).cost < floor:
-        raise Infeasible(f"edge {f_guess} leaves a unit uncoverable")
-    pre = spec.scale(payload, schedule, f_guess, merge_r)
-    return [_reframe(plan, pre)
-            for plan in _candidates(spec, pre.graph, pre.schedule, beta)]
-
-
 def solve_thrifty(kind: str, payload, schedule: Schedule, beta=None,
                   preprocess: bool = False,
                   merge_r=2) -> tuple[ThriftyPlan, CostReport]:
@@ -392,12 +381,14 @@ def solve_thrifty(kind: str, payload, schedule: Schedule, beta=None,
     is int: the candidates are ranked on robcov times D, which keeps every
     order and tie, and only the winner is evaluated and divided back by L.
 
-    With preprocess=True the grid runs once per distinct edge cost instead,
-    on the instance cost-scaled under the first edge of that cost as the
-    costliest one ever bought.  Guesses below the payload's scaling_floor()
-    are skipped.  If none is left (a graph without edges, or a disconnected
-    one) the plain grid decides: it returns the free plan or raises the
-    instance's own error.
+    With preprocess=True the grid runs once per distinct edge cost at or
+    above the payload's scaling_floor() instead, on the instance
+    cost-scaled under the first edge of that cost as the costliest one
+    ever bought.  Each such plan is ranked in its own frame, with the
+    prepaid cost and the kept day read off its PreprocessResult, and only
+    the winner is restated in original terms.  If no cost is left (a graph
+    without edges, or a disconnected one) the plain grid decides: it
+    returns the free plan or raises the instance's own error.
     """
     spec = KINDS[kind]
     if preprocess and spec.scale is None:
@@ -405,31 +396,38 @@ def solve_thrifty(kind: str, payload, schedule: Schedule, beta=None,
     units = spec.units(payload)
     validate_schedule(schedule, len(units))
     scale, work = payload.integral()
-    candidates: list[ThriftyPlan] = []
+    candidates: list[tuple[ThriftyPlan, PreprocessResult | None]] = []
     if schedule.k[schedule.horizon] <= spec.min_live:
-        candidates.append(trivial_plan(units))
-    elif preprocess:
-        # the smallest id of each distinct cost, cheapest first
+        candidates.append((trivial_plan(units), None))
+    elif preprocess and (floor := work.scaling_floor()) is not None:
+        # the smallest id of each distinct cost, cheapest first, from the floor
         first = {e.cost: e.eid for e in sorted(
-            work.edges, key=lambda e: e.eid, reverse=True)}
+            work.edges, key=lambda e: e.eid, reverse=True) if e.cost >= floor}
         for cost in sorted(first):
-            try:
-                candidates.extend(scaled_candidates(
-                    kind, work, schedule, first[cost], beta, merge_r))
-            except Infeasible:
-                continue
+            pre = spec.scale(work, schedule, first[cost], merge_r)
+            candidates += [(plan, pre) for plan in _candidates(
+                spec, pre.graph, pre.schedule, beta)]
     if not candidates:
-        candidates = _candidates(spec, work, schedule, beta)
-    missing = [u for plan in candidates for u in units
+        candidates = [(plan, None)
+                      for plan in _candidates(spec, work, schedule, beta)]
+    missing = [u for plan, _ in candidates for u in units
                if u not in plan.residuals]
     if missing:
         raise MissingResidual(missing[0])
     days, lam, _ = schedule.priced
-    # robcov * D, an int; the first least wins, so ties keep the smaller guess
-    best = min(candidates, key=lambda plan: (
-        plan.day0_cost.numerator * days + lam[plan.critical_day] * sum(
-            sorted(plan.residuals.values(), reverse=True)[
-                :schedule.k[plan.critical_day]])))
+
+    def robcov(candidate) -> int:
+        """robcov * D in original terms, an int; the first least wins, so
+        ties keep the cheaper cost guess, then the smaller grid guess."""
+        plan, pre = candidate
+        day, day0 = plan.critical_day, plan.day0_cost
+        if pre is not None:
+            day, day0 = pre.kept_days[day], pre.prepaid.cost + day0
+        return day0.numerator * days + lam[day] * sum(
+            sorted(plan.residuals.values(), reverse=True)[:schedule.k[day]])
+
+    best, pre = min(candidates, key=robcov)
+    best = best if pre is None else _reframe(best, pre)
     report = evaluate_thrifty(best, schedule)
     return _divided(best, scale), replace(report, **{
         money: Fraction(getattr(report, money), scale)

@@ -1,16 +1,19 @@
 """Session-wide instance batches shared by the unit and acceptance tests."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from itertools import pairwise
 
+from krobust.errors import Infeasible
 from krobust.fixtures import gen_random
 from krobust.graphcore import UnionFind, WeightedGraph
 from krobust.model import (KINDS, MINCUT, PROBLEM_KINDS, SETCOVER,
-                           STEINERTREE, guess_grid, threshold_tau)
+                           STEINERTREE, _candidates, _reframe, guess_grid,
+                           threshold_tau)
 from krobust.oracle import opt_bounds
 from krobust.setcover import elements_of
 
@@ -108,6 +111,34 @@ def cost_guesses(g):
     guesses solve_thrifty tries under cost scaling."""
     first = {e.cost: e.eid for e in reversed(g.edges)}
     return [first[cost] for cost in sorted(first)]
+
+
+def scaled_candidates(kind, payload, schedule, f_guess, beta, merge_r):
+    """All grid plans for one guess of the costliest edge ever bought, each
+    restated in original terms: the every-candidate reference for
+    solve_thrifty, which restates only its winner.  Raises Infeasible,
+    before scaling, when the guess costs less than the payload's
+    scaling_floor() or there is no floor."""
+    spec = KINDS[kind]
+    floor = payload.scaling_floor()
+    if floor is None or payload.edge_by_id(f_guess).cost < floor:
+        raise Infeasible(f"edge {f_guess} leaves a unit uncoverable")
+    pre = spec.scale(payload, schedule, f_guess, merge_r)
+    return [_reframe(plan, pre)
+            for plan in _candidates(spec, pre.graph, pre.schedule, beta)]
+
+
+def record_scales(monkeypatch, kind):
+    """Replace KINDS[kind] with a copy whose scale records each
+    PreprocessResult it returns, in call order, in the returned list."""
+    spec, scaled = KINDS[kind], []
+
+    def scale(*args):
+        scaled.append(spec.scale(*args))
+        return scaled[-1]
+
+    monkeypatch.setitem(KINDS, kind, replace(spec, scale=scale))
+    return scaled
 
 
 def floor_cases(kind):

@@ -33,7 +33,7 @@ from krobust.oracle import (
     scripted_worst_case,
 )
 from krobust.steiner import sfnet_build, solve_forest, solve_tree
-from conftest import forest_net_runs, solve_instance
+from conftest import forest_net_runs
 
 F = Fraction
 WIDE = SizeLimits(max_units=64, max_actions=12, max_horizon=9)

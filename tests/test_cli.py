@@ -225,8 +225,9 @@ def test_oracle_too_large(allstages, tmp_path, capsys):
     rc, _, err = run(capsys, "oracle", path, "--full-adversary")
     assert rc == 4 and "exceed" in err
     # cardinality instances have no shortcut at all
-    rc, _, err = run(capsys, "oracle", allstages, "--limits", "1,1,1")
-    assert rc == 4 and "exceed" in err
+    for limits in ("1,1,1", "0,0,0"):   # a cap of 0 is a cap, not an error
+        rc, _, err = run(capsys, "oracle", allstages, "--limits", limits)
+        assert rc == 4 and "exceed" in err
     # a lowered horizon cap suppresses the shortcut too
     rc, _, err = run(capsys, "oracle", path, "--limits", "8,12,1")
     assert rc == 4 and "exceed" in err
@@ -611,6 +612,10 @@ def test_compare_chain_violation_exits_5(allstages, capsys, monkeypatch,
      "got '1,2'"),
     (["oracle", "{path}", "--inactive-days", "x"],
      "argument --inactive-days: expected day,day,..., got 'x'"),
+    (["oracle", "{path}", "--limits", "8,-5,3"],
+     "argument --limits: must be >= 0, got '-5'"),
+    (["oracle", "{path}", "--limits=-1,12,3"],
+     "argument --limits: must be >= 0, got '-1'"),
 ])
 def test_flag_type_errors_exit_2(allstages, capsys, argv, message):
     with pytest.raises(SystemExit) as exc:   # argparse rejects the value

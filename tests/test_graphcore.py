@@ -27,10 +27,10 @@ from krobust.graphcore import (
 )
 from krobust.model import (KINDS, MINCUT, STEINERFOREST, STEINERTREE, Schedule,
                            _candidates, evaluate_thrifty, guess_grid,
-                           scaled_candidates, solve_thrifty)
+                           solve_thrifty)
 from krobust.oracle import SizeLimits, exact_min, opt_bounds
 
-from conftest import connects, separates
+from conftest import connects, scaled_candidates, separates
 
 F = Fraction
 

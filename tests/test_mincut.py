@@ -22,10 +22,11 @@ from krobust.mincut import (
     units_of,
 )
 from krobust.model import (KINDS, MINCUT, ProblemInstance, Schedule,
-                           scaled_candidates)
+                           solve_thrifty)
 from krobust.oracle import exhaustive_robcov, minimax_opt
 
-from conftest import check_floor, cost_guesses, floor_cases
+from conftest import (check_floor, cost_guesses, floor_cases, record_scales,
+                      scaled_candidates)
 
 F = Fraction
 
@@ -94,14 +95,16 @@ def test_solve_trivial_and_free():
     assert set(plan2.day0_purchase) == {0, 1}
 
 
-def test_preprocess_guess_can_be_infeasible():
+def test_preprocess_guess_can_be_infeasible(monkeypatch):
     g = WeightedGraph.build(3, [(0, 1, 100), (1, 2, 1)], root=0)
     sched = Schedule.of([2, 1], [1, 2])
     # guessing the cheap edge as costliest contracts vertex 1 into the root,
-    # so the root's costliest edge is the floor
-    assert g.scaling_floor() == 100
-    with pytest.raises(Infeasible, match="edge 1 leaves a unit uncoverable"):
-        scaled_candidates(MINCUT, g, sched, 1, F(50), 2)
+    # so the root's costliest edge is the floor, and the driver never
+    # scales under that guess
+    assert g.scaling_floor() == 100 and g.edge_by_id(1).cost < 100
+    scaled = record_scales(monkeypatch, MINCUT)
+    solve_thrifty(MINCUT, g, sched, F(50), True)
+    assert [pre.f_guess for pre in scaled] == [0]
     plans = scaled_candidates(MINCUT, g, sched, 0, F(50), 2)
     assert len(plans) == 1
     assert plans[0].preprocess_f == 0
@@ -120,16 +123,17 @@ def test_solve_with_preprocess_matches_plain():
     assert plan.preprocess_f == 0
 
 
-def test_preprocess_contraction_moves_the_root():
+def test_preprocess_contraction_moves_the_root(monkeypatch):
     g = WeightedGraph.build(3, [(1, 0, 100), (1, 2, 1)], root=0)
     sched = Schedule.of([2, 1], [1, 2])
     # contracting the pricey edge merges the root into vertex 1
     assert preprocess_cost_scaling(g, sched, 1, 2).graph.root == 1
     with pytest.raises(Infeasible, match="vertex 1 is only separable"):
         _scale_reference(g, sched, 1, 2)
-    with pytest.raises(Infeasible, match="edge 1 leaves a unit uncoverable"):
-        scaled_candidates(MINCUT, g, sched, 1, F(50), 2)
+    assert g.edge_by_id(1).cost < g.scaling_floor()
+    scaled = record_scales(monkeypatch, MINCUT)
     plan, report = solve(g, sched, preprocess=True)
+    assert [pre.f_guess for pre in scaled] == [0]
     assert report.robcov == 101
     assert plan.preprocess_f == 0
 

@@ -7,14 +7,18 @@ from fractions import Fraction
 
 import pytest
 
+from krobust import model
 from krobust.errors import (Infeasible, MalformedSchedule, MissingResidual,
                             TrivialInstance)
 from krobust.fixtures import gen_random
+from krobust.graphcore import WeightedGraph
 from krobust.model import (
     CARDINALITY,
     KINDS,
+    MINCUT,
     PROBLEM_KINDS,
     SETCOVER,
+    STEINERFOREST,
     STEINERTREE,
     SUBSET,
     CostReport,
@@ -31,7 +35,6 @@ from krobust.model import (
     harmonic,
     ln_upper,
     merge_stages,
-    scaled_candidates,
     solve_thrifty,
     threshold_tau,
     trivial_plan,
@@ -39,6 +42,8 @@ from krobust.model import (
 )
 from krobust.oracle import _Game
 from krobust.setcover import SetSystem
+
+from conftest import record_scales, scaled_candidates
 
 F = Fraction
 
@@ -387,6 +392,38 @@ def test_int_key_selects_as_the_evaluated_robcov(beta):
             assert got[0].guess == F(min(tied), scale) < F(max(tied), scale)
     # the smaller of several equal guesses must win, so ties must occur
     assert ties >= 1
+
+
+@pytest.mark.parametrize("kind", [MINCUT, STEINERTREE, STEINERFOREST])
+def test_preprocessed_solve_restates_only_the_winner(monkeypatch, kind):
+    # cost-scaled candidates are ranked in their own frame and only the
+    # winner is restated in original terms, also on spread copies (every
+    # third edge times n^3) whose guesses prepay edges
+    restated, prepaying = [], 0
+    reframe = model._reframe
+    monkeypatch.setattr(model, "_reframe", lambda plan, pre: (
+        restated.append(pre) or reframe(plan, pre)))
+    scaled = record_scales(monkeypatch, kind)
+    for seed in range(1, 4):
+        inst = gen_random(kind, 16, 48, 3, seed)
+        g = inst.payload
+        spread = WeightedGraph.build(g.n, [
+            (e.u, e.v, e.cost * g.n ** 3 if i % 3 == 0 else e.cost)
+            for i, e in enumerate(g.edges)], g.root,
+            [(p.s, p.t) for p in g.pairs])
+        for h in (g, spread):
+            restated.clear()
+            scaled.clear()
+            plan, _ = solve_thrifty(kind, h, inst.schedule, None, True)
+            pre, = [s for s in scaled if s.f_guess == plan.preprocess_f]
+            assert len(restated) == 1 and restated[0] is pre
+            owned = pre.prepaid.ids
+            assert owned <= set(plan.day0_purchase)
+            assert not owned & {i for acts in plan.residual_actions.values()
+                                for i in acts}
+            prepaying += sum(bool(s.prepaid.ids) for s in scaled)
+    # the spread copies make candidates that prepay edges
+    assert prepaying > 0
 
 
 def test_driver_checks_every_candidate_for_missing_residuals(monkeypatch):

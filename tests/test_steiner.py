@@ -13,7 +13,7 @@ from krobust.fixtures import gen_random
 from krobust.graphcore import (EdgeSet, UnionFind, WeightedGraph,
                                mst_steiner_tree, shortest_paths, zero_edges)
 from krobust.model import (KINDS, STEINERFOREST, STEINERTREE, ProblemInstance,
-                           Schedule, scaled_candidates)
+                           Schedule)
 from krobust.oracle import opt_bounds
 from krobust.steiner import (
     SfnetResult,
@@ -25,7 +25,8 @@ from krobust.steiner import (
     thrifty_forest_plan,
     thrifty_tree_plan,
 )
-from conftest import check_floor, cost_guesses, floor_cases, forest_net_runs
+from conftest import (check_floor, cost_guesses, floor_cases, forest_net_runs,
+                      scaled_candidates)
 
 F = Fraction
 
