@@ -57,7 +57,8 @@ def _memoised(fn):
     what fn receives.  Results are shared and must not be mutated.
     peek(g, *args) returns the kept result, or None when there is none;
     keep(g, result, *args) stores a result known to equal fn(g, *args),
-    unless one is kept already."""
+    unless one is kept already; entries(g) lists each kept (args, result),
+    found through fn itself whatever name the memoised function is under."""
 
     def key(args) -> tuple:
         for a in args:
@@ -77,6 +78,8 @@ def _memoised(fn):
     cached.peek = lambda g, *args: g._memo.get(key(args))
     cached.keep = lambda g, result, *args: g._memo.setdefault(
         key(args), result)
+    cached.entries = lambda g: [(k[1:], result) for k, result
+                                in g._memo.items() if k[0] is fn]
     return cached
 
 
@@ -89,8 +92,8 @@ class WeightedGraph:
     contraction (identity when None); merged-away vertex ids keep existing
     so ids stay stable.  _memo holds the results of the memoised
     primitives; it takes no part in equality, hashing or repr, and every
-    derived graph starts with an empty one (a cost-scaled cut graph then
-    gets the instance's root cuts that it shares, see mincut._scale).
+    derived graph starts with an empty one (a cost-scaled graph then gets
+    the instance's results it shares: mincut._scale, steiner._scale).
     """
 
     n: int
@@ -443,6 +446,7 @@ class UnionFind:
         return True
 
 
+@_memoised
 def spanning_forest(g: WeightedGraph) -> EdgeSet:
     """Minimum spanning forest by Kruskal: the edges by (cost, id), each
     kept when it joins two components."""
@@ -500,11 +504,16 @@ def gw_steiner_forest(g: WeightedGraph, pairs: Iterable[Pair]) -> EdgeSet:
     component for good and files the rest by rate; only rated edges are
     charged.
     """
-    plist = [p for p in pairs if p.s != p.t]
-    if not plist:
-        return EdgeSet.empty()
-    ends = [(p.s, p.t) for p in plist]
-    comp = list(range(g.n))
+    return _gw_forest(g, *[x for p in pairs for x in p])[1]
+
+
+@_memoised
+def _gw_forest(g: WeightedGraph, *flat: int):
+    """gw_steiner_forest's run on the pairs' (s, t, pid) ints in a row, kept
+    in order: the ids of the edges merged, in merge order, and the forest."""
+    plist = [Pair(*flat[i:i + 3]) for i in range(0, len(flat), 3)
+             if flat[i] != flat[i + 1]]
+    comp, merged = list(range(g.n)), []
     members = [[v] for v in range(g.n)]
     forest: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
     _, costs = scaled_to_ints([e.cost for e in g.edges])
@@ -544,6 +553,7 @@ def gw_steiner_forest(g: WeightedGraph, pairs: Iterable[Pair]) -> EdgeSet:
         for edge in twos:
             edge[3] -= best_2dt
         eid, u, v, _ = best
+        merged.append(eid)
         forest[u].append((v, eid))
         forest[v].append((u, eid))
         a, b = comp[u], comp[v]
@@ -564,13 +574,13 @@ def gw_steiner_forest(g: WeightedGraph, pairs: Iterable[Pair]) -> EdgeSet:
                 up[y], depth[y] = (x, eid), depth[x] + 1
                 stack.append(y)
     kept = set()
-    for s, t in ends:
+    for s, t in zip(flat[::3], flat[1::3]):
         while s != t:
             if depth[s] < depth[t]:
                 s, t = t, s
             s, eid = up[s]
             kept.add(eid)
-    return g.edge_set(kept)
+    return tuple(merged), g.edge_set(kept)
 
 
 def zero_edges(g: WeightedGraph, es) -> WeightedGraph:
@@ -633,12 +643,12 @@ def preprocess_cost_scaling(g: WeightedGraph, schedule: Schedule,
     """Scale the instance under a guess f of the costliest edge ever bought.
 
     Edges pricier than c_f are deleted, edges cheaper than c_f/n^2 are
-    prepaid on day 0 and then zeroed.  A rooted graph is a cut instance, so
-    there the pricier edges are contracted (they are treated as uncuttable)
-    and the cheaper ones deleted.  Days whose inflation exceeds n^2 times the
-    remaining cost spread are dropped, and the rest is merged down to a
-    doubling inflation subsequence.  The surviving cost spread is at most n^2
-    and the merged horizon is at most log2 of the largest kept inflation.
+    prepaid on day 0 and then zeroed; a rooted graph is a cut instance, so
+    there the pricier edges are contracted (treated as uncuttable) and the
+    cheaper ones deleted.  Changing no edge keeps g itself, memo and all.
+    Days whose inflation exceeds n^2 times the remaining cost spread are
+    dropped and the rest merged to a doubling inflation subsequence: the
+    cost spread is at most n^2 and the horizon at most log2(max kept lam).
     """
     cf = g.edge_by_id(f_guess).cost
     n2 = g.n * g.n

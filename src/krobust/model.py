@@ -307,8 +307,8 @@ class Kind:
     cheapest-first order.  ratio_bound(payload, schedule) is the proven
     bound on a plan's robcov over the adaptive optimum.  For graph problems,
     scale(payload, schedule, f_guess, merge_r) cost-scales the instance
-    under a guess of the costliest edge ever bought; solve_thrifty asks for
-    none below the payload's scaling_floor(), so it raises no Infeasible.
+    under a guess of the costliest edge, with the instance's memo entries
+    it shares; solve_thrifty asks costliest first, none below scaling_floor().
     A graph payload has a root exactly when it is a cut instance.  min_live
     is the largest k_T for which the instance is trivial.
     """
@@ -381,11 +381,11 @@ def solve_thrifty(kind: str, payload, schedule: Schedule, beta=None,
     is int: the candidates are ranked on robcov times D, which keeps every
     order and tie, and only the winner is evaluated and divided back by L.
 
-    With preprocess=True the grid runs once per distinct edge cost at or
-    above the payload's scaling_floor() instead, on the instance
-    cost-scaled under the first edge of that cost as the costliest one
-    ever bought.  Each such plan is ranked in its own frame, with the
-    prepaid cost and the kept day read off its PreprocessResult, and only
+    With preprocess=True the grid runs instead on the instance cost-scaled
+    under the first edge of each distinct cost from the payload's
+    scaling_floor() up, costliest first so cheaper scaled graphs find the
+    instance's results.  Each plan is ranked in its own frame, cheapest cost
+    first, with the prepaid cost and kept day of its PreprocessResult; only
     the winner is restated in original terms.  If no cost is left (a graph
     without edges, or a disconnected one) the plain grid decides: it
     returns the free plan or raises the instance's own error.
@@ -400,12 +400,12 @@ def solve_thrifty(kind: str, payload, schedule: Schedule, beta=None,
     if schedule.k[schedule.horizon] <= spec.min_live:
         candidates.append((trivial_plan(units), None))
     elif preprocess and (floor := work.scaling_floor()) is not None:
-        # the smallest id of each distinct cost, cheapest first, from the floor
+        # each distinct cost's first id from the floor, scaled costliest first
         first = {e.cost: e.eid for e in sorted(
             work.edges, key=lambda e: e.eid, reverse=True) if e.cost >= floor}
-        for cost in sorted(first):
+        for cost in sorted(first, reverse=True):
             pre = spec.scale(work, schedule, first[cost], merge_r)
-            candidates += [(plan, pre) for plan in _candidates(
+            candidates[:0] = [(plan, pre) for plan in _candidates(
                 spec, pre.graph, pre.schedule, beta)]
     if not candidates:
         candidates = [(plan, None)

@@ -14,10 +14,11 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import Disconnected, InvariantViolation, TrivialInstance
-from .graphcore import (Edge, EdgeSet, WeightedGraph, diameter, distance,
-                        gw_steiner_forest, mst_steiner_tree, path_edges,
-                        preprocess_cost_scaling, reach_tables,
-                        shortest_paths, spanning_forest, zero_edges)
+from .graphcore import (Edge, EdgeSet, WeightedGraph, _gw_forest, _memoised,
+                        diameter, distance, gw_steiner_forest,
+                        mst_steiner_tree, path_edges, preprocess_cost_scaling,
+                        reach_tables, shortest_paths, spanning_forest,
+                        zero_edges)
 from .model import (KINDS, STEINERFOREST, STEINERTREE, CostReport, Kind,
                     Schedule, ThriftyPlan, argmin_stage, bit_columns,
                     solve_thrifty, threshold_tau)
@@ -57,24 +58,30 @@ def thrifty_tree_plan(g: WeightedGraph, schedule: Schedule, guess: Fraction,
     tau = threshold_tau(guess, schedule, beta)
     radius = 4 * schedule.horizon * tau
     net = ball_packing_net(g, radius)
-    day0 = mst_steiner_tree(g, net)
-    zeroed = zero_edges(g, day0.ids)
-    dist, pred = shortest_paths(zeroed, net)
-    residuals, actions = {}, {}
+    day0, residuals, actions = _attach(g, net)
     for v in range(g.n):
-        if v not in dist:
+        if v not in residuals:
             raise Disconnected(f"vertex {v} cannot reach the net")
-        if dist[v] * radius.denominator > radius.numerator:
+        if residuals[v] * radius.denominator > radius.numerator:
             raise InvariantViolation(
                 f"vertex {v} lies beyond the net radius {radius}")
-        residuals[v] = dist[v]
-        path = path_edges(pred, set(net), v)
-        actions[v] = tuple(sorted(set(path) - day0.ids))
     return ThriftyPlan(guess=Fraction(guess), beta=Fraction(beta), tau=tau,
                        critical_day=argmin_stage(schedule), net=net,
                        day0_purchase=tuple(sorted(day0.ids)),
                        day0_cost=day0.cost, residuals=residuals,
                        residual_actions=actions, conservative=True)
+
+
+@_memoised
+def _attach(g: WeightedGraph, net: frozenset[int]):
+    """The net's MST Steiner tree and, in vertex order for each vertex that
+    reaches the net with it zeroed, the distance and the path's other edges."""
+    day0 = mst_steiner_tree(g, net)
+    dist, pred = shortest_paths(zero_edges(g, day0.ids), net)
+    residuals = {v: dist[v] for v in range(g.n) if v in dist}
+    return day0, residuals, {
+        v: tuple(sorted(set(path_edges(pred, net, v)) - day0.ids))
+        for v in residuals}
 
 
 @dataclass(frozen=True)
@@ -169,24 +176,34 @@ def thrifty_forest_plan(g: WeightedGraph, schedule: Schedule,
     gamma = 2 * schedule.horizon * tau
     built = sfnet_build(g, g.pairs, gamma)
     day0 = built.e_alg
-    zeroed = zero_edges(g, day0.ids)
-    residuals, actions = {}, {}
+    residuals, actions = _connect(g, day0.ids)
     apart = 4 * gamma
     for p in g.pairs:
-        dist, pred = shortest_paths(zeroed, [p.s])
-        if p.t not in dist:
+        if p.pid not in residuals:
             raise Disconnected(f"pair {p.pid} cannot be connected")
-        if dist[p.t] * apart.denominator > apart.numerator:
+        if residuals[p.pid] * apart.denominator > apart.numerator:
             raise InvariantViolation(
                 f"pair {p.pid} lies beyond 4*gamma = {apart}")
-        residuals[p.pid] = dist[p.t]
-        path = path_edges(pred, {p.s}, p.t)
-        actions[p.pid] = tuple(sorted(set(path) - day0.ids))
     return ThriftyPlan(guess=Fraction(guess), beta=Fraction(beta), tau=tau,
                        critical_day=argmin_stage(schedule), net=built.net,
                        day0_purchase=tuple(sorted(day0.ids)),
                        day0_cost=day0.cost, residuals=residuals,
                        residual_actions=actions, conservative=True)
+
+
+@_memoised
+def _connect(g: WeightedGraph, day0: frozenset[int]):
+    """In pair order for each pair joined once the day-0 edges are zeroed,
+    the distance between its ends and the shortest path's other edges."""
+    zeroed = zero_edges(g, day0)
+    residuals, actions = {}, {}
+    for p in g.pairs:
+        dist, pred = shortest_paths(zeroed, [p.s])
+        if p.t in dist:
+            residuals[p.pid] = dist[p.t]
+            actions[p.pid] = tuple(sorted(
+                set(path_edges(pred, {p.s}, p.t)) - day0))
+    return residuals, actions
 
 
 def _tree_bounds(g: WeightedGraph):
@@ -234,6 +251,24 @@ def solve_forest(g: WeightedGraph, schedule: Schedule,
                          merge_r)
 
 
+def _scale(g: WeightedGraph, schedule: Schedule, f_guess: int, merge_r):
+    """Cost scaling under edge f_guess.  A scaled graph that only lost the
+    edges above c_f keeps each instance search, spanning tree and GW run
+    that used none of them, as it runs the same there: a search settles in
+    the same (distance, id) order with each pred edge first at its distance,
+    Kruskal's (cost, id) order is a prefix, and GW merges the same argmins."""
+    pre = preprocess_cost_scaling(g, schedule, f_guess, merge_r)
+    if pre.graph is not g and not pre.prepaid.ids:
+        cf, by_id = g.edge_by_id(f_guess).cost, g.edges_by_id
+        for fn, used in ((shortest_paths, lambda r: r[1].values()),
+                         (spanning_forest, lambda r: map(by_id.get, r.ids)),
+                         (_gw_forest, lambda r: map(by_id.get, r[0]))):
+            for args, result in fn.entries(g):
+                if all(e.cost <= cf for e in used(result)):
+                    fn.keep(pre.graph, result, *args)
+    return pre
+
+
 def _joined_table(g: WeightedGraph, ids, pairs, columns=None) -> int:
     """Bit M set when the edges {ids[i] : bit i of M} join the two ends of
     every (s, t) pair: one search per distinct s."""
@@ -257,7 +292,7 @@ KINDS[STEINERTREE] = Kind(
     cover_table=lambda g, ids, units, columns=None: _joined_table(
         g, ids, [(min(units), v) for v in units], columns),
     ratio_bound=lambda g, schedule: Fraction(50 * schedule.horizon),
-    scale=lambda *args: preprocess_cost_scaling(*args),
+    scale=_scale,
     min_live=1)
 
 KINDS[STEINERFOREST] = Kind(
@@ -268,4 +303,4 @@ KINDS[STEINERFOREST] = Kind(
     cover_table=lambda g, ids, units, columns=None: _joined_table(
         g, ids, [(p.s, p.t) for p in g.pairs if p.pid in units], columns),
     ratio_bound=lambda g, schedule: Fraction(224 * schedule.horizon),
-    scale=lambda *args: preprocess_cost_scaling(*args))
+    scale=_scale)

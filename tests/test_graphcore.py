@@ -655,8 +655,9 @@ def test_tree_solve_searches_each_source_set_once(monkeypatch, seed):
 @pytest.mark.parametrize("kind", [MINCUT, STEINERTREE, STEINERFOREST])
 def test_solves_leave_memoised_results_intact(monkeypatch, kind):
     # memoised results are shared between callers, so no caller may
-    # mutate one; a cost-scaled cut graph also holds the root cuts it
-    # shares with the instance, each of which must be its own
+    # mutate one; a cost-scaled graph also holds the root cuts, searches,
+    # spanning trees and GW runs it shares with the instance, each of
+    # which must be its own
     graphs, scaled = [], []
     scale = KINDS[kind].scale
 

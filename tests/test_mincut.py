@@ -274,7 +274,8 @@ def test_cost_scaling_computes_each_instance_root_cut_once(monkeypatch, seed):
     monkeypatch.setattr(mincut, "min_cut", counted_cut)
     monkeypatch.setattr(mincut, "preprocess_cost_scaling", counted_scale)
     solve(g, inst.schedule, preprocess=True)
-    assert scaled == feasible and len(feasible) < len(cost_guesses(work))
+    # costliest guess first
+    assert scaled == feasible[::-1] and len(feasible) < len(cost_guesses(work))
     own = [(r, result) for r, result in computed
            if result == cut(work, work.root, [r])]
     assert len(own) == len(set(r for r, _ in own)) == len(units_of(g))

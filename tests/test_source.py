@@ -4,13 +4,14 @@ import ast
 import importlib
 import inspect
 import types
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from krobust.fixtures import gen_random
 from krobust.model import (KINDS, MINCUT, PROBLEM_KINDS, SETCOVER,
-                           STEINERFOREST, STEINERTREE)
+                           STEINERFOREST, STEINERTREE, solve_thrifty)
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "krobust"
 
@@ -115,6 +116,30 @@ def test_kind_records_reach_the_traced_names(kind):
             spec.solve(inst.payload, inst.schedule, None, True)
             names += ("graphcore.preprocess_cost_scaling",)
     assert all(recorder.calls[name] > 0 for name in names), recorder.calls
+
+
+@pytest.mark.parametrize("kind", [MINCUT, STEINERTREE, STEINERFOREST])
+def test_scaled_graphs_inherit_as_much_under_the_tracer(monkeypatch, kind):
+    # the tracer rebinds the memoised primitives to its wrappers, so a
+    # scaled graph that looked for the instance's results by function
+    # identity would find none of them when traced
+    tracer, spec = _tracer(), KINDS[kind]
+    inst, inherited = gen_random(kind, 16, 48, 3, 2), []
+
+    def scale(g, *args):
+        pre = spec.scale(g, *args)
+        inherited.append(len(pre.graph._memo) if pre.graph is not g else 0)
+        return pre
+
+    monkeypatch.setitem(KINDS, kind, replace(spec, scale=scale))
+    solve_thrifty(kind, replace(inst.payload), inst.schedule, None, True)
+    plain = inherited[:]
+    inherited.clear()
+    recorder = tracer.Recorder()
+    with tracer.traced(recorder):
+        solve_thrifty(kind, replace(inst.payload), inst.schedule, None, True)
+    assert inherited == plain and sum(plain) > 0, (inherited, plain)
+    assert recorder.calls["graphcore.preprocess_cost_scaling"] == len(plain)
 
 
 KIND_NAMES = {"SETCOVER", "MINCUT", "STEINERTREE", "STEINERFOREST"}

@@ -1,6 +1,10 @@
 """Thrifty Steiner tree and Steiner forest solvers, and their net builders."""
 
+import functools
+import hashlib
+import math
 import random
+from collections import Counter, defaultdict
 from dataclasses import replace
 from fractions import Fraction
 
@@ -11,9 +15,10 @@ from krobust.errors import (Disconnected, Infeasible, InvariantViolation,
                             TrivialInstance)
 from krobust.fixtures import gen_random
 from krobust.graphcore import (EdgeSet, UnionFind, WeightedGraph,
-                               mst_steiner_tree, shortest_paths, zero_edges)
+                               gw_steiner_forest, mst_steiner_tree,
+                               shortest_paths, spanning_forest, zero_edges)
 from krobust.model import (KINDS, STEINERFOREST, STEINERTREE, ProblemInstance,
-                           Schedule)
+                           Schedule, _candidates, solve_thrifty)
 from krobust.oracle import opt_bounds
 from krobust.steiner import (
     SfnetResult,
@@ -301,7 +306,8 @@ def test_cost_scaling_builds_no_graph_it_refuses(monkeypatch, kind, seed):
 
     monkeypatch.setattr(steiner, "preprocess_cost_scaling", counted)
     KINDS[kind].solve(g, inst.schedule, None, True)
-    assert scaled == feasible and len(feasible) < len(cost_guesses(work))
+    # costliest guess first
+    assert scaled == feasible[::-1] and len(feasible) < len(cost_guesses(work))
 
 
 def test_a_graph_without_floor_scales_no_guess(monkeypatch):
@@ -339,6 +345,157 @@ def test_forest_solve_shares_its_memo_with_opt_bounds(monkeypatch, seed):
     monkeypatch.setattr(graphcore, "_dijkstra", counted)
     opt_bounds(ProblemInstance(STEINERFOREST, g, sched))
     assert searches == []
+
+
+def _spread(g):
+    """A copy with every third edge's cost times n^3: the costliest edge
+    costs more than n^2 times the cheapest, so cheap guesses prepay."""
+    return WeightedGraph.build(g.n, [
+        (e.u, e.v, e.cost * g.n ** 3 if e.eid % 3 == 0 else e.cost)
+        for e in g.edges], g.root, [p[:2] for p in g.pairs])
+
+
+# the instance results a scaled Steiner graph may inherit
+SHARED = (shortest_paths, spanning_forest, graphcore._gw_forest)
+
+
+@pytest.mark.parametrize("kind", [STEINERTREE, STEINERFOREST])
+def test_scaled_graphs_share_exact_searches_trees_and_forests(kind):
+    # every search, spanning tree and GW run that a guess shares from the
+    # instance is the scaled graph's own, and a guess that prepays edges
+    # shares nothing
+    spec = KINDS[kind]
+    inherited = refused = prepaid = 0
+    for g, schedule in floor_cases(kind):
+        for h in (g, _spread(g)):
+            floor = h.scaling_floor()
+            if floor is None:
+                continue
+            _candidates(spec, h, schedule, None)
+            own = sum(len(fn.entries(h)) for fn in SHARED)
+            for f in cost_guesses(h):
+                if h.edge_by_id(f).cost < floor:
+                    continue
+                pre = spec.scale(h, schedule, f, 2)
+                if pre.graph is h:   # nothing scaled: the memo is its own
+                    continue
+                for (fn, *args), result in pre.graph._memo.items():
+                    assert fn(replace(pre.graph), *args) == result, args
+                if pre.prepaid.ids:
+                    assert not pre.graph._memo
+                    prepaid += 1
+                else:
+                    inherited += len(pre.graph._memo)
+                    refused += own - len(pre.graph._memo)
+    assert inherited > 2000 and refused > 600 and prepaid > 1000, (
+        inherited, refused, prepaid)
+
+
+def test_scaled_graphs_refuse_runs_that_used_a_deleted_edge():
+    # guessing c_f = 1 deletes every edge above 1.  The search from vertex
+    # 0 reaches vertex 2 at distance 2 both over edge 0 and over edges 1
+    # and 2, and keeps edge 0, which came first: the scaled graph's search
+    # has the same distances but another pred.  The search from vertex 1
+    # and the spanning tree use edges of cost c_f only, so they are kept.
+    tree = WeightedGraph.build(3, [(0, 2, 2), (0, 1, 1), (1, 2, 1)])
+    for v in range(3):
+        shortest_paths(tree, [v])
+    spanning_forest(tree)
+    h = KINDS[STEINERTREE].scale(tree, Schedule.of([3, 2], [1, 2]), 1,
+                                 2).graph
+    assert {fn.__name__: args for (fn, *args) in h._memo} == {
+        "shortest_paths": [frozenset({1})], "spanning_forest": []}
+    assert shortest_paths(h, [0])[0] == shortest_paths(tree, [0])[0]
+    assert shortest_paths(h, [0]) != shortest_paths(tree, [0])
+    # GW merges edge 8 (cost 3/2), which activates vertex 2 early, so pair
+    # 1 joins over edges 0-3 while pair 2 still grows; edge 8 is on no
+    # pair's path and reverse delete drops it.  Without it, pair 1 joins
+    # over edges 4-7.  Every edge either forest keeps costs at most c_f.
+    forest = WeightedGraph.build(13, [
+        (0, 5, 1), (5, 2, 1), (2, 6, 1), (6, 1, 1),
+        (0, 7, 1), (7, 8, F(7, 8)), (8, 9, F(7, 8)), (9, 1, 1),
+        (3, 2, F(3, 2)), (3, 10, 1), (10, 11, 1), (11, 12, 1), (12, 4, 1)],
+        pairs=[(0, 1), (3, 4)])
+    want = gw_steiner_forest(forest, forest.pairs)
+    h = KINDS[STEINERFOREST].scale(forest, Schedule.of([2, 1], [1, 2]), 0,
+                                   2).graph
+    assert h.edges == forest.edges[:8] + forest.edges[9:] and not h._memo
+    got = gw_steiner_forest(h, h.pairs)
+    assert want.ids == {0, 1, 2, 3, 9, 10, 11, 12}
+    assert got.ids == {4, 5, 6, 7, 9, 10, 11, 12}
+
+
+@pytest.mark.parametrize("kind", [STEINERTREE, STEINERFOREST])
+def test_preprocessed_solves_search_once_and_attach_once_per_net(
+        monkeypatch, kind):
+    # over seeds 1-3 the tree (forest) solves once ran 111 (191) Dijkstra
+    # searches, 0 (124) GW runs and 51 (93) residual phases, one per plan,
+    # for 18 (31) distinct graphs and nets (day-0 purchases for the forest)
+    phase = "_attach" if kind == STEINERTREE else "_connect"
+    runs, calls = Counter(), defaultdict(list)
+    search = graphcore._dijkstra
+
+    def counted(*args):
+        runs["searches"] += 1
+        return search(*args)
+
+    def missed(module, name):
+        fn = getattr(module, name)
+
+        @functools.wraps(fn)
+        def wrapped(g, *args):
+            calls[name].append((g, args))
+            runs[name] += fn.peek(g, *args) is None
+            return fn(g, *args)
+
+        monkeypatch.setattr(module, name, wrapped)
+
+    monkeypatch.setattr(graphcore, "_dijkstra", counted)
+    missed(graphcore, "_gw_forest")
+    missed(steiner, phase)
+    for seed in range(1, 4):
+        inst = gen_random(kind, 16, 48, 3, seed)
+        solve_thrifty(kind, inst.payload, inst.schedule, None, True)
+    distinct = {(id(g), args) for g, args in calls[phase]}
+    assert runs[phase] == len(distinct) < len(calls[phase]), runs
+    bound = {STEINERTREE: (70, 0, 18), STEINERFOREST: (75, 10, 31)}[kind]
+    assert all(x <= b for x, b in zip(
+        (runs["searches"], runs["_gw_forest"], runs[phase]), bound)), runs
+
+
+def _pinned_copies(g):
+    """The graph, a copy with costs ceil(c) mod 3 (ties and zero costs),
+    one with every second edge and the spread copy."""
+    edges = [(e.u, e.v, e.cost) for e in g.edges]
+    pairs = [p[:2] for p in g.pairs]
+    tied = [(u, v, math.ceil(c) % 3) for u, v, c in edges]
+    yield g
+    for es in (tied, edges[::2]):
+        yield WeightedGraph.build(g.n, es, g.root, pairs)
+    yield _spread(g)
+
+
+@pytest.mark.parametrize("kind,digest", [
+    (STEINERTREE, "1b18b643af2406d1d9fc0884e44a057c"
+                  "9000766995d1c00b9f5a1e8628bae383"),
+    (STEINERFOREST, "b24c583c9f4559e8c048897df9439188"
+                    "10325f3ebdad1592cf818df423377931")])
+def test_preprocessed_solves_are_pinned(kind, digest):
+    # the sha256 of every preprocessed solve's repr, or its error, on 192
+    # solves per kind: n = 5-12, seeds 1-3, four copies, two betas
+    out = []
+    for n in range(5, 13):
+        for seed in range(1, 4):
+            inst = gen_random(kind, n, 3 * n, 1 + seed % 3, seed)
+            for g in _pinned_copies(inst.payload):
+                for beta in (None, F(1)):
+                    try:
+                        out.append(repr(solve_thrifty(
+                            kind, g, inst.schedule, beta, True)))
+                    except Exception as exc:
+                        out.append(f"{type(exc).__name__}: {exc}")
+    assert len(out) == 192
+    assert hashlib.sha256("\n".join(out).encode()).hexdigest() == digest
 
 
 def test_plan_invariants_on_random_batches(solved_batches):
