@@ -92,8 +92,8 @@ class WeightedGraph:
     contraction (identity when None); merged-away vertex ids keep existing
     so ids stay stable.  _memo holds the results of the memoised
     primitives; it takes no part in equality, hashing or repr, and every
-    derived graph starts with an empty one (a cost-scaled graph then gets
-    the instance's results it shares: mincut._scale, steiner._scale).
+    derived graph starts with an empty one, but for the instance results
+    preprocess_cost_scaling shares with a cost-scaled graph.
     """
 
     n: int
@@ -638,6 +638,13 @@ class PreprocessResult:
     f_guess: int
 
 
+_INHERITED = {   # by cut or not: each primitive and the edges a result used
+    True: ((min_cut, lambda cut: cut[1].ids),),
+    False: ((shortest_paths, lambda run: [e.eid for e in run[1].values()]),
+            (spanning_forest, lambda forest: forest.ids),
+            (_gw_forest, lambda run: run[0]))}
+
+
 def preprocess_cost_scaling(g: WeightedGraph, schedule: Schedule,
                             f_guess: int, merge_r=2) -> PreprocessResult:
     """Scale the instance under a guess f of the costliest edge ever bought.
@@ -649,18 +656,33 @@ def preprocess_cost_scaling(g: WeightedGraph, schedule: Schedule,
     Days whose inflation exceeds n^2 times the remaining cost spread are
     dropped and the rest merged to a doubling inflation subsequence: the
     cost spread is at most n^2 and the horizon at most log2(max kept lam).
+
+    A scaled graph that changed edges and prepaid none inherits each
+    instance entry of _INHERITED that used no edge above c_f (for a cut,
+    whose root and terminals stand for themselves), as its own.  A cut: the
+    contracted graph's sides are instance sides of the same cost, among
+    them the instance's minimal minimum side, inside every minimum side.  A
+    search keeps its pred tree and distances, so it settles in the same
+    (distance, id) order, each pred first at its distance.  Kruskal's
+    (cost, id) order is a prefix, and each GW round's argmin survives.
     """
     cf = g.edge_by_id(f_guess).cost
     n2 = g.n * g.n
     cut = g.root is not None
-    high = [e.eid for e in g.edges if e.cost > cf]
-    if high:
-        g = delete_or_contract(g, high, "contract" if cut else "delete")
-    low = [e.eid for e in g.edges if e.cost * n2 < cf]
-    prepaid = g.edge_set(low)
+    high = {e.eid for e in g.edges if e.cost > cf}
+    h = (delete_or_contract(g, high, "contract" if cut else "delete")
+         if high else g)
+    low = [e.eid for e in h.edges if e.cost * n2 < cf]
+    prepaid = h.edge_set(low)
     if low:
-        g = delete_or_contract(g, low, "delete") if cut else zero_edges(g, low)
-    priced = [e.cost for e in g.edges if e.cost > 0]
+        h = delete_or_contract(h, low, "delete") if cut else zero_edges(h, low)
+    elif high:
+        for fn, used in _INHERITED[cut]:
+            for args, result in fn.entries(g):
+                if high.isdisjoint(used(result)) and (not cut or all(
+                        h.rep[v] == v for v in (args[0], *args[1]))):
+                    fn.keep(h, result, *args)
+    priced = [e.cost for e in h.edges if e.cost > 0]
     horizon = schedule.horizon
     if priced:
         scale, lam, _ = schedule.priced
@@ -668,4 +690,4 @@ def preprocess_cost_scaling(g: WeightedGraph, schedule: Schedule,
         while horizon > 0 and lam[horizon] * cheapest > cap:
             horizon -= 1
     merged, kept = schedule.merged(horizon, merge_r)
-    return PreprocessResult(g, merged, prepaid, kept, f_guess)
+    return PreprocessResult(h, merged, prepaid, kept, f_guess)

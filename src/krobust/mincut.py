@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from . import graphcore
 from .errors import KRobustError
 from .graphcore import (WeightedGraph, delete_or_contract, min_cut,
                         preprocess_cost_scaling, reach_tables)
@@ -89,23 +88,6 @@ def _bounds(g: WeightedGraph):
     return max(cuts.values()), ub, sorted(ub_set.ids)
 
 
-def _scale(g: WeightedGraph, schedule: Schedule, f_guess: int, merge_r):
-    """Cost scaling under edge f_guess, at or above g.scaling_floor().  If
-    the guess contracted edges and prepaid none, the scaled graph keeps each
-    representative's instance root cut that has no edge above c_f.  Exact:
-    every side the scaled graph allows is one of the instance at the same
-    cost, and the instance's minimal minimum side, which lies inside every
-    minimum side, is allowed, so it is the scaled graph's too."""
-    pre = preprocess_cost_scaling(g, schedule, f_guess, merge_r)
-    if pre.graph is not g and not pre.prepaid.ids:
-        root, cf = g.root, g.edge_by_id(f_guess).cost
-        for r in set(_reps(pre.graph, root).values()):
-            cut = min_cut(g, root, [r])
-            if all(g.edges_by_id[i].cost <= cf for i in cut[1].ids):
-                graphcore.min_cut.keep(pre.graph, cut, root, [r])
-    return pre
-
-
 def _cover_table(g: WeightedGraph, ids, units, columns=None) -> int:
     """Bit M set when removing the edges {ids[i] : bit i of M} leaves no
     unit reachable from the root."""
@@ -129,4 +111,4 @@ KINDS[MINCUT] = Kind(
     solve=lambda *args: solve(*args),
     cover_table=_cover_table,
     ratio_bound=lambda g, schedule: Fraction(150 * schedule.horizon),
-    scale=_scale)
+    scale=lambda *args: preprocess_cost_scaling(*args))

@@ -306,11 +306,11 @@ class Kind:
     exact oracle checks every strategy against these tables, in its
     cheapest-first order.  ratio_bound(payload, schedule) is the proven
     bound on a plan's robcov over the adaptive optimum.  For graph problems,
-    scale(payload, schedule, f_guess, merge_r) cost-scales the instance
-    under a guess of the costliest edge, with the instance's memo entries
-    it shares; solve_thrifty asks costliest first, none below scaling_floor().
-    A graph payload has a root exactly when it is a cut instance.  min_live
-    is the largest k_T for which the instance is trivial.
+    scale(payload, schedule, f_guess, merge_r) is preprocess_cost_scaling,
+    which shares the instance's memo entries; solve_thrifty asks costliest
+    first, none below scaling_floor().  A graph payload has a root exactly
+    when it is a cut instance.  min_live is the largest k_T for which the
+    instance is trivial.
     """
 
     units: Callable

@@ -14,11 +14,10 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import Disconnected, InvariantViolation, TrivialInstance
-from .graphcore import (Edge, EdgeSet, WeightedGraph, _gw_forest, _memoised,
-                        diameter, distance, gw_steiner_forest,
-                        mst_steiner_tree, path_edges, preprocess_cost_scaling,
-                        reach_tables, shortest_paths, spanning_forest,
-                        zero_edges)
+from .graphcore import (Edge, EdgeSet, WeightedGraph, _memoised, diameter,
+                        distance, gw_steiner_forest, mst_steiner_tree,
+                        path_edges, preprocess_cost_scaling, reach_tables,
+                        shortest_paths, spanning_forest, zero_edges)
 from .model import (KINDS, STEINERFOREST, STEINERTREE, CostReport, Kind,
                     Schedule, ThriftyPlan, argmin_stage, bit_columns,
                     solve_thrifty, threshold_tau)
@@ -251,24 +250,6 @@ def solve_forest(g: WeightedGraph, schedule: Schedule,
                          merge_r)
 
 
-def _scale(g: WeightedGraph, schedule: Schedule, f_guess: int, merge_r):
-    """Cost scaling under edge f_guess.  A scaled graph that only lost the
-    edges above c_f keeps each instance search, spanning tree and GW run
-    that used none of them, as it runs the same there: a search settles in
-    the same (distance, id) order with each pred edge first at its distance,
-    Kruskal's (cost, id) order is a prefix, and GW merges the same argmins."""
-    pre = preprocess_cost_scaling(g, schedule, f_guess, merge_r)
-    if pre.graph is not g and not pre.prepaid.ids:
-        cf, by_id = g.edge_by_id(f_guess).cost, g.edges_by_id
-        for fn, used in ((shortest_paths, lambda r: r[1].values()),
-                         (spanning_forest, lambda r: map(by_id.get, r.ids)),
-                         (_gw_forest, lambda r: map(by_id.get, r[0]))):
-            for args, result in fn.entries(g):
-                if all(e.cost <= cf for e in used(result)):
-                    fn.keep(pre.graph, result, *args)
-    return pre
-
-
 def _joined_table(g: WeightedGraph, ids, pairs, columns=None) -> int:
     """Bit M set when the edges {ids[i] : bit i of M} join the two ends of
     every (s, t) pair: one search per distinct s."""
@@ -292,7 +273,7 @@ KINDS[STEINERTREE] = Kind(
     cover_table=lambda g, ids, units, columns=None: _joined_table(
         g, ids, [(min(units), v) for v in units], columns),
     ratio_bound=lambda g, schedule: Fraction(50 * schedule.horizon),
-    scale=_scale,
+    scale=lambda *args: preprocess_cost_scaling(*args),
     min_live=1)
 
 KINDS[STEINERFOREST] = Kind(
@@ -303,4 +284,4 @@ KINDS[STEINERFOREST] = Kind(
     cover_table=lambda g, ids, units, columns=None: _joined_table(
         g, ids, [(p.s, p.t) for p in g.pairs if p.pid in units], columns),
     ratio_bound=lambda g, schedule: Fraction(224 * schedule.horizon),
-    scale=_scale)
+    scale=lambda *args: preprocess_cost_scaling(*args))

@@ -22,7 +22,7 @@ from krobust.mincut import (
     units_of,
 )
 from krobust.model import (KINDS, MINCUT, ProblemInstance, Schedule,
-                           solve_thrifty)
+                           _candidates, solve_thrifty)
 from krobust.oracle import exhaustive_robcov, minimax_opt
 
 from conftest import (check_floor, cost_guesses, floor_cases, record_scales,
@@ -201,24 +201,51 @@ def _scaling_cases():
 
 
 def test_scaled_graphs_share_exact_root_cuts():
-    # every cut a guess shares from the instance is the scaled graph's own
-    shared = skipped = prepaid = 0
+    # every cut a guess shares from the instance, whose memo the plain grid
+    # of a solve at beta = 1 filled on its int copy, is the scaled graph's
+    # own; a day-0 net cut of several terminals is shared too
+    shared = skipped = prepaid = nets = 0
     for g, schedule in _scaling_cases():
-        for f in cost_guesses(g):
-            if _refusal(_scale_reference, g, schedule, f, 2):
+        work = g.integral()[1]
+        _candidates(KINDS[MINCUT], work, schedule, F(1))
+        for f in cost_guesses(work):
+            if _refusal(_scale_reference, work, schedule, f, 2):
                 continue
-            pre = KINDS[MINCUT].scale(g, schedule, f, 2)
+            pre = KINDS[MINCUT].scale(work, schedule, f, 2)
             h = pre.graph
-            if h is g:   # nothing scaled: the instance's memo is its own
+            if h is work:   # nothing scaled: the instance's memo is its own
+                continue
+            singles = 0
+            for (fn, root, terminals), result in h._memo.items():
+                assert fn.__name__ == "min_cut"
+                assert fn(replace(h), root, terminals) == result, terminals
+                singles += len(terminals) == 1
+            shared += len(h._memo)
+            nets += len(h._memo) - singles
+            if not pre.prepaid.ids:
+                skipped += len(set(_reps(h, h.root).values())) - singles
+            prepaid += bool(pre.prepaid.ids)
+    assert shared > 50 and skipped > 10 and prepaid > 10, (
+        shared, skipped, prepaid)
+    assert nets >= 1
+
+
+def test_scaling_any_guess_shares_only_cuts_named_in_its_own_vertices():
+    # a guess below the floor may merge the root or a terminal into
+    # another vertex; an instance cut keyed by it is not the scaled graph's
+    moved = WeightedGraph.build(3, [(1, 0, 100), (1, 2, 1)], root=0)
+    shared = 0
+    for g, schedule in _scaling_cases() + [(moved, Schedule.of([2, 1],
+                                                               [1, 2]))]:
+        KINDS[MINCUT].bounds(g)
+        for f in cost_guesses(g):
+            h = KINDS[MINCUT].scale(g, schedule, f, 2).graph
+            if h is g:
                 continue
             for (fn, *args), result in h._memo.items():
-                assert fn.__name__ == "min_cut"
                 assert fn(replace(h), *args) == result, args
             shared += len(h._memo)
-            if not pre.prepaid.ids:
-                skipped += len(set(_reps(h, h.root).values())) - len(h._memo)
-            prepaid += bool(pre.prepaid.ids)
-    assert shared > 50 and skipped > 10 and prepaid > 10
+    assert shared > 100, shared
 
 
 def _scale_reference(g, schedule, f, merge_r):

@@ -184,3 +184,15 @@ def test_kind_checks_only_where_allowed():
             if not any(scope == ok or scope.startswith(ok + ".")
                        for ok in KIND_CHECKS_ALLOWED)]
     assert hits == []
+
+
+def test_memo_sharing_only_in_graphcore():
+    # what a cost-scaled graph inherits has one owner: the keep and entries
+    # of a memoised primitive are called in graphcore and nowhere else
+    calls = [f"{path.stem}:{node.lineno}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)
+             and node.func.attr in ("keep", "entries")]
+    assert calls and all(c.startswith("graphcore:") for c in calls), calls
