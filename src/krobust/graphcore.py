@@ -638,11 +638,17 @@ class PreprocessResult:
     f_guess: int
 
 
-_INHERITED = {   # by cut or not: each primitive and the edges a result used
-    True: ((min_cut, lambda cut: cut[1].ids),),
-    False: ((shortest_paths, lambda run: [e.eid for e in run[1].values()]),
-            (spanning_forest, lambda forest: forest.ids),
-            (_gw_forest, lambda run: run[0]))}
+_INHERITED = {   # by how the edges above c_f go: per memoised primitive,
+    # what the instance computes first, and the edges and vertices an
+    # instance entry (args, result) used, all of which h must keep as they are
+    "contract": ((min_cut, lambda g, h: [min_cut(g, g.root, [r]) for r in
+                                         set(h.rep) - {g.root}],
+                  lambda a, cut: (cut[1].ids, (a[0], *a[1]))),),
+    "delete": (
+        (shortest_paths, None,
+         lambda a, run: ([e.eid for e in run[1].values()], ())),
+        (spanning_forest, None, lambda a, forest: (forest.ids, ())),
+        (_gw_forest, None, lambda a, run: (run[0], ())))}
 
 
 def preprocess_cost_scaling(g: WeightedGraph, schedule: Schedule,
@@ -658,8 +664,10 @@ def preprocess_cost_scaling(g: WeightedGraph, schedule: Schedule,
     cost spread is at most n^2 and the horizon at most log2(max kept lam).
 
     A scaled graph that changed edges and prepaid none inherits each
-    instance entry of _INHERITED that used no edge above c_f (for a cut,
-    whose root and terminals stand for themselves), as its own.  A cut: the
+    instance entry of _INHERITED that used none of the changed edges and
+    names only vertices that stand for themselves in it, as its own; for a
+    cut the instance first computes its root cut of each of the scaled
+    graph's units, so all guesses share one max-flow per unit.  A cut: the
     contracted graph's sides are instance sides of the same cost, among
     them the instance's minimal minimum side, inside every minimum side.  A
     search keeps its pred tree and distances, so it settles in the same
@@ -668,19 +676,22 @@ def preprocess_cost_scaling(g: WeightedGraph, schedule: Schedule,
     """
     cf = g.edge_by_id(f_guess).cost
     n2 = g.n * g.n
-    cut = g.root is not None
+    mode = "delete" if g.root is None else "contract"
     high = {e.eid for e in g.edges if e.cost > cf}
-    h = (delete_or_contract(g, high, "contract" if cut else "delete")
-         if high else g)
+    h = delete_or_contract(g, high, mode) if high else g
     low = [e.eid for e in h.edges if e.cost * n2 < cf]
     prepaid = h.edge_set(low)
     if low:
-        h = delete_or_contract(h, low, "delete") if cut else zero_edges(h, low)
+        h = (zero_edges(h, low) if g.root is None
+             else delete_or_contract(h, low, "delete"))
     elif high:
-        for fn, used in _INHERITED[cut]:
+        for fn, first, used in _INHERITED[mode]:
+            if first:
+                first(g, h)
             for args, result in fn.entries(g):
-                if high.isdisjoint(used(result)) and (not cut or all(
-                        h.rep[v] == v for v in (args[0], *args[1]))):
+                ids, vertices = used(args, result)
+                if high.isdisjoint(ids) and all(
+                        h.representative(v) == v for v in vertices):
                     fn.keep(h, result, *args)
     priced = [e.cost for e in h.edges if e.cost > 0]
     horizon = schedule.horizon

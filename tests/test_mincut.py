@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from krobust import mincut
+from krobust import graphcore, mincut
 from krobust.cli import main, serialize_instance
 from krobust.errors import Infeasible
 from krobust.fixtures import gen_random
@@ -200,52 +200,81 @@ def _scaling_cases():
     return cases
 
 
-def test_scaled_graphs_share_exact_root_cuts():
-    # every cut a guess shares from the instance, whose memo the plain grid
-    # of a solve at beta = 1 filled on its int copy, is the scaled graph's
-    # own; a day-0 net cut of several terminals is shared too
-    shared = skipped = prepaid = nets = 0
-    for g, schedule in _scaling_cases():
-        work = g.integral()[1]
-        _candidates(KINDS[MINCUT], work, schedule, F(1))
-        for f in cost_guesses(work):
-            if _refusal(_scale_reference, work, schedule, f, 2):
-                continue
-            pre = KINDS[MINCUT].scale(work, schedule, f, 2)
+def _costliest_prepays(g):
+    """g with its root edges at cost 1, its other edges at costs 2 to
+    n^2 - 1 by id, and the first of those at n^3: the costliest guess
+    prepays, and each cheaper one contracts edges and prepays none."""
+    n2, edges, top = g.n * g.n, [], None
+    for e in g.edges:
+        if g.root in (e.u, e.v):
+            cost = 1
+        elif top is None:
+            top = cost = n2 * g.n
+        else:
+            cost = 2 + e.eid % (n2 - 2)
+        edges.append((e.u, e.v, cost))
+    return WeightedGraph.build(g.n, edges, g.root)
+
+
+def test_scaled_graphs_share_exact_root_cuts(monkeypatch):
+    # every cut a preprocessed solve's scaled graph inherits from the
+    # instance is the scaled graph's own, also when the costliest guess
+    # prepaid and so left the instance's memo empty
+    scaled = []
+
+    def recorded(*args):
+        pre = scale(*args)
+        scaled.append((pre, args[0], dict(pre.graph._memo)))
+        return pre
+
+    scale = mincut.preprocess_cost_scaling
+    monkeypatch.setattr(mincut, "preprocess_cost_scaling", recorded)
+    cases = _scaling_cases()
+    shared, skipped, prepaid = [0, 0], 0, 0
+    for i, (g, schedule) in enumerate(
+            cases + [(_costliest_prepays(g), s) for g, s in cases[::4]]):
+        # a contracted payload has fewer units than its schedule's k[0]
+        units, late = len(units_of(g)), i >= len(cases)
+        solve_thrifty(MINCUT, g, Schedule.of(
+            [min(k, units) for k in schedule.k], schedule.lam), None, True)
+        for pre, work, memo in scaled:
             h = pre.graph
             if h is work:   # nothing scaled: the instance's memo is its own
                 continue
             singles = 0
-            for (fn, root, terminals), result in h._memo.items():
+            for (fn, root, terminals), result in memo.items():
                 assert fn.__name__ == "min_cut"
                 assert fn(replace(h), root, terminals) == result, terminals
                 singles += len(terminals) == 1
-            shared += len(h._memo)
-            nets += len(h._memo) - singles
+            shared[late] += len(memo)
             if not pre.prepaid.ids:
                 skipped += len(set(_reps(h, h.root).values())) - singles
             prepaid += bool(pre.prepaid.ids)
-    assert shared > 50 and skipped > 10 and prepaid > 10, (
+        scaled.clear()
+    assert shared[0] > 50 and skipped > 10 and prepaid > 10, (
         shared, skipped, prepaid)
-    assert nets >= 1
+    assert shared[1] > 200, shared
 
 
 def test_scaling_any_guess_shares_only_cuts_named_in_its_own_vertices():
     # a guess below the floor may merge the root or a terminal into
-    # another vertex; an instance cut keyed by it is not the scaled graph's
+    # another vertex; an instance cut keyed by it is not the scaled graph's.
+    # The plain grid at beta = 1 fills the instance memo, day-0 net cuts of
+    # several terminals too, and one of those is shared
     moved = WeightedGraph.build(3, [(1, 0, 100), (1, 2, 1)], root=0)
-    shared = 0
+    shared = nets = 0
     for g, schedule in _scaling_cases() + [(moved, Schedule.of([2, 1],
                                                                [1, 2]))]:
-        KINDS[MINCUT].bounds(g)
+        _candidates(KINDS[MINCUT], g, schedule, F(1))
         for f in cost_guesses(g):
             h = KINDS[MINCUT].scale(g, schedule, f, 2).graph
             if h is g:
                 continue
-            for (fn, *args), result in h._memo.items():
-                assert fn(replace(h), *args) == result, args
+            for (fn, root, terminals), result in h._memo.items():
+                assert fn(replace(h), root, terminals) == result, terminals
+                nets += len(terminals) > 1
             shared += len(h._memo)
-    assert shared > 100, shared
+    assert shared > 100 and nets >= 1, (shared, nets)
 
 
 def _scale_reference(g, schedule, f, merge_r):
@@ -283,8 +312,9 @@ def test_cost_scaling_computes_each_instance_root_cut_once(monkeypatch, seed):
     inst = gen_random(MINCUT, 16, 48, 3, seed)
     g = replace(inst.payload)
     work = g.integral()[1]
+    # refusals read off a copy, whose memo the scaling below does not see
     feasible = [f for f in cost_guesses(work) if _refusal(
-        _scale_reference, work, inst.schedule, f, 2) is None]
+        _scale_reference, replace(work), inst.schedule, f, 2) is None]
     scaled, computed = [], []
     cut, scale = mincut.min_cut, mincut.preprocess_cost_scaling
 
@@ -299,6 +329,7 @@ def test_cost_scaling_computes_each_instance_root_cut_once(monkeypatch, seed):
         return scale(*args)
 
     monkeypatch.setattr(mincut, "min_cut", counted_cut)
+    monkeypatch.setattr(graphcore, "min_cut", counted_cut)
     monkeypatch.setattr(mincut, "preprocess_cost_scaling", counted_scale)
     solve(g, inst.schedule, preprocess=True)
     # costliest guess first
