@@ -187,7 +187,6 @@ class WeightedGraph:
         return scale, WeightedGraph(self.n, edges, self.root, self.pairs,
                                     self.rep)
 
-    @_memoised
     def scaling_floor(self) -> Fraction | None:
         """The least c_f under which preprocess_cost_scaling keeps every
         unit coverable, or None when none does; like it, read off the root:

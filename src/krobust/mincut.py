@@ -14,8 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import KRobustError
-from .graphcore import (WeightedGraph, delete_or_contract, min_cut,
-                        preprocess_cost_scaling, reach_tables)
+from .graphcore import WeightedGraph, delete_or_contract, min_cut, reach_tables
 from .model import (KINDS, MINCUT, CostReport, Kind, Schedule, ThriftyPlan,
                     argmin_stage, solve_thrifty, threshold_tau)
 
@@ -110,5 +109,4 @@ KINDS[MINCUT] = Kind(
     plan=lambda *args: thrifty_plan(*args),
     solve=lambda *args: solve(*args),
     cover_table=_cover_table,
-    ratio_bound=lambda g, schedule: Fraction(150 * schedule.horizon),
-    scale=lambda *args: preprocess_cost_scaling(*args))
+    ratio_bound=lambda g, schedule: Fraction(150 * schedule.horizon))

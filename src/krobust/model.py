@@ -305,12 +305,9 @@ class Kind:
     set when the actions {ids[i] : bit i of order[p]} cover the units; the
     exact oracle checks every strategy against these tables, in its
     cheapest-first order.  ratio_bound(payload, schedule) is the proven
-    bound on a plan's robcov over the adaptive optimum.  For graph problems,
-    scale(payload, schedule, f_guess, merge_r) is preprocess_cost_scaling,
-    which shares the instance's memo entries; solve_thrifty asks costliest
-    first, none below scaling_floor().  A graph payload has a root exactly
-    when it is a cut instance.  min_live is the largest k_T for which the
-    instance is trivial.
+    bound on a plan's robcov over the adaptive optimum.  A graph payload
+    has a root exactly when it is a cut instance.  min_live is the largest
+    k_T for which the instance is trivial.
     """
 
     units: Callable
@@ -319,7 +316,6 @@ class Kind:
     solve: Callable
     cover_table: Callable
     ratio_bound: Callable
-    scale: Callable | None = None
     min_live: int = 0
 
 
@@ -381,17 +377,18 @@ def solve_thrifty(kind: str, payload, schedule: Schedule, beta=None,
     is int: the candidates are ranked on robcov times D, which keeps every
     order and tie, and only the winner is evaluated and divided back by L.
 
-    With preprocess=True the grid runs instead on the instance cost-scaled
-    under the first edge of each distinct cost from the payload's
-    scaling_floor() up, costliest first so cheaper scaled graphs find the
-    instance's results.  Each plan is ranked in its own frame, cheapest cost
-    first, with the prepaid cost and kept day of its PreprocessResult; only
-    the winner is restated in original terms.  If no cost is left (a graph
-    without edges, or a disconnected one) the plain grid decides: it
-    returns the free plan or raises the instance's own error.
+    With preprocess=True (a graph only) the grid runs instead on the
+    instance's graphcore.preprocess_cost_scaling under the first edge of
+    each distinct cost from its scaling_floor() up, costliest first so
+    cheaper scaled graphs find the instance's results.  Each plan is ranked
+    in its own frame, cheapest cost first, with the prepaid cost and kept
+    day of its PreprocessResult; only the winner is restated in original
+    terms.  If no cost is left (a graph without edges, or a disconnected
+    one) the plain grid decides: the free plan, or the instance's error.
     """
+    from . import graphcore   # looked up per call: graphcore imports model
     spec = KINDS[kind]
-    if preprocess and spec.scale is None:
+    if preprocess and not isinstance(payload, graphcore.WeightedGraph):
         raise BadParameters("cost scaling applies to graph problems only")
     units = spec.units(payload)
     validate_schedule(schedule, len(units))
@@ -404,7 +401,8 @@ def solve_thrifty(kind: str, payload, schedule: Schedule, beta=None,
         first = {e.cost: e.eid for e in sorted(
             work.edges, key=lambda e: e.eid, reverse=True) if e.cost >= floor}
         for cost in sorted(first, reverse=True):
-            pre = spec.scale(work, schedule, first[cost], merge_r)
+            pre = graphcore.preprocess_cost_scaling(work, schedule,
+                                                    first[cost], merge_r)
             candidates[:0] = [(plan, pre) for plan in _candidates(
                 spec, pre.graph, pre.schedule, beta)]
     if not candidates:

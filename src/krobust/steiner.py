@@ -16,8 +16,8 @@ from fractions import Fraction
 from .errors import Disconnected, InvariantViolation, TrivialInstance
 from .graphcore import (Edge, EdgeSet, WeightedGraph, _memoised, diameter,
                         distance, gw_steiner_forest, mst_steiner_tree,
-                        path_edges, preprocess_cost_scaling, reach_tables,
-                        shortest_paths, spanning_forest, zero_edges)
+                        path_edges, reach_tables, shortest_paths,
+                        spanning_forest, zero_edges)
 from .model import (KINDS, STEINERFOREST, STEINERTREE, CostReport, Kind,
                     Schedule, ThriftyPlan, argmin_stage, bit_columns,
                     solve_thrifty, threshold_tau)
@@ -273,7 +273,6 @@ KINDS[STEINERTREE] = Kind(
     cover_table=lambda g, ids, units, columns=None: _joined_table(
         g, ids, [(min(units), v) for v in units], columns),
     ratio_bound=lambda g, schedule: Fraction(50 * schedule.horizon),
-    scale=lambda *args: preprocess_cost_scaling(*args),
     min_live=1)
 
 KINDS[STEINERFOREST] = Kind(
@@ -283,5 +282,4 @@ KINDS[STEINERFOREST] = Kind(
     solve=lambda *args: solve_forest(*args),
     cover_table=lambda g, ids, units, columns=None: _joined_table(
         g, ids, [(p.s, p.t) for p in g.pairs if p.pid in units], columns),
-    ratio_bound=lambda g, schedule: Fraction(224 * schedule.horizon),
-    scale=lambda *args: preprocess_cost_scaling(*args))
+    ratio_bound=lambda g, schedule: Fraction(224 * schedule.horizon))

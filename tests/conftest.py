@@ -1,13 +1,13 @@
 """Session-wide instance batches shared by the unit and acceptance tests."""
 
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from itertools import pairwise
 
+from krobust import graphcore
 from krobust.errors import Infeasible
 from krobust.fixtures import gen_random
 from krobust.graphcore import UnionFind, WeightedGraph
@@ -123,21 +123,22 @@ def scaled_candidates(kind, payload, schedule, f_guess, beta, merge_r):
     floor = payload.scaling_floor()
     if floor is None or payload.edge_by_id(f_guess).cost < floor:
         raise Infeasible(f"edge {f_guess} leaves a unit uncoverable")
-    pre = spec.scale(payload, schedule, f_guess, merge_r)
+    pre = graphcore.preprocess_cost_scaling(payload, schedule, f_guess,
+                                            merge_r)
     return [_reframe(plan, pre)
             for plan in _candidates(spec, pre.graph, pre.schedule, beta)]
 
 
-def record_scales(monkeypatch, kind):
-    """Replace KINDS[kind] with a copy whose scale records each
+def record_scales(monkeypatch):
+    """Wrap graphcore.preprocess_cost_scaling so that it records each
     PreprocessResult it returns, in call order, in the returned list."""
-    spec, scaled = KINDS[kind], []
+    scale, scaled = graphcore.preprocess_cost_scaling, []
 
-    def scale(*args):
-        scaled.append(spec.scale(*args))
+    def recorded(*args):
+        scaled.append(scale(*args))
         return scaled[-1]
 
-    monkeypatch.setitem(KINDS, kind, replace(spec, scale=scale))
+    monkeypatch.setattr(graphcore, "preprocess_cost_scaling", recorded)
     return scaled
 
 

@@ -659,14 +659,14 @@ def test_solves_leave_memoised_results_intact(monkeypatch, kind):
     # spanning trees and GW runs it shares with the instance, each of
     # which must be its own
     graphs, scaled = [], []
-    scale = KINDS[kind].scale
+    scale = graphcore.preprocess_cost_scaling
 
     def kept(*args):
         pre = scale(*args)
         scaled.append(pre.graph)
         return pre
 
-    monkeypatch.setitem(KINDS, kind, replace(KINDS[kind], scale=kept))
+    monkeypatch.setattr(graphcore, "preprocess_cost_scaling", kept)
     for seed in range(4):
         inst = gen_random(kind, 7, 14, 2, seed)
         g = inst.payload

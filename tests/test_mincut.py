@@ -102,7 +102,7 @@ def test_preprocess_guess_can_be_infeasible(monkeypatch):
     # so the root's costliest edge is the floor, and the driver never
     # scales under that guess
     assert g.scaling_floor() == 100 and g.edge_by_id(1).cost < 100
-    scaled = record_scales(monkeypatch, MINCUT)
+    scaled = record_scales(monkeypatch)
     solve_thrifty(MINCUT, g, sched, F(50), True)
     assert [pre.f_guess for pre in scaled] == [0]
     plans = scaled_candidates(MINCUT, g, sched, 0, F(50), 2)
@@ -131,7 +131,7 @@ def test_preprocess_contraction_moves_the_root(monkeypatch):
     with pytest.raises(Infeasible, match="vertex 1 is only separable"):
         _scale_reference(g, sched, 1, 2)
     assert g.edge_by_id(1).cost < g.scaling_floor()
-    scaled = record_scales(monkeypatch, MINCUT)
+    scaled = record_scales(monkeypatch)
     plan, report = solve(g, sched, preprocess=True)
     assert [pre.f_guess for pre in scaled] == [0]
     assert report.robcov == 101
@@ -227,8 +227,8 @@ def test_scaled_graphs_share_exact_root_cuts(monkeypatch):
         scaled.append((pre, args[0], dict(pre.graph._memo)))
         return pre
 
-    scale = mincut.preprocess_cost_scaling
-    monkeypatch.setattr(mincut, "preprocess_cost_scaling", recorded)
+    scale = graphcore.preprocess_cost_scaling
+    monkeypatch.setattr(graphcore, "preprocess_cost_scaling", recorded)
     cases = _scaling_cases()
     shared, skipped, prepaid = [0, 0], 0, 0
     for i, (g, schedule) in enumerate(
@@ -267,7 +267,7 @@ def test_scaling_any_guess_shares_only_cuts_named_in_its_own_vertices():
                                                                [1, 2]))]:
         _candidates(KINDS[MINCUT], g, schedule, F(1))
         for f in cost_guesses(g):
-            h = KINDS[MINCUT].scale(g, schedule, f, 2).graph
+            h = preprocess_cost_scaling(g, schedule, f, 2).graph
             if h is g:
                 continue
             for (fn, root, terminals), result in h._memo.items():
@@ -316,7 +316,7 @@ def test_cost_scaling_computes_each_instance_root_cut_once(monkeypatch, seed):
     feasible = [f for f in cost_guesses(work) if _refusal(
         _scale_reference, replace(work), inst.schedule, f, 2) is None]
     scaled, computed = [], []
-    cut, scale = mincut.min_cut, mincut.preprocess_cost_scaling
+    cut, scale = mincut.min_cut, graphcore.preprocess_cost_scaling
 
     def counted_cut(h, root, terminals):
         terminals = frozenset(terminals)
@@ -330,7 +330,7 @@ def test_cost_scaling_computes_each_instance_root_cut_once(monkeypatch, seed):
 
     monkeypatch.setattr(mincut, "min_cut", counted_cut)
     monkeypatch.setattr(graphcore, "min_cut", counted_cut)
-    monkeypatch.setattr(mincut, "preprocess_cost_scaling", counted_scale)
+    monkeypatch.setattr(graphcore, "preprocess_cost_scaling", counted_scale)
     solve(g, inst.schedule, preprocess=True)
     # costliest guess first
     assert scaled == feasible[::-1] and len(feasible) < len(cost_guesses(work))

@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 
 from krobust import model
-from krobust.errors import (Infeasible, MalformedSchedule, MissingResidual,
+from krobust.errors import (BadParameters, BadSchedule, Infeasible,
+                            MalformedSchedule, MissingResidual,
                             TrivialInstance)
 from krobust.fixtures import gen_random
 from krobust.graphcore import WeightedGraph
@@ -403,7 +404,7 @@ def test_preprocessed_solve_restates_only_the_winner(monkeypatch, kind):
     reframe = model._reframe
     monkeypatch.setattr(model, "_reframe", lambda plan, pre: (
         restated.append(pre) or reframe(plan, pre)))
-    scaled = record_scales(monkeypatch, kind)
+    scaled = record_scales(monkeypatch)
     for seed in range(1, 4):
         inst = gen_random(kind, 16, 48, 3, seed)
         g = inst.payload
@@ -448,6 +449,23 @@ def test_driver_checks_every_candidate_for_missing_residuals(monkeypatch):
     with pytest.raises(MissingResidual):
         solve_thrifty(SETCOVER, inst.payload, inst.schedule, F(1))
     assert lost
+
+
+def test_cost_scaling_refuses_set_cover_before_its_schedule():
+    # a set system is not a graph, which decides ahead of a bad k[0], which
+    # raises without preprocess, and of k_T = 0, which is trivial without it
+    system = gen_random(SETCOVER, 6, 9, 2, 1).payload
+    lam = (1, 2, 4)
+    for k, plain in [((5, 2, 1), BadSchedule), ((6, 2, 0), None)]:
+        schedule = Schedule.of(k, lam)
+        if plain is None:
+            _, report = solve_thrifty(SETCOVER, system, schedule)
+            assert report.robcov == 0
+        else:
+            with pytest.raises(plain, match=r"k\[0\] = 5"):
+                solve_thrifty(SETCOVER, system, schedule)
+        with pytest.raises(BadParameters, match="graph problems only"):
+            solve_thrifty(SETCOVER, system, schedule, None, True)
 
 
 @pytest.mark.parametrize("preprocess", [False, True])

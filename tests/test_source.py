@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from krobust import graphcore
 from krobust.fixtures import gen_random
 from krobust.model import (KINDS, MINCUT, PROBLEM_KINDS, SETCOVER,
                            STEINERFOREST, STEINERTREE, solve_thrifty)
@@ -112,7 +113,7 @@ def test_kind_records_reach_the_traced_names(kind):
     recorder = tracer.Recorder()
     with tracer.traced(recorder):
         spec.solve(inst.payload, inst.schedule)
-        if spec.scale is not None:
+        if kind != SETCOVER:
             spec.solve(inst.payload, inst.schedule, None, True)
             names += ("graphcore.preprocess_cost_scaling",)
     assert all(recorder.calls[name] > 0 for name in names), recorder.calls
@@ -123,15 +124,15 @@ def test_scaled_graphs_inherit_as_much_under_the_tracer(monkeypatch, kind):
     # the tracer rebinds the memoised primitives to its wrappers, so a
     # scaled graph that looked for the instance's results by function
     # identity would find none of them when traced
-    tracer, spec = _tracer(), KINDS[kind]
+    tracer, original = _tracer(), graphcore.preprocess_cost_scaling
     inst, inherited = gen_random(kind, 16, 48, 3, 2), []
 
     def scale(g, *args):
-        pre = spec.scale(g, *args)
+        pre = original(g, *args)
         inherited.append(len(pre.graph._memo) if pre.graph is not g else 0)
         return pre
 
-    monkeypatch.setitem(KINDS, kind, replace(spec, scale=scale))
+    monkeypatch.setattr(graphcore, "preprocess_cost_scaling", scale)
     solve_thrifty(kind, replace(inst.payload), inst.schedule, None, True)
     plain = inherited[:]
     inherited.clear()
@@ -196,3 +197,16 @@ def test_memo_sharing_only_in_graphcore():
              and isinstance(node.func, ast.Attribute)
              and node.func.attr in ("keep", "entries")]
     assert calls and all(c.startswith("graphcore:") for c in calls), calls
+
+
+def test_solver_modules_leave_cost_scaling_to_the_driver():
+    # solve_thrifty calls graphcore.preprocess_cost_scaling for every
+    # graph kind, so no solver module names it, not even to register it
+    names = [f"{module}:{node.lineno}"
+             for module in ("setcover", "mincut", "steiner")
+             for node in ast.walk(ast.parse(
+                 (PACKAGE / f"{module}.py").read_text()))
+             if "preprocess_cost_scaling" in (
+                 getattr(node, "id", None), getattr(node, "attr", None),
+                 getattr(node, "name", None))]
+    assert names == [], names

@@ -17,8 +17,9 @@ from krobust.fixtures import gen_random
 from krobust.graphcore import (EdgeSet, UnionFind, WeightedGraph,
                                gw_steiner_forest, mst_steiner_tree,
                                shortest_paths, spanning_forest, zero_edges)
-from krobust.model import (KINDS, STEINERFOREST, STEINERTREE, ProblemInstance,
-                           Schedule, _candidates, solve_thrifty)
+from krobust.model import (KINDS, MINCUT, STEINERFOREST, STEINERTREE,
+                           ProblemInstance, Schedule, _candidates,
+                           solve_thrifty)
 from krobust.oracle import opt_bounds
 from krobust.steiner import (
     SfnetResult,
@@ -298,13 +299,13 @@ def test_cost_scaling_builds_no_graph_it_refuses(monkeypatch, kind, seed):
     feasible = [f for f in cost_guesses(work)
                 if _has_bounds(kind, work, inst.schedule, f)]
     scaled = []
-    scale = steiner.preprocess_cost_scaling
+    scale = graphcore.preprocess_cost_scaling
 
     def counted(*args):
         scaled.append(args[2])
         return scale(*args)
 
-    monkeypatch.setattr(steiner, "preprocess_cost_scaling", counted)
+    monkeypatch.setattr(graphcore, "preprocess_cost_scaling", counted)
     KINDS[kind].solve(g, inst.schedule, None, True)
     # costliest guess first
     assert scaled == feasible[::-1] and len(feasible) < len(cost_guesses(work))
@@ -316,7 +317,7 @@ def test_a_graph_without_floor_scales_no_guess(monkeypatch):
     edges = [(0, 1, 1), (2, 3, 2), (0, 1, 3)]
     tree = WeightedGraph.build(4, edges)
     forest = WeightedGraph.build(4, edges, pairs=[(0, 1), (1, 2)])
-    monkeypatch.setattr(steiner, "preprocess_cost_scaling", None)
+    monkeypatch.setattr(graphcore, "preprocess_cost_scaling", None)
     for kind, g, k, error in [(STEINERTREE, tree, 4, "vertices 0 and 2"),
                               (STEINERFOREST, forest, 2, "pair 2 cannot")]:
         sched = Schedule.of([k, 2], [1, 2])
@@ -376,7 +377,7 @@ def test_scaled_graphs_share_exact_searches_trees_and_forests(kind):
             for f in cost_guesses(h):
                 if h.edge_by_id(f).cost < floor:
                     continue
-                pre = spec.scale(h, schedule, f, 2)
+                pre = graphcore.preprocess_cost_scaling(h, schedule, f, 2)
                 if pre.graph is h:   # nothing scaled: the memo is its own
                     continue
                 for (fn, *args), result in pre.graph._memo.items():
@@ -401,8 +402,8 @@ def test_scaled_graphs_refuse_runs_that_used_a_deleted_edge():
     for v in range(3):
         shortest_paths(tree, [v])
     spanning_forest(tree)
-    h = KINDS[STEINERTREE].scale(tree, Schedule.of([3, 2], [1, 2]), 1,
-                                 2).graph
+    h = graphcore.preprocess_cost_scaling(tree, Schedule.of([3, 2], [1, 2]),
+                                          1, 2).graph
     assert {fn.__name__: args for (fn, *args) in h._memo} == {
         "shortest_paths": [frozenset({1})], "spanning_forest": []}
     assert shortest_paths(h, [0])[0] == shortest_paths(tree, [0])[0]
@@ -417,8 +418,8 @@ def test_scaled_graphs_refuse_runs_that_used_a_deleted_edge():
         (3, 2, F(3, 2)), (3, 10, 1), (10, 11, 1), (11, 12, 1), (12, 4, 1)],
         pairs=[(0, 1), (3, 4)])
     want = gw_steiner_forest(forest, forest.pairs)
-    h = KINDS[STEINERFOREST].scale(forest, Schedule.of([2, 1], [1, 2]), 0,
-                                   2).graph
+    h = graphcore.preprocess_cost_scaling(
+        forest, Schedule.of([2, 1], [1, 2]), 0, 2).graph
     assert h.edges == forest.edges[:8] + forest.edges[9:] and not h._memo
     got = gw_steiner_forest(h, h.pairs)
     assert want.ids == {0, 1, 2, 3, 9, 10, 11, 12}
@@ -476,6 +477,8 @@ def _pinned_copies(g):
 
 
 @pytest.mark.parametrize("kind,digest", [
+    (MINCUT, "8ea5a9ad5f6fe130f60789cfee50179f"
+             "bab22d97a6e5e2a3e7c1c0cd1ac0952a"),
     (STEINERTREE, "1b18b643af2406d1d9fc0884e44a057c"
                   "9000766995d1c00b9f5a1e8628bae383"),
     (STEINERFOREST, "b24c583c9f4559e8c048897df9439188"
