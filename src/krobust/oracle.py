@@ -236,11 +236,6 @@ class _Game:
             got = self.move_cache[key] = tuple(reversed(out))
         return got
 
-    def memo_key(self, day: int, active: int, owned: int) -> int:
-        """One int per state, smaller than a tuple in the memo."""
-        return ((owned << len(self.units) | active)
-                * (self.schedule.horizon + 1) + day)
-
 
 def minimax_opt(instance: ProblemInstance, limits: SizeLimits | None = None,
                 full_adversary: bool = False,
@@ -264,9 +259,16 @@ def minimax_opt(instance: ProblemInstance, limits: SizeLimits | None = None,
     more, since the search would reach the empty purchase first.  Each
     (day, active) has one leaf record: None if it is not settled, else the
     cover table and the price rule of its states, which one lowest-set-bit
-    lookup answers.  The move loop reads its children's records and prices
-    a settled child itself, so only unsettled children cost a call into the
-    recursion.
+    lookup answers.
+
+    The search is windowed (alpha-beta with an upper bound only: the root
+    is a min node).  value(day, active, owned, bound) returns the state's
+    memo entry, (value, mask) exact below bound, else (bound, None), a
+    lower bound that answers only bounds up to its own.  Masks stop at
+    spend >= cap, the lesser of bound and the best so far, and a child is
+    asked with cap - spend: failing that puts the mask at or above cap.
+    Masks are taken only below cap, so ties stay on the first.  Settled
+    states are exact; the root and the trace ask with an infinite bound.
     """
     game = _Game.within(instance, limits)
     T = game.schedule.horizon
@@ -276,7 +278,7 @@ def minimax_opt(instance: ProblemInstance, limits: SizeLimits | None = None,
     least_later = [min((lam[i] for i in range(day + 1, T + 1)
                         if i not in forbidden), default=None)
                    for day in range(T + 1)]
-    memo: dict = {}
+    memo: dict = {}   # state key -> (value, mask) or (lower bound, None)
     leaves: dict = {}
     n_units, span = len(game.units), T + 1
     totals, order, settle = (game.ranked.totals, game.ranked.order,
@@ -308,50 +310,38 @@ def minimax_opt(instance: ProblemInstance, limits: SizeLimits | None = None,
         leaves[key] = got
         return got
 
-    def value(day: int, active: int, owned: int):
-        key = game.memo_key(day, active, owned)
+    def value(day: int, active: int, owned: int, bound=_INF) -> tuple:
+        """The state's memo entry: exact below bound, else a lower bound."""
+        key = (owned << n_units | active) * span + day
         got = memo.get(key)
-        if got is not None:
-            return got[0]
+        if got is not None and (got[1] is not None or got[0] >= bound):
+            return got
         record = leaf(day, active)
         if record is not None:
             got = memo[key] = settle(record, owned)
-            return got[0]
-        best, best_mask = _INF, 0
-        choices = (0,) if day in forbidden else order
-        kids = [(move, leaf(day + 1, move))
-                for move in game.moves(day + 1, active, full_adversary)]
-        rate = lam[day]
-        for mask in choices:
+            return got
+        cap, best_mask = bound, None   # cap: min(bound, best so far)
+        moves, rate = game.moves(day + 1, active, full_adversary), lam[day]
+        for mask in (0,) if day in forbidden else order:
             if mask & owned:
                 continue
             spend = rate * totals[mask]
-            if spend >= best:
+            if spend >= cap:
                 break
-            # game.memo_key of each child is base + move * span: look it
-            # up here, price a settled child from its record, and call
-            # value only for an unsettled one
-            child = owned | mask
-            base = (child << n_units) * span + day + 1
-            worst = 0
-            for move, record in kids:
-                kid = base + move * span
-                got = memo.get(kid)
-                if got is None and record is not None:
-                    got = memo[kid] = settle(record, child)
-                got = value(day + 1, move, child) if got is None else got[0]
+            child, worst = owned | mask, 0
+            for move in moves:
+                got = value(day + 1, move, child, cap - spend)[0]
                 if got > worst:
                     worst = got
-                    if spend + worst >= best:
+                    if spend + worst >= cap:
                         break
-            if spend + worst < best:
-                best, best_mask = spend + worst, mask
-        memo[key] = (best, best_mask)
-        return best
+            if spend + worst < cap:
+                cap, best_mask = spend + worst, mask
+        got = memo[key] = cap, best_mask
+        return got
 
     def trace(day: int, active: int, owned: int) -> TraceNode:
-        value(day, active, owned)   # the search skips settled states' children
-        val, mask = memo[game.memo_key(day, active, owned)]
+        val, mask = value(day, active, owned)
         kids = tuple((game.unit_set(move), trace(day + 1, move, owned | mask))
                      for move in (game.moves(day + 1, active, full_adversary)
                                   if day < T else ()))
@@ -360,7 +350,7 @@ def minimax_opt(instance: ProblemInstance, limits: SizeLimits | None = None,
                          value=game.money(val), children=kids)
 
     try:
-        opt = value(0, game.full_units, 0)
+        opt = value(0, game.full_units, 0)[0]
         if opt == _INF:
             raise Infeasible("no strategy is feasible for every scenario")
         return (game.money(opt),

@@ -6,7 +6,7 @@ import random
 import resource
 import subprocess
 import sys
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
@@ -366,6 +366,68 @@ def test_settled_states_match_the_plain_search(tiny_batches):
                                with_trace=False) == (want[0], None)
 
 
+def _searched_bounds(inst, full, days):
+    """minimax_opt's answer, and the bounds each state (day, active, owned)
+    was searched at, in call order.  Its value lists a state's moves once
+    per search and never on a memo hit or at a settled state, so a spy on
+    _Game.moves reads the state and its bound from value's frame."""
+    bounds, moves = defaultdict(list), _Game.moves
+    oracle = minimax_opt.__globals__
+
+    def spy(game, next_day, active, full):
+        caller = sys._getframe(1)
+        if caller.f_globals is oracle and caller.f_code.co_name == "value":
+            bounds[next_day - 1, active, caller.f_locals["owned"]].append(
+                caller.f_locals["bound"])
+        return moves(game, next_day, active, full)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_Game, "moves", spy)
+        return minimax_opt(inst, full_adversary=full,
+                           inactive_days=days), bounds
+
+
+# per kind, gen_random arguments of a full-adversary game in which a lower
+# bound read as a value, or reused for a larger bound, changes the answer
+_FAILS_HIGH_AGAIN = {SETCOVER: (7, 10, 3, 41), MINCUT: (6, 8, 3, 26),
+                     STEINERTREE: (7, 8, 3, 23), STEINERFOREST: (6, 8, 3, 8)}
+
+
+def _window_cases(kind):
+    """(instance, full_adversary, inactive_days) for n = 6-7 games: each
+    under both adversaries with no inactive day and every thrifty set;
+    each with inflation 1 on every day, where purchases tie; and the
+    kind's _FAILS_HIGH_AGAIN game."""
+    for seed in range(6):
+        inst = gen_random(kind, 6 + seed % 2, 7, 1 + seed % 3, seed)
+        T = inst.schedule.horizon
+        thrifty = {tuple(d for d in range(1, T + 1) if d != i)
+                   for i in range(1, T + 1)}
+        flat = replace(inst, schedule=Schedule.of(inst.schedule.k,
+                                                  [1] * (T + 1)))
+        for full in (False, True):
+            yield from ((inst, full, days) for days in sorted(thrifty | {()}))
+            yield flat, full, ()
+    yield gen_random(kind, *_FAILS_HIGH_AGAIN[kind]), True, ()
+
+
+@pytest.mark.parametrize("kind", PROBLEM_KINDS)
+def test_windowed_search_matches_the_plain_search(kind):
+    # the window changes no value, purchase or tie.  A state is searched
+    # again only after it failed high, each time with a larger bound, and
+    # these games do search states again
+    again = 0
+    for inst, full, days in _window_cases(kind):
+        want = _backward_induction(inst, full, days)
+        got, searched = _searched_bounds(inst, full, days)
+        assert (got[0], repr(got[1])) == (want[0], repr(want[1])), (
+            inst.schedule, full, days)
+        for bounds in searched.values():
+            assert all(a < b for a, b in zip(bounds, bounds[1:])), bounds
+            again += len(bounds) - 1
+    assert again > 0
+
+
 @pytest.mark.parametrize("inst,kwargs,error", [
     (_sc_hand(), {"inactive_days": (0, 1)}, Infeasible),
     (gen_subset_krobust_bad(2, 3), {}, TooLarge),
@@ -525,10 +587,9 @@ def test_invariant_chain_on_larger_instances(kind):
         assert lb <= opt <= exhaustive_robcov(inst, plan) <= report.robcov
 
 
-@pytest.mark.parametrize("kind", [SETCOVER, MINCUT, STEINERFOREST])
+@pytest.mark.parametrize("kind", PROBLEM_KINDS)
 def test_invariant_chain_at_nine_units(kind):
-    # the same chain at n = 9 and 13 actions under widened limits; the
-    # steinertree game at this size takes up to 11 s and is left out
+    # the same chain at n = 9 and 13 actions under widened limits
     limits = SizeLimits(9, 13, 3)
     for seed in range(4):
         inst = gen_random(kind, 9, 13, 1 + seed % 3, seed)
