@@ -432,17 +432,32 @@ def _run_cli_capped(argv, cap):
     return _run_cli(argv, capture_output=True, preexec_fn=limit)
 
 
-@pytest.mark.parametrize("horizon,elements", [(14, 65532), (17, 524284)])
-def test_generate_refuses_a_family_too_large_for_memory(horizon, elements):
-    # part i of the family holds 2^(i+1) elements and each singleton's mask
-    # is as wide as the universe, so neither fits under a 512 MiB cap: the
-    # generator names its flags instead of printing a MemoryError
-    # traceback.  Never run these cases without a cap
-    done = _run_cli_capped(["generate", "--family", "subset-krobust-bad",
+def _generate_capped(horizon):
+    """generate's subset-krobust-bad family at --lam 2 under a 512 MiB
+    address-space cap.  Part i of the family holds 2^(i+1) elements, and
+    each singleton's mask is as wide as the universe.  Never run these
+    cases without a cap."""
+    return _run_cli_capped(["generate", "--family", "subset-krobust-bad",
                             "--horizon", str(horizon), "--lam", "2"], 512 << 20)
+
+
+@pytest.mark.parametrize("horizon,elements", [(15, 131068), (17, 524284)])
+def test_generate_refuses_a_family_too_large_for_memory(horizon, elements):
+    # neither fits under the cap: the generator names its flags instead of
+    # printing a MemoryError traceback
+    done = _generate_capped(horizon)
     assert done.returncode == 2 and done.stdout == ""
     assert done.stderr == (f"error: --horizon {horizon} and --lam 2 make "
                            f"{elements} elements, too many for memory\n")
+
+
+def test_generate_fits_a_sparse_family_in_memory():
+    # 65,532 singletons fit under the cap because building their masks
+    # keeps no table per element
+    done = _generate_capped(14)
+    assert done.returncode == 0 and done.stderr == ""
+    doc = json.loads(done.stdout)
+    assert doc["schedule"]["k"][0] == len(doc["sets"]) == 65532
 
 
 def test_huge_universe_names_the_uncovered_element(tmp_path):

@@ -4,6 +4,7 @@ import heapq
 import math
 import random
 from dataclasses import dataclass
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
@@ -75,6 +76,11 @@ def test_build_cheapest_set_matches_brute_force():
             assert (parsed.minset_cost[e], parsed.minset_id[e]) == (cost, sid)
 
 
+class _Two(IntEnum):
+    TWO = 2
+
+
+_DENSE = [1, 2, 3] * 20
 BAD_SETS = [
     ((({1}, -1),), 1, "negative cost", "sets[0].cost"),
     ((({0}, 1),), 1, "unknown element", "sets[0].members[0]"),
@@ -96,6 +102,28 @@ BAD_SETS = [
     ((([1, [1]], 1), ([1], -1)), 1, r"unknown element \[1\]",
      "sets[0].members[1]"),
     ((([1], -1), (["x"], 1)), 1, "set 0 has negative cost", "sets[0].cost"),
+    # a set that lists the universe 20 times is marked in a digit string,
+    # where a negative index would wrap (-1 to element 3, -4 to the unused
+    # digit 0) and an index past it raise; a short set is shifted in, where
+    # 1 << 10**30 would not fit in memory.  Set 0 covers every element
+    # first, so only the masks can find the fault in set 1
+    ((([1, 2, 3], 1), ([*_DENSE, -1], 1)), 3, "unknown element -1",
+     "sets[1].members[60]"),
+    ((([1, 2, 3], 1), ([*_DENSE, -4], 1)), 3, "unknown element -4",
+     "sets[1].members[60]"),
+    ((([1, 2, 3], 1), ([*_DENSE, -5], 1)), 3, "unknown element -5",
+     "sets[1].members[60]"),
+    ((([1, 2, 3], 1), ([*_DENSE, 10**30], 1)), 3, "unknown element 10{30}",
+     "sets[1].members[60]"),
+    ((([1, 2, 3], 1), ([-1], 1)), 3, "set 1 contains unknown element -1",
+     "sets[1].members[0]"),
+    ((([1, 2, 3], 1), ([2, 10**30], 1)), 3, "unknown element 10{30}",
+     "sets[1].members[1]"),
+    # an int subclass indexes and shifts like an int, and is refused
+    ((([1, 2, 3], 1), ([*_DENSE, _Two.TWO], 1)), 3,
+     "unknown element <_Two.TWO: 2>", "sets[1].members[60]"),
+    ((([1, 2, 3], 1), ([_Two.TWO], 1)), 3, "unknown element <_Two.TWO: 2>",
+     "sets[1].members[0]"),
 ]
 
 
@@ -384,6 +412,40 @@ def _fault(build, size, sets):
     except BadSetField as exc:
         return exc.field, str(exc)
     return None
+
+
+def test_both_mask_regimes_match_the_frozenset_reference():
+    # singletons and pairs are shifted into their masks, and sets holding
+    # half or all of a universe of 100 or more are marked in a digit string
+    # (setcover._masks); lists may repeat members
+    rng = random.Random(32)
+    costs = (0, 1, F(1, 2), F(2, 3), 5)
+    shifted = marked = 0
+    for _ in range(80):
+        size = rng.randint(100, 400)
+        sets = []
+        for _ in range(rng.randint(1, 12)):
+            members = rng.sample(range(1, size + 1),
+                                 rng.choice((1, 2, (size + 1) // 2, size)))
+            shifted += len(members) <= 2
+            marked += len(members) > 2
+            members += rng.choices(members, k=rng.randint(0, len(members)))
+            shape = rng.choice((list, set, frozenset))
+            sets.append((shape(members), rng.choice(costs)))
+        if rng.random() < 0.8:
+            sets.append((rng.sample(range(1, size + 1), size) * 2,
+                         rng.choice(costs)))
+        fault = _fault(_frozen_build, size, sets)
+        assert _fault(SetSystem.build, size, sets) == fault
+        if fault:
+            continue
+        ref, sys_ = _frozen_build(size, sets), SetSystem.build(size, sets)
+        assert sys_.masks == tuple(sum(1 << e for e in set(m))
+                                   for m, _ in sets)
+        assert set_pairs(sys_) == ref.sets
+        assert (sys_.minset_cost, sys_.minset_id) == (ref.minset_cost,
+                                                      ref.minset_id)
+    assert shifted >= 200 and marked >= 200
 
 
 def test_bitmask_system_matches_frozenset_reference():
