@@ -59,7 +59,10 @@ def build_net(g: WeightedGraph, root: int,
 
 def thrifty_plan(g: WeightedGraph, schedule: Schedule, guess: Fraction,
                  beta: Fraction | None = None) -> ThriftyPlan:
-    """Build the two-day plan for one guess of the optimal value."""
+    """Build the two-day plan for one guess of the optimal value.  The net
+    only shrinks as the guess grows, and a net unit's root cut exceeds
+    2T*tau >= 0, so the day-0 cut is empty exactly when the net is: from
+    then on every guess builds this plan but for guess and tau."""
     root = _require_root(g)
     beta = BETA if beta is None else beta
     tau = threshold_tau(guess, schedule, beta)
@@ -78,13 +81,17 @@ def thrifty_plan(g: WeightedGraph, schedule: Schedule, guess: Fraction,
                        conservative=True)
 
 
-def _bounds(g: WeightedGraph):
-    """The costliest single-unit root cut and the cut of every unit."""
+def _lower(g: WeightedGraph) -> Fraction:
+    """The costliest single-unit root cut."""
     root = _require_root(g)
-    reps = _reps(g, root).values()
-    cuts = _root_cuts(g, root, reps)
-    ub, ub_set = min_cut(g, root, reps)
-    return max(cuts.values()), ub, sorted(ub_set.ids)
+    return max(_root_cuts(g, root, _reps(g, root).values()).values())
+
+
+def _cover_all(g: WeightedGraph):
+    """The cut of every unit: its cost and edge ids."""
+    root = _require_root(g)
+    ub, ub_set = min_cut(g, root, _reps(g, root).values())
+    return ub, sorted(ub_set.ids)
 
 
 def _cover_table(g: WeightedGraph, ids, units, columns=None) -> int:
@@ -105,7 +112,8 @@ def solve(g: WeightedGraph, schedule: Schedule, beta: Fraction | None = None,
 
 KINDS[MINCUT] = Kind(
     units=units_of,
-    bounds=_bounds,
+    lower=_lower,
+    cover_all=_cover_all,
     plan=lambda *args: thrifty_plan(*args),
     solve=lambda *args: solve(*args),
     cover_table=_cover_table,

@@ -296,10 +296,19 @@ PROBLEM_KINDS = (SETCOVER, MINCUT, STEINERTREE, STEINERFOREST)
 class Kind:
     """How one covering problem plugs into the thrifty driver.
 
-    units(payload) lists the ground units.  bounds(payload) returns the grid
-    endpoints (a proven lower bound on the adaptive optimum and the cost of a
-    day-0 solution covering every unit) and that solution's action ids;
-    plan(payload, schedule, guess, beta) builds the plan for one guess.
+    units(payload) lists the ground units.  lower(payload) is the grid's
+    bottom, a proven lower bound on the adaptive optimum; cover_all(payload)
+    is its top, the cost of a day-0 solution covering every unit, and that
+    solution's action ids.  plan(payload, schedule, guess, beta) builds the
+    plan for one guess.  Along the grid the threshold tau only grows, so
+    each kind's net only shrinks, and a plan whose day-0 purchase is empty
+    has the net that every larger guess keeps: no element whose cheapest
+    set reaches tau, no unit whose root cut exceeds 2T*tau, the net {0}
+    when vertex 0's ball of radius 4T*tau holds every vertex, no pair that
+    sfnet_build picks because every pair lies within 4*gamma.  Any other
+    net buys something: a set, or edges joining or cutting units a
+    positive distance or cut apart.  So every larger guess builds the same
+    plan but for guess and tau, and _candidates stops there.
     solve is the public per-kind entry point.  cover_table(payload, ids,
     units, columns=bit_columns(len(ids), order)) is an int whose bit p is
     set when the actions {ids[i] : bit i of order[p]} cover the units; the
@@ -311,7 +320,8 @@ class Kind:
     """
 
     units: Callable
-    bounds: Callable
+    lower: Callable
+    cover_all: Callable
     plan: Callable
     solve: Callable
     cover_table: Callable
@@ -332,13 +342,25 @@ def require_live(kind: str, schedule: Schedule) -> None:
 
 def _candidates(spec: Kind, payload, schedule: Schedule,
                 beta) -> list[ThriftyPlan]:
-    """One plan per grid guess, or the day-0 plan when covering all is free."""
-    lb, ub, purchase = spec.bounds(payload)
+    """The grid's plans in guess order, up to the first whose day-0
+    purchase is empty: every larger guess builds that plan again but for
+    guess and tau (see Kind), so it ties and, coming later, loses.  The
+    all-units cover that tops the grid is priced only when the plan at the
+    lower bound buys something, or the bound is 0; a cover that costs
+    nothing gives the free day-0 plan."""
+    lb = spec.lower(payload)
+    plans = [spec.plan(payload, schedule, lb, beta)] if lb else []
+    if plans and not plans[0].day0_purchase:
+        return plans
+    ub, purchase = spec.cover_all(payload)
     if ub == 0:
         return [free_plan(spec.units(payload), purchase,
                           argmin_stage(schedule))]
-    return [spec.plan(payload, schedule, guess, beta)
-            for guess in guess_grid(lb, ub)]
+    for guess in guess_grid(lb, ub)[1:]:
+        plans.append(spec.plan(payload, schedule, guess, beta))
+        if not plans[-1].day0_purchase:
+            break
+    return plans
 
 
 def _reframe(inner: ThriftyPlan, pre: "PreprocessResult") -> ThriftyPlan:
@@ -372,10 +394,12 @@ def solve_thrifty(kind: str, payload, schedule: Schedule, beta=None,
                   preprocess: bool = False,
                   merge_r=2) -> tuple[ThriftyPlan, CostReport]:
     """Best evaluated plan over the doubling guess grid; ties keep the
-    smaller guess.  The payload is solved on its int-cost copy (its
-    integral(), which a graph memoises for every caller), where all money
-    is int: the candidates are ranked on robcov times D, which keeps every
-    order and tie, and only the winner is evaluated and divided back by L.
+    smaller guess, so the grid stops at its first plan that buys nothing
+    on day 0, which every later guess ties (_candidates).  The payload is
+    solved on its int-cost copy (its integral(), which a graph memoises
+    for every caller), where all money is int: the candidates are ranked
+    on robcov times D, which keeps every order and tie, and only the
+    winner is evaluated and divided back by L.
 
     With preprocess=True (a graph only) the grid runs instead on the
     instance's graphcore.preprocess_cost_scaling under the first edge of

@@ -399,12 +399,14 @@ def check_plan_feasible(instance: ProblemInstance, plan: ThriftyPlan,
 
 
 def opt_bounds(instance: ProblemInstance) -> tuple[Fraction, Fraction]:
-    """Grid endpoints: a proven lower bound on the adaptive optimum and the
-    cost of a feasible day-0-only solution."""
+    """Grid endpoints, which the solver prices only as far as it needs
+    them: a proven lower bound on the adaptive optimum (Kind.lower) and the
+    cost of a feasible day-0-only solution (Kind.cover_all)."""
     require_live(instance.kind, instance.schedule)
     scale, payload = instance.payload.integral()
-    lb, ub, _ = KINDS[instance.kind].bounds(payload)
-    return Fraction(lb, scale), Fraction(ub, scale)
+    spec = KINDS[instance.kind]
+    return (Fraction(spec.lower(payload), scale),
+            Fraction(spec.cover_all(payload)[0], scale))
 
 
 # ------------------------------------- partitioned single-survivor instances

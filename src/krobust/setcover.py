@@ -109,6 +109,16 @@ class SetSystem:
     minset_id: Mapping
     scaled: tuple[int, tuple[int, ...]] = field(repr=False, compare=False)
 
+    def __repr__(self) -> str:
+        """The dataclass repr with each mask in hex, which prints at any
+        size: str() refuses an int past 4,300 decimal digits, a mask past
+        about 14,000 bits."""
+        masks = ", ".join(map(hex, self.masks)) + "," * (len(self.masks) == 1)
+        return (f"SetSystem(universe_size={self.universe_size!r}, "
+                f"masks=({masks}), costs={self.costs!r}, "
+                f"minset_cost={self.minset_cost!r}, "
+                f"minset_id={self.minset_id!r})")
+
     @staticmethod
     def build(universe_size: int, sets: Iterable) -> "SetSystem":
         """sets holds (members, cost) pairs, members a list, set or
@@ -228,7 +238,10 @@ def build_net(system: SetSystem, tau: Fraction) -> frozenset[int]:
 
 def thrifty_plan(system: SetSystem, schedule: Schedule, guess: Fraction,
                  beta: Fraction | None = None) -> ThriftyPlan:
-    """Build the two-day plan for one guess of the optimal value."""
+    """Build the two-day plan for one guess of the optimal value.  The net
+    only shrinks as the guess grows, and the day-0 purchase is empty
+    exactly when it is (greedy buys a set for any target), so from then on
+    every guess builds this plan but for guess and tau."""
     beta = 36 * ln_upper(len(system.masks)) if beta is None else beta
     tau = threshold_tau(guess, schedule, beta)
     net = build_net(system, tau)
@@ -256,10 +269,10 @@ def thrifty_plan(system: SetSystem, schedule: Schedule, guess: Fraction,
                        conservative=conservative)
 
 
-def _bounds(system: SetSystem):
-    """The costliest cheapest-set price and the greedy cover of everything."""
+def _cover_all(system: SetSystem):
+    """The greedy cover of everything: its cost and set ids."""
     all_ids, ub = greedy_cover(system, system.elements())
-    return max(system.minset_cost.values()), ub, all_ids
+    return ub, all_ids
 
 
 def _cover_table(system: SetSystem, ids, units, columns=None) -> int:
@@ -284,7 +297,8 @@ def solve(system: SetSystem, schedule: Schedule, beta: Fraction | None = None,
 
 KINDS[SETCOVER] = Kind(
     units=SetSystem.elements,
-    bounds=_bounds,
+    lower=lambda system: max(system.minset_cost.values()),
+    cover_all=_cover_all,
     plan=lambda *args: thrifty_plan(*args),
     solve=lambda *args: solve(*args),
     cover_table=_cover_table,

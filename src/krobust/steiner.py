@@ -49,7 +49,11 @@ def ball_packing_net(g: WeightedGraph, radius: Fraction) -> frozenset[int]:
 
 def thrifty_tree_plan(g: WeightedGraph, schedule: Schedule, guess: Fraction,
                       beta: Fraction | None = None) -> ThriftyPlan:
-    """Two-day Steiner tree plan for one guess of the optimal value."""
+    """Two-day Steiner tree plan for one guess of the optimal value.  The
+    net always holds vertex 0 and only shrinks as the radius grows; it is
+    {0}, and the day-0 tree empty, exactly when vertex 0's ball holds every
+    vertex (two net vertices lie a positive distance apart).  From then on
+    every guess builds this plan but for guess and tau."""
     if schedule.k[schedule.horizon] <= 1:
         raise TrivialInstance(
             "a lone surviving vertex needs no connection; optimal value is 0")
@@ -169,7 +173,10 @@ def thrifty_forest_plan(g: WeightedGraph, schedule: Schedule,
                         guess: Fraction,
                         beta: Fraction | None = None) -> ThriftyPlan:
     """Two-day Steiner forest plan for one guess of the optimal value,
-    connecting the graph's pairs."""
+    connecting the graph's pairs.  The day-0 edges are empty exactly when
+    sfnet_build picks no pair, that is when every pair lies within 4*gamma
+    (a picked pair lies farther, a positive distance); a larger guess then
+    picks none either and builds this plan but for guess and tau."""
     beta = BETA if beta is None else beta
     tau = threshold_tau(guess, schedule, beta)
     gamma = 2 * schedule.horizon * tau
@@ -205,29 +212,32 @@ def _connect(g: WeightedGraph, day0: frozenset[int]):
     return residuals, actions
 
 
-def _tree_bounds(g: WeightedGraph):
-    """The largest vertex-pair distance and a tree on all vertices.
+def _tree_cover(g: WeightedGraph):
+    """A tree on all vertices: its cost and edge ids.
 
     The tree is a minimum spanning tree: with every vertex a terminal, the
     MST Steiner tree weighs exactly as much.  When it costs nothing the
     purchase is vertex 0's shortest-path tree instead, which is what the MST
     Steiner tree on all vertices buys then.
     """
-    lb = diameter(g)
     ub = spanning_forest(g)
     if ub.cost:
-        return lb, ub.cost, sorted(ub.ids)
+        return ub.cost, sorted(ub.ids)
     _, pred = shortest_paths(g, [0])
-    return lb, ub.cost, sorted(e.eid for e in pred.values())
+    return ub.cost, sorted(e.eid for e in pred.values())
 
 
-def _forest_bounds(g: WeightedGraph):
-    """The largest pair distance and the Steiner forest on all pairs; the
-    forest raises Disconnected naming the first pair it cannot join."""
-    lb = max([shortest_paths(g, [p.s])[0].get(p.t, 0) for p in g.pairs],
-             default=0)
+def _forest_lower(g: WeightedGraph) -> Fraction:
+    """The largest distance between the ends of a joinable pair."""
+    return max([shortest_paths(g, [p.s])[0].get(p.t, 0) for p in g.pairs],
+               default=0)
+
+
+def _forest_cover(g: WeightedGraph):
+    """The Steiner forest on all pairs: its cost and edge ids.  It raises
+    Disconnected naming the first pair it cannot join."""
     ub = gw_steiner_forest(g, g.pairs)
-    return lb, ub.cost, sorted(ub.ids)
+    return ub.cost, sorted(ub.ids)
 
 
 def solve_tree(g: WeightedGraph, schedule: Schedule,
@@ -267,7 +277,8 @@ def _joined_table(g: WeightedGraph, ids, pairs, columns=None) -> int:
 
 KINDS[STEINERTREE] = Kind(
     units=lambda g: tuple(range(g.n)),
-    bounds=_tree_bounds,
+    lower=diameter,
+    cover_all=_tree_cover,
     plan=lambda *args: thrifty_tree_plan(*args),
     solve=lambda *args: solve_tree(*args),
     cover_table=lambda g, ids, units, columns=None: _joined_table(
@@ -277,7 +288,8 @@ KINDS[STEINERTREE] = Kind(
 
 KINDS[STEINERFOREST] = Kind(
     units=lambda g: tuple(p.pid for p in g.pairs),
-    bounds=_forest_bounds,
+    lower=_forest_lower,
+    cover_all=_forest_cover,
     plan=lambda *args: thrifty_forest_plan(*args),
     solve=lambda *args: solve_forest(*args),
     cover_table=lambda g, ids, units, columns=None: _joined_table(

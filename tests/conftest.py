@@ -12,8 +12,8 @@ from krobust.errors import Infeasible
 from krobust.fixtures import gen_random
 from krobust.graphcore import UnionFind, WeightedGraph
 from krobust.model import (KINDS, MINCUT, PROBLEM_KINDS, SETCOVER,
-                           STEINERTREE, _candidates, _reframe, guess_grid,
-                           threshold_tau)
+                           STEINERTREE, _reframe, argmin_stage, free_plan,
+                           guess_grid, threshold_tau)
 from krobust.oracle import opt_bounds
 from krobust.setcover import elements_of
 
@@ -113,8 +113,22 @@ def cost_guesses(g):
     return [first[cost] for cost in sorted(first)]
 
 
+def grid_plans(spec, payload, schedule, beta):
+    """One plan per guess of the whole grid, from both its ends, or the
+    free day-0 plan when covering every unit costs nothing: the
+    every-guess reference for model._candidates, which stops at the first
+    plan that buys nothing on day 0 and prices the top only when needed."""
+    lb = spec.lower(payload)
+    ub, purchase = spec.cover_all(payload)
+    if ub == 0:
+        return [free_plan(spec.units(payload), purchase,
+                          argmin_stage(schedule))]
+    return [spec.plan(payload, schedule, guess, beta)
+            for guess in guess_grid(lb, ub)]
+
+
 def scaled_candidates(kind, payload, schedule, f_guess, beta, merge_r):
-    """All grid plans for one guess of the costliest edge ever bought, each
+    """Every grid plan for one guess of the costliest edge ever bought, each
     restated in original terms: the every-candidate reference for
     solve_thrifty, which restates only its winner.  Raises Infeasible,
     before scaling, when the guess costs less than the payload's
@@ -126,7 +140,7 @@ def scaled_candidates(kind, payload, schedule, f_guess, beta, merge_r):
     pre = graphcore.preprocess_cost_scaling(payload, schedule, f_guess,
                                             merge_r)
     return [_reframe(plan, pre)
-            for plan in _candidates(spec, pre.graph, pre.schedule, beta)]
+            for plan in grid_plans(spec, pre.graph, pre.schedule, beta)]
 
 
 def record_scales(monkeypatch):

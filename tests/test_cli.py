@@ -589,6 +589,49 @@ def test_tree_with_an_isolated_vertex_is_refused(tmp_path, capsys):
     assert "k_T = 2 >= 2" in err
 
 
+DISCONNECTED = {
+    # pair 2 (1-based) joins the two components; pair 1 lies 100 apart
+    "steinerforest": ({"n": 6, "edges": [[0, 1, "100"], [1, 2, "5"],
+                                         [3, 4, "2"], [4, 5, "1"]],
+                       "pairs": [[0, 1], [2, 4], [1, 3]]}, [3, 2],
+                      "error: pair 2 cannot be connected\n"),
+    "steinertree": ({"n": 4, "edges": [[0, 1, "1"], [2, 3, "1"]]}, [4, 2],
+                    "error: vertices 0 and 2 are not connected\n"),
+}
+
+
+@pytest.mark.parametrize("kind", DISCONNECTED)
+@pytest.mark.parametrize("argv", [["solve"], ["evaluate"], ["compare"],
+                                  ["solve", "--preprocess", "cost-scaling"]])
+def test_disconnected_graphs_are_refused_by_name(tmp_path, capsys, kind,
+                                                 argv):
+    # a forest solve fails in its first plan, never pricing the all-units
+    # forest that compare's bounds fail in: the same exit code and text
+    graph, k, message = DISCONNECTED[kind]
+    doc = {"problem": kind,
+           "schedule": {"T": 1, "k": k, "lambda": ["1", "2"]}, "graph": graph}
+    path = write_doc(tmp_path, doc)
+    assert run(capsys, argv[0], path, *argv[1:]) == (2, "", message)
+
+
+def test_disconnected_cut_is_solved(tmp_path, capsys):
+    # vertices 2 and 3 never reach the root: their cuts cost nothing
+    doc = {"problem": "mincut",
+           "schedule": {"T": 1, "k": [3, 2], "lambda": ["1", "2"]},
+           "graph": {"n": 4, "root": 0,
+                     "edges": [[0, 1, "1"], [2, 3, "3"]]}}
+    path = write_doc(tmp_path, doc)
+    rc, out, err = run(capsys, "solve", path)
+    assert (rc, err) == (0, "") and json.loads(out) == {
+        "robcov": "1", "day0_cost": "0", "jstar": 0, "tau": "50/3",
+        "guess": "1", "net": [], "day0_purchase": [], "conservative": True,
+        "witness": [1]}
+    rc, out, err = run(capsys, "compare", path)
+    assert (rc, err) == (0, "") and json.loads(out) == {
+        "opt": "1", "algo": "1", "ratio": "1", "exhaustive_algo": "1",
+        "bounds": {"lb": "1", "ub": "1"}}
+
+
 def test_compare_trivial_instance(tmp_path, capsys):
     doc = dict(SC_HAND, schedule={"T": 1, "k": [2, 0], "lambda": ["1", "2"]})
     rc, out, err = run(capsys, "compare", write_doc(tmp_path, doc))

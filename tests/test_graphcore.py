@@ -26,11 +26,10 @@ from krobust.graphcore import (
     zero_edges,
 )
 from krobust.model import (KINDS, MINCUT, STEINERFOREST, STEINERTREE, Schedule,
-                           _candidates, evaluate_thrifty, guess_grid,
-                           solve_thrifty)
+                           evaluate_thrifty, guess_grid, solve_thrifty)
 from krobust.oracle import SizeLimits, exact_min, opt_bounds
 
-from conftest import connects, scaled_candidates, separates
+from conftest import connects, grid_plans, scaled_candidates, separates
 
 F = Fraction
 
@@ -681,9 +680,9 @@ def test_solves_leave_memoised_results_intact(monkeypatch, kind):
 
 
 def _fraction_solve(kind, g, schedule, preprocess):
-    """Reference driver on the Fraction graph itself: every candidate that
-    _candidates builds (per distinct cost under cost scaling), evaluated,
-    and the first with the lowest robcov."""
+    """Reference driver on the Fraction graph itself: every grid plan (per
+    distinct cost under cost scaling), evaluated, and the first with the
+    lowest robcov."""
     candidates = []
     if preprocess:
         for cost in sorted({e.cost for e in g.edges}):
@@ -693,7 +692,7 @@ def _fraction_solve(kind, g, schedule, preprocess):
             except Infeasible:
                 pass
     if not candidates:
-        candidates = _candidates(KINDS[kind], g, schedule, None)
+        candidates = grid_plans(KINDS[kind], g, schedule, None)
     units = KINDS[kind].units(g)
     solved = [(plan, evaluate_thrifty(plan, schedule, units))
               for plan in candidates]

@@ -22,11 +22,11 @@ from krobust.mincut import (
     units_of,
 )
 from krobust.model import (KINDS, MINCUT, ProblemInstance, Schedule,
-                           _candidates, solve_thrifty)
+                           solve_thrifty)
 from krobust.oracle import exhaustive_robcov, minimax_opt
 
-from conftest import (check_floor, cost_guesses, floor_cases, record_scales,
-                      scaled_candidates)
+from conftest import (check_floor, cost_guesses, floor_cases, grid_plans,
+                      record_scales, scaled_candidates)
 
 F = Fraction
 
@@ -265,7 +265,7 @@ def test_scaling_any_guess_shares_only_cuts_named_in_its_own_vertices():
     shared = nets = 0
     for g, schedule in _scaling_cases() + [(moved, Schedule.of([2, 1],
                                                                [1, 2]))]:
-        _candidates(KINDS[MINCUT], g, schedule, F(1))
+        grid_plans(KINDS[MINCUT], g, schedule, F(1))
         for f in cost_guesses(g):
             h = preprocess_cost_scaling(g, schedule, f, 2).graph
             if h is g:

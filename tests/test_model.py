@@ -1,15 +1,17 @@
 """Schedules, plan evaluation, and the shared numeric helpers."""
 
+import itertools
 import math
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from krobust import model
+from krobust import graphcore, model
 from krobust.errors import (BadParameters, BadSchedule, Infeasible,
-                            MalformedSchedule, MissingResidual,
+                            KRobustError, MalformedSchedule, MissingResidual,
                             TrivialInstance)
 from krobust.fixtures import gen_random
 from krobust.graphcore import WeightedGraph
@@ -44,7 +46,8 @@ from krobust.model import (
 from krobust.oracle import _Game
 from krobust.setcover import SetSystem
 
-from conftest import record_scales, scaled_candidates
+from conftest import (cost_guesses, floor_cases, grid_plans, record_scales,
+                      scaled_candidates)
 
 F = Fraction
 
@@ -288,7 +291,8 @@ def _reference_evaluate(plan: ThriftyPlan, schedule: Schedule,
 
 
 def _int_candidates(kind, payload, schedule, preprocess, beta=None):
-    """L and every plan the driver builds on the int-cost copy, in the
+    """L and every grid plan on the int-cost copy, one per guess (the
+    driver stops at the first that buys nothing on day 0), in the
     driver's order."""
     spec = KINDS[kind]
     scale, work = payload.integral()
@@ -307,13 +311,13 @@ def _int_candidates(kind, payload, schedule, preprocess, beta=None):
             except Infeasible:
                 continue
     if not candidates:
-        candidates = _candidates(spec, work, schedule, beta)
+        candidates = grid_plans(spec, work, schedule, beta)
     return scale, candidates
 
 
 def _reference_candidates(kind, payload, schedule, preprocess):
-    """Every plan the driver builds, each divided back to the original
-    money, in the driver's order."""
+    """Every grid plan, each divided back to the original money, in the
+    driver's order."""
     scale, candidates = _int_candidates(kind, payload, schedule, preprocess)
     return [_divided(plan, scale) for plan in candidates]
 
@@ -393,6 +397,107 @@ def test_int_key_selects_as_the_evaluated_robcov(beta):
             assert got[0].guess == F(min(tied), scale) < F(max(tied), scale)
     # the smaller of several equal guesses must win, so ties must occur
     assert ties >= 1
+
+
+def _raised(fn, *args):
+    """fn's result, or the type and text of the error it raised."""
+    try:
+        return fn(*args)
+    except (KRobustError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _grids(payload, schedule, preprocess):
+    """(payload, schedule) for each grid the driver runs: the int-cost
+    copy's, or with preprocess each scaled graph's from the floor up."""
+    _, work = payload.integral()
+    floor = work.scaling_floor() if preprocess else None
+    if floor is None:
+        return [(work, schedule)]
+    return [(pre.graph, pre.schedule) for pre in (
+        graphcore.preprocess_cost_scaling(work, schedule, f, 2)
+        for f in cost_guesses(work) if work.edge_by_id(f).cost >= floor)]
+
+
+@pytest.mark.parametrize("kind", PROBLEM_KINDS)
+def test_grid_stops_exactly_at_its_first_empty_day0_plan(tiny_batches, kind):
+    # every plan after the first that buys nothing on day 0 is that plan
+    # but for guess and tau, the driver builds the grid up to it and no
+    # further, and it picks the winner of every guess, at five betas
+    counts = Counter()
+    spec = KINDS[kind]
+    cases = [(inst.payload, inst.schedule) for inst in tiny_batches[
+        kind] + [gen_random(kind, 5 + seed, 15 + 3 * seed,
+                            1 + seed % 3, seed) for seed in range(10)]]
+    if kind != SETCOVER:   # tied, zero-cost and disconnected graphs
+        cases += [case for case in floor_cases(kind) if case[0].n < 9]
+    if kind == STEINERTREE:   # stars, whose grids stop midway
+        cases += [(WeightedGraph.build(n, [(0, v, 1) for v in range(1, n)] + [
+            (v, v + 1, 3) for v in range(1, n - 1)]), Schedule.of(
+                [n] + [max(2, n - i) for i in range(1, T + 1)],
+                [2 ** i for i in range(T + 1)]))
+            for n in range(4, 10) for T in (1, 2, 3)]
+    for (payload, schedule), preprocess, beta in itertools.product(
+            cases, (False, True) if kind != SETCOVER else (False,),
+            (None, F(3), F(1), F(1, 4), F(0))):
+        got = _raised(solve_thrifty, kind, payload, schedule, beta,
+                      preprocess)
+        want = _raised(_evaluated_selection, kind, payload, schedule,
+                       beta, preprocess)
+        assert repr(got) == repr(want), (kind, payload, preprocess, beta)
+        if schedule.k[-1] <= spec.min_live:
+            continue
+        for g, sched in _grids(payload, schedule, preprocess):
+            plans = _raised(grid_plans, spec, g, sched, beta)
+            driven = _raised(_candidates, spec, g, sched, beta)
+            if isinstance(plans, tuple):
+                assert driven == plans
+                counts["refused"] += 1
+                continue
+            stop = next((i for i, plan in enumerate(plans)
+                         if not plan.day0_purchase), len(plans) - 1)
+            assert driven == plans[:stop + 1], (kind, beta, stop)
+            for plan in plans[stop + 1:]:
+                assert replace(plan, guess=plans[stop].guess,
+                               tau=plans[stop].tau) == plans[stop]
+            counts["every" if stop + 1 == len(plans) else
+                   "midway" if stop else "first"] += 1
+    # every way the stop can go is seen: grids it cuts short at their
+    # first plan or midway, grids whose every plan buys something or whose
+    # last plan is the first empty one; and disconnected trees and forests
+    # refuse alike
+    assert counts["first"] >= 50 and counts["midway"] >= 4, counts
+    assert counts["every"] >= 400, counts
+    assert counts["refused"] >= 20 or kind in (SETCOVER, MINCUT), counts
+
+
+@pytest.mark.parametrize("kind,sizes", [
+    (SETCOVER, (160, 200, 240, 280)), (MINCUT, (30, 36, 42, 48)),
+    (STEINERTREE, (24, 30, 36, 42)), (STEINERFOREST, (30, 36, 42, 48))])
+def test_plain_solves_build_one_plan_and_rarely_cover_all(monkeypatch, kind,
+                                                          sizes):
+    # on gen_random(kind, n, 3n, 3, seed), seeds 1-2, at the paper's beta
+    # the plan at the lower bound already buys nothing on day 0, so a solve
+    # builds one plan and prices no all-units cover; only the set cover
+    # with n = 240 and seed 1 buys its whole net, then stops at guess two
+    spec, calls = KINDS[kind], Counter()
+
+    def counted(name):
+        def call(*args):
+            calls[name] += 1
+            return getattr(spec, name)(*args)
+        return call
+
+    monkeypatch.setitem(KINDS, kind, replace(
+        spec, plan=counted("plan"), cover_all=counted("cover_all")))
+    seen = {}
+    for n, seed in itertools.product(sizes, (1, 2)):
+        inst = gen_random(kind, n, 3 * n, 3, seed)
+        calls.clear()
+        solve_thrifty(kind, inst.payload, inst.schedule)
+        seen[n, seed] = calls["plan"], calls["cover_all"]
+    assert {case: got for case, got in seen.items() if got != (1, 0)} == (
+        {(240, 1): (2, 1)} if kind == SETCOVER else {})
 
 
 @pytest.mark.parametrize("kind", [MINCUT, STEINERTREE, STEINERFOREST])

@@ -12,9 +12,10 @@ import pytest
 from krobust.cli import parse_instance
 from krobust.errors import BadSetField, Infeasible
 from krobust.fixtures import gen_lowerbound_allstages, gen_random
-from krobust.model import (KINDS, SETCOVER, Schedule, ThriftyPlan,
-                           argmin_stage, evaluate_thrifty, guess_grid,
-                           ln_upper, scaled_to_ints, threshold_tau)
+from krobust.model import (KINDS, SETCOVER, ProblemInstance, Schedule,
+                           ThriftyPlan, argmin_stage, evaluate_thrifty,
+                           guess_grid, ln_upper, scaled_to_ints,
+                           threshold_tau)
 from krobust.setcover import (SetSystem, build_net, elements_of, greedy_cover,
                               solve, thrifty_plan)
 from conftest import set_pairs
@@ -42,6 +43,23 @@ def test_elements_of_decodes_every_bit():
         members = sorted(rng.sample(range(1, 3000), rng.randint(0, 6)))
         assert elements_of(sum(1 << e for e in members)) == members
     assert elements_of(0) == [] and elements_of(1 << 10**5) == [10**5]
+
+
+def test_repr_prints_masks_in_hex_at_any_size():
+    # 20,000 singletons: the top mask has 20,001 bits, over 6,000 decimal
+    # digits, which str() of an int refuses
+    big = SetSystem.build(20000, [([e], 1) for e in range(1, 20001)])
+    inst = ProblemInstance(SETCOVER, big, Schedule.of([20000, 1], [1, 2]))
+    assert "masks=(0x2, 0x4, 0x8, " in repr(big)
+    assert hex(1 << 20000) in repr(inst)
+    assert big == SetSystem.build(20000, [([e], 1) for e in range(1, 20001)])
+    small = _system(({1}, 1), ({2}, 2), ({1, 2}, F(5, 2)))
+    assert repr(small) == (
+        "SetSystem(universe_size=2, masks=(0x2, 0x4, 0x6), costs=("
+        "Fraction(1, 1), Fraction(2, 1), Fraction(5, 2)), minset_cost="
+        "{1: Fraction(1, 1), 2: Fraction(2, 1)}, minset_id={1: 0, 2: 1})")
+    assert repr(_system(({1}, 1))).startswith(
+        "SetSystem(universe_size=1, masks=(0x2,), ")
 
 
 def _spellings(cost):

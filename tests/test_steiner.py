@@ -18,12 +18,10 @@ from krobust.graphcore import (EdgeSet, UnionFind, WeightedGraph,
                                gw_steiner_forest, mst_steiner_tree,
                                shortest_paths, spanning_forest, zero_edges)
 from krobust.model import (KINDS, MINCUT, STEINERFOREST, STEINERTREE,
-                           ProblemInstance, Schedule, _candidates,
-                           solve_thrifty)
+                           ProblemInstance, Schedule, solve_thrifty)
 from krobust.oracle import opt_bounds
 from krobust.steiner import (
     SfnetResult,
-    _tree_bounds,
     ball_packing_net,
     sfnet_build,
     solve_forest,
@@ -32,7 +30,7 @@ from krobust.steiner import (
     thrifty_tree_plan,
 )
 from conftest import (check_floor, cost_guesses, floor_cases, forest_net_runs,
-                      scaled_candidates)
+                      grid_plans, scaled_candidates)
 
 F = Fraction
 
@@ -267,11 +265,12 @@ def test_solve_forest_preprocess():
 
 
 def _has_bounds(kind, g, schedule, f):
-    """Whether the graph cost-scaled under edge f has grid bounds: the
-    build-then-check reference for the tree's and forest's floor."""
+    """Whether the graph cost-scaled under edge f has both grid bounds:
+    the build-then-check reference for the tree's and forest's floor."""
     pre = graphcore.preprocess_cost_scaling(g, schedule, f, 2)
     try:
-        KINDS[kind].bounds(pre.graph)
+        KINDS[kind].lower(pre.graph)
+        KINDS[kind].cover_all(pre.graph)
     except Disconnected:
         return False
     return True
@@ -372,7 +371,7 @@ def test_scaled_graphs_share_exact_searches_trees_and_forests(kind):
             floor = h.scaling_floor()
             if floor is None:
                 continue
-            _candidates(spec, h, schedule, None)
+            grid_plans(spec, h, schedule, None)
             own = sum(len(fn.entries(h)) for fn in SHARED)
             for f in cost_guesses(h):
                 if h.edge_by_id(f).cost < floor:
@@ -431,7 +430,9 @@ def test_preprocessed_solves_search_once_and_attach_once_per_net(
         monkeypatch, kind):
     # over seeds 1-3 the tree (forest) solves once ran 111 (191) Dijkstra
     # searches, 0 (124) GW runs and 51 (93) residual phases, one per plan,
-    # for 18 (31) distinct graphs and nets (day-0 purchases for the forest)
+    # for 18 (31) distinct graphs and nets (day-0 purchases for the forest).
+    # The grid stops at its first empty day-0 plan, so each residual phase
+    # is asked for once, by the one plan each scaled graph builds
     phase = "_attach" if kind == STEINERTREE else "_connect"
     runs, calls = Counter(), defaultdict(list)
     search = graphcore._dijkstra
@@ -458,8 +459,8 @@ def test_preprocessed_solves_search_once_and_attach_once_per_net(
         inst = gen_random(kind, 16, 48, 3, seed)
         solve_thrifty(kind, inst.payload, inst.schedule, None, True)
     distinct = {(id(g), args) for g, args in calls[phase]}
-    assert runs[phase] == len(distinct) < len(calls[phase]), runs
-    bound = {STEINERTREE: (70, 0, 18), STEINERFOREST: (75, 10, 31)}[kind]
+    assert runs[phase] == len(distinct) == len(calls[phase]), runs
+    bound = {STEINERTREE: (63, 0, 18), STEINERFOREST: (67, 3, 31)}[kind]
     assert all(x <= b for x, b in zip(
         (runs["searches"], runs["_gw_forest"], runs[phase]), bound)), runs
 
@@ -616,11 +617,14 @@ def test_tree_bounds_and_nets_match_all_pairs_search(monkeypatch):
     # and the net searched from its members only give what one search per
     # vertex gave, and so does the whole solve
     seen = {"zero ub": 0, "disconnected": 0, "n = 1": 0, "parallel": 0}
-    reference_kind = replace(KINDS[STEINERTREE], bounds=_all_pairs_tree_bounds)
+    tree = KINDS[STEINERTREE]
+    reference_kind = replace(
+        tree, lower=lambda g: _all_pairs_tree_bounds(g)[0],
+        cover_all=lambda g: _all_pairs_tree_bounds(g)[1:])
     for seed in range(200):
         g, sched = _odd_graph(seed)
         scale, work = g.integral()
-        got = _outcome(_tree_bounds, work)
+        got = _outcome(lambda h: (tree.lower(h), *tree.cover_all(h)), work)
         want = _outcome(_all_pairs_tree_bounds, replace(work))
         if isinstance(want, str):
             assert got == want
