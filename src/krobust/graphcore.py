@@ -160,12 +160,13 @@ class WeightedGraph:
         return tuple((e.eid, e.cost) for e in self.edges)
 
     @_memoised
-    def adjacency(self) -> tuple[tuple[Edge, ...], ...]:
-        """The edges at each vertex, in edge order."""
-        adj: list[list[Edge]] = [[] for _ in range(self.n)]
+    def adjacency(self) -> tuple[tuple[tuple[int, Fraction, Edge], ...], ...]:
+        """(other end, cost, edge) for the edges at each vertex, in edge
+        order: flat triples, so a search reads no attribute per edge."""
+        adj: list[list] = [[] for _ in range(self.n)]
         for e in self.edges:
-            adj[e.u].append(e)
-            adj[e.v].append(e)
+            adj[e.u].append((e.v, e.cost, e))
+            adj[e.v].append((e.u, e.cost, e))
         return tuple(map(tuple, adj))
 
     @functools.cached_property
@@ -214,28 +215,26 @@ class WeightedGraph:
 def _dijkstra(g: WeightedGraph, sources: Iterable[int],
               target: int | None = None
               ) -> tuple[dict[int, Fraction], dict[int, Edge]]:
-    dist: dict[int, Fraction] = {}
+    """Dijkstra from the sources, stopping once target is settled.  A
+    vertex is pushed only when its distance strictly falls, so the one heap
+    entry at its final distance settles it and every other is stale."""
+    heap = [(0, s) for s in sorted(set(sources))]   # sorted: a heap already
+    dist: dict[int, Fraction] = {s: 0 for _, s in heap}
     pred: dict[int, Edge] = {}
-    heap = []
-    for s in sorted(set(sources)):
-        dist[s] = 0
-        heapq.heappush(heap, (0, s))
     adj = g.adjacency()
-    done: set[int] = set()
+    pop, push = heapq.heappop, heapq.heappush
     while heap:
-        d, v = heapq.heappop(heap)
-        if v in done:
+        d, v = pop(heap)
+        if d > dist[v]:
             continue
         if v == target:
             break
-        done.add(v)
-        for e in adj[v]:
-            w = e.v if e.u == v else e.u
-            nd = d + e.cost
+        for w, c, e in adj[v]:
+            nd = d + c
             if w not in dist or nd < dist[w]:
                 dist[w] = nd
                 pred[w] = e
-                heapq.heappush(heap, (nd, w))
+                push(heap, (nd, w))
     return dist, pred
 
 
@@ -304,18 +303,35 @@ def path_edges(pred: dict[int, Edge], sources: set[int], target: int) -> list[in
 def _flow_arcs(g: WeightedGraph):
     """min_cut's network: arc 2i runs along the i-th edge from u to v and
     arc 2i+1 back, each with the edge's cost as capacity, so the edge is
-    usable in both directions; (arc heads, capacities, arcs out of each
-    vertex)."""
+    usable in both directions; (arc heads, capacities, per vertex the
+    (arc, head) pairs of the arcs out of it, per arc its edge id)."""
     to: list[int] = []
     cap: list = []
-    out: list[list[int]] = [[] for _ in range(g.n)]
+    out: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
     for e in g.edges:
-        out[e.u].append(len(to))
-        to.append(e.v)
-        out[e.v].append(len(to))
-        to.append(e.u)
+        out[e.u].append((len(to), e.v))
+        out[e.v].append((len(to) + 1, e.u))
+        to += (e.v, e.u)
         cap += (e.cost, e.cost)
-    return tuple(to), tuple(cap), tuple(map(tuple, out))
+    return (tuple(to), tuple(cap), tuple(map(tuple, out)),
+            tuple(e.eid for e in g.edges for _ in "uv"))
+
+
+@_memoised
+def _toward(g: WeightedGraph, root: int) -> tuple[int, ...]:
+    """A breadth-first tree toward the root over the priced arcs of
+    _flow_arcs(g): per vertex the arc out of it to its parent, -2 at the
+    root and -1 where no priced path reaches the root."""
+    _, capacity, out, _ = _flow_arcs(g)
+    up = [-1] * g.n
+    up[root] = -2
+    queue = [root]
+    for v in queue:
+        for a, w in out[v]:
+            if up[w] == -1 and capacity[a]:
+                up[w] = a ^ 1
+                queue.append(w)
+    return tuple(up)
 
 
 @_memoised
@@ -323,25 +339,46 @@ def min_cut(g: WeightedGraph, root: int, terminals: Iterable[int]
             ) -> tuple[Fraction, EdgeSet]:
     """Cheapest edge set separating every terminal from the root.
 
-    Exact max-flow via augmenting paths.  Each round is one BFS from all
-    the terminals at once (the search a super-source joined to them by
-    uncapacitated arcs would make).  When it reaches the root, every arc
-    w -> root whose tail it labelled, in out[root] order, extends w's
-    search-tree path, and each such path gets its bottleneck pushed as
-    re-read after the earlier pushes of the round.  The loop ends only when
-    a search fails, so the flow is maximum.  The cut is recovered from the
-    vertices that last search reached in the residual network; that set is
-    the same for every maximum flow (the inclusion-minimal terminal side),
-    so how many paths a round pushes cannot change the cut.
+    Exact max-flow via augmenting paths, from a greedy seed: each priced
+    arc out of a terminal, in terminal then edge order, whose head is not a
+    terminal and lies on _toward(g, root)'s tree pushes its bottleneck
+    along the arc and the head's tree path (which may pass through another
+    terminal).  Then each round is one BFS from all the terminals at once
+    (the search a super-source joined to them by uncapacitated arcs would
+    make).  When it reaches the root, every arc w -> root whose tail it
+    labelled, in out[root] order, extends w's search-tree path, and each
+    such path gets its bottleneck pushed as re-read after the earlier
+    pushes of the round.  The loop ends only when a search fails, so the
+    flow is maximum.  The cut is read off the arcs leaving the vertices
+    that last search reached in the residual network; that set is the same
+    for every maximum flow (the inclusion-minimal terminal side), so
+    neither the seed nor how many paths a round pushes can change the cut.
     """
     term = sorted(set(terminals))
     if not term:
         return Fraction(0), EdgeSet.empty()
     if root in term:
         raise ValueError("root cannot be a terminal")
-    to, capacity, out = _flow_arcs(g)
+    to, capacity, out, eid = _flow_arcs(g)
+    up = _toward(g, root)
     cap = list(capacity)
     flow = 0
+    is_term = set(term)
+    for t in term:
+        for a, w in out[t]:
+            if not cap[a] or w in is_term or up[w] == -1:
+                continue
+            path, least = [a], cap[a]
+            while (b := up[w]) != -2:
+                path.append(b)
+                if cap[b] < least:
+                    least = cap[b]
+                w = to[b]
+            if least:
+                for b in path:
+                    cap[b] -= least
+                    cap[b ^ 1] += least
+                flow += least
     while True:
         parent_arc = [-1] * g.n
         for t in term:
@@ -350,35 +387,37 @@ def min_cut(g: WeightedGraph, root: int, terminals: Iterable[int]
         while queue and parent_arc[root] == -1:
             nxt = []
             for v in queue:
-                for a in out[v]:
-                    w = to[a]
-                    if parent_arc[w] == -1 and cap[a] > 0:
+                for a, w in out[v]:
+                    if parent_arc[w] == -1 and cap[a]:
                         parent_arc[w] = a
                         nxt.append(w)
             queue = nxt
         if parent_arc[root] == -1:
             break
-        for a in out[root]:
-            v = to[a]
-            if parent_arc[v] == -1 or not cap[a ^ 1]:
+        for a, v in out[root]:
+            least = cap[a ^ 1]
+            if parent_arc[v] == -1 or not least:
                 continue
             path = [a ^ 1]
-            while parent_arc[v] != -2:
-                path.append(parent_arc[v])
-                v = to[parent_arc[v] ^ 1]
-            bottleneck = min(cap[b] for b in path)
-            if bottleneck > 0:
+            while (b := parent_arc[v]) != -2:
+                path.append(b)
+                if cap[b] < least:
+                    least = cap[b]
+                v = to[b ^ 1]
+            if least:
                 for b in path:
-                    cap[b] -= bottleneck
-                    cap[b ^ 1] += bottleneck
-                flow += bottleneck
+                    cap[b] -= least
+                    cap[b ^ 1] += least
+                flow += least
 
     # the search that failed marked exactly the residual-reachable vertices
     cut_ids, cut_cost = [], 0
-    for e in g.edges:
-        if (parent_arc[e.u] == -1) != (parent_arc[e.v] == -1):
-            cut_ids.append(e.eid)
-            cut_cost += e.cost
+    for v in range(g.n):
+        if parent_arc[v] != -1:
+            for a, w in out[v]:
+                if parent_arc[w] == -1:
+                    cut_ids.append(eid[a])
+                    cut_cost += capacity[a]
     if cut_cost != flow:
         raise InvariantViolation(
             f"max-flow value {flow} differs from the recovered cut {cut_cost}")

@@ -14,10 +14,10 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import Disconnected, InvariantViolation, TrivialInstance
-from .graphcore import (Edge, EdgeSet, WeightedGraph, _memoised, diameter,
-                        distance, gw_steiner_forest, mst_steiner_tree,
-                        path_edges, reach_tables, shortest_paths,
-                        spanning_forest, zero_edges)
+from .graphcore import (Edge, EdgeSet, WeightedGraph, diameter, distance,
+                        gw_steiner_forest, mst_steiner_tree, path_edges,
+                        reach_tables, shortest_paths, spanning_forest,
+                        zero_edges)
 from .model import (KINDS, STEINERFOREST, STEINERTREE, CostReport, Kind,
                     Schedule, ThriftyPlan, argmin_stage, bit_columns,
                     solve_thrifty, threshold_tau)
@@ -61,30 +61,22 @@ def thrifty_tree_plan(g: WeightedGraph, schedule: Schedule, guess: Fraction,
     tau = threshold_tau(guess, schedule, beta)
     radius = 4 * schedule.horizon * tau
     net = ball_packing_net(g, radius)
-    day0, residuals, actions = _attach(g, net)
+    day0 = mst_steiner_tree(g, net)
+    dist, pred = shortest_paths(zero_edges(g, day0.ids), net)
     for v in range(g.n):
-        if v not in residuals:
+        if v not in dist:
             raise Disconnected(f"vertex {v} cannot reach the net")
-        if residuals[v] * radius.denominator > radius.numerator:
+        if dist[v] * radius.denominator > radius.numerator:
             raise InvariantViolation(
                 f"vertex {v} lies beyond the net radius {radius}")
+    residuals = {v: dist[v] for v in range(g.n)}
+    actions = {v: tuple(sorted(set(path_edges(pred, net, v)) - day0.ids))
+               for v in residuals}
     return ThriftyPlan(guess=Fraction(guess), beta=Fraction(beta), tau=tau,
                        critical_day=argmin_stage(schedule), net=net,
                        day0_purchase=tuple(sorted(day0.ids)),
                        day0_cost=day0.cost, residuals=residuals,
                        residual_actions=actions, conservative=True)
-
-
-@_memoised
-def _attach(g: WeightedGraph, net: frozenset[int]):
-    """The net's MST Steiner tree and, in vertex order for each vertex that
-    reaches the net with it zeroed, the distance and the path's other edges."""
-    day0 = mst_steiner_tree(g, net)
-    dist, pred = shortest_paths(zero_edges(g, day0.ids), net)
-    residuals = {v: dist[v] for v in range(g.n) if v in dist}
-    return day0, residuals, {
-        v: tuple(sorted(set(path_edges(pred, net, v)) - day0.ids))
-        for v in residuals}
 
 
 @dataclass(frozen=True)
@@ -182,34 +174,24 @@ def thrifty_forest_plan(g: WeightedGraph, schedule: Schedule,
     gamma = 2 * schedule.horizon * tau
     built = sfnet_build(g, g.pairs, gamma)
     day0 = built.e_alg
-    residuals, actions = _connect(g, day0.ids)
+    zeroed = zero_edges(g, day0.ids)
     apart = 4 * gamma
+    residuals, actions = {}, {}
     for p in g.pairs:
-        if p.pid not in residuals:
+        dist, pred = shortest_paths(zeroed, [p.s])
+        if p.t not in dist:
             raise Disconnected(f"pair {p.pid} cannot be connected")
-        if residuals[p.pid] * apart.denominator > apart.numerator:
+        if dist[p.t] * apart.denominator > apart.numerator:
             raise InvariantViolation(
                 f"pair {p.pid} lies beyond 4*gamma = {apart}")
+        residuals[p.pid] = dist[p.t]
+        actions[p.pid] = tuple(sorted(
+            set(path_edges(pred, {p.s}, p.t)) - day0.ids))
     return ThriftyPlan(guess=Fraction(guess), beta=Fraction(beta), tau=tau,
                        critical_day=argmin_stage(schedule), net=built.net,
                        day0_purchase=tuple(sorted(day0.ids)),
                        day0_cost=day0.cost, residuals=residuals,
                        residual_actions=actions, conservative=True)
-
-
-@_memoised
-def _connect(g: WeightedGraph, day0: frozenset[int]):
-    """In pair order for each pair joined once the day-0 edges are zeroed,
-    the distance between its ends and the shortest path's other edges."""
-    zeroed = zero_edges(g, day0)
-    residuals, actions = {}, {}
-    for p in g.pairs:
-        dist, pred = shortest_paths(zeroed, [p.s])
-        if p.t in dist:
-            residuals[p.pid] = dist[p.t]
-            actions[p.pid] = tuple(sorted(
-                set(path_edges(pred, {p.s}, p.t)) - day0))
-    return residuals, actions
 
 
 def _tree_cover(g: WeightedGraph):

@@ -42,11 +42,8 @@ def separates(g, root, ids, targets):
         v = stack.pop()
         if v in targets:
             return False
-        for e in adj[v]:
-            if e.eid in ids:
-                continue
-            w = e.v if e.u == v else e.u
-            if w not in seen:
+        for w, _, e in adj[v]:
+            if e.eid not in ids and w not in seen:
                 seen.add(w)
                 stack.append(w)
     return True

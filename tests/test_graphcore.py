@@ -1,5 +1,6 @@
 """Graph primitives: shortest paths, min-cut, Steiner heuristics, surgery."""
 
+import heapq
 import random
 from dataclasses import fields, replace
 from fractions import Fraction
@@ -111,8 +112,12 @@ def _single_path_min_cut(g, root, terminals):
     """Reference max-flow: one augmenting path per breadth-first search
     from the terminals, the cut read off the last, failing search."""
     term = sorted(set(terminals))
-    to, capacity, out = graphcore._flow_arcs(g)
-    cap = list(capacity)
+    to, cap, out = [], [], [[] for _ in range(g.n)]
+    for e in g.edges:   # arc 2i along edge i from u to v, arc 2i+1 back
+        out[e.u].append(len(to))
+        out[e.v].append(len(to) + 1)
+        to += (e.v, e.u)
+        cap += (e.cost, e.cost)
     flow = 0
     while True:
         parent_arc = [-1] * g.n
@@ -185,6 +190,74 @@ def test_min_cut_ids_are_the_minimal_terminal_side_by_enumeration():
         zero_crossing += any(g.edges[i].cost == 0 for i in cut.ids)
         cut_off += any(separates(g, 0, (), [t]) for t in terms)
     assert zero_crossing >= 100 and cut_off >= 100
+
+
+def _priced_depths(g, root, priced=True):
+    """Breadth-first depth from the root of every vertex it reaches over
+    the edges of positive cost, or with priced=False over every edge."""
+    depth, frontier = {root: 0}, [root]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for e in g.edges:
+                w = e.u + e.v - v
+                if v in (e.u, e.v) and (e.cost or not priced) \
+                        and w not in depth:
+                    depth[w] = depth[v] + 1
+                    nxt.append(w)
+        frontier = nxt
+    return depth
+
+
+def test_seeded_min_cut_matches_single_path_reference():
+    # the greedy seed pushes along _toward's tree before any search: it
+    # must be a tree over priced edges only, a push must stop at its
+    # terminal arc's capacity, and a head off the tree or a tree path
+    # through another terminal must leave the flow valid
+    rng = random.Random(37)
+    saturated = off_tree = via_terminal = zero_kept_out = 0
+    for _ in range(500):
+        g, terms = _random_rooted_multigraph(rng, rng.randint(2, 30))
+        cases = [(g, 0, terms),
+                 (g, 0, rng.sample(range(1, g.n), rng.randint(1, g.n - 1)))]
+        if g.edges:
+            h = delete_or_contract(g, rng.sample(
+                [e.eid for e in g.edges], rng.randint(1, min(3, len(g.edges)))),
+                "contract")
+            root = h.representative(0)
+            cases.append((h, root, {h.representative(t) for t in terms} - {root}))
+        for h, root, ts in cases:
+            depth, up = _priced_depths(h, root), graphcore._toward(h, root)
+            zero_kept_out += depth != _priced_depths(h, root, priced=False)
+            for v in range(h.n):
+                if v == root or v not in depth:
+                    assert up[v] == (-2 if v == root else -1)
+                    continue
+                e = h.edges[up[v] >> 1]
+                tail, head = (e.u, e.v) if up[v] % 2 == 0 else (e.v, e.u)
+                assert e.cost and tail == v and depth[head] == depth[v] - 1
+            firsts = []
+            for t in sorted(ts):
+                for e in h.edges:
+                    w = e.u + e.v - t
+                    if t not in (e.u, e.v) or not e.cost or w in ts:
+                        continue
+                    if w not in depth:
+                        off_tree += 1
+                        continue
+                    path = []
+                    while w != root:
+                        path.append(h.edges[up[w] >> 1])
+                        w = path[-1].u + path[-1].v - w
+                    via_terminal += any(f.u in ts and f.u != t or
+                                        f.v in ts and f.v != t for f in path)
+                    firsts.append(all(e.cost < f.cost for f in path))
+            saturated += firsts[:1] == [True]
+            flow, cut = min_cut(h, root, ts)
+            assert (flow, cut.ids, cut.cost) == _single_path_min_cut(
+                h, root, ts)
+    assert min(saturated, off_tree, via_terminal, zero_kept_out) >= 200, (
+        saturated, off_tree, via_terminal, zero_kept_out)
 
 
 def test_union_find():
@@ -632,6 +705,67 @@ def test_distance_keeps_an_unreachable_target(monkeypatch):
     assert len(searches) == 1
 
 
+def _done_set_dijkstra(g, sources, target=None):
+    """Reference search: the edges at each vertex read from g.edges, and a
+    set of settled vertices that every later heap entry of theirs skips."""
+    adj = [[] for _ in range(g.n)]
+    for e in g.edges:
+        adj[e.u].append(e)
+        adj[e.v].append(e)
+    dist, pred, heap, done = {}, {}, [], set()
+    for s in sorted(set(sources)):
+        dist[s] = 0
+        heapq.heappush(heap, (0, s))
+    while heap:
+        d, v = heapq.heappop(heap)
+        if v in done:
+            continue
+        if v == target:
+            break
+        done.add(v)
+        for e in adj[v]:
+            w = e.v if e.u == v else e.u
+            if w not in dist or d + e.cost < dist[w]:
+                dist[w] = d + e.cost
+                pred[w] = e
+                heapq.heappush(heap, (d + e.cost, w))
+    return dist, pred
+
+
+def test_searches_match_the_done_set_reference():
+    # a stale heap entry is skipped by its distance: every distance, pred
+    # edge and early-stopped search must equal the done-set loop's, on
+    # graphs with zero-cost edges, equal-distance ties and unreachable
+    # vertices
+    rng = random.Random(41)
+    tied = zero_pred = unreachable = stopped = 0
+    for _ in range(300):
+        n = rng.randint(1, 14)
+        costs = rng.choice(((0, 1, 2), (1,), (0, F(1, 2), 1, 3), (2, 5)))
+        edges = []
+        for _ in range(rng.randint(0, 3 * n) if n > 1 else 0):
+            u, v = rng.sample(range(n), 2)
+            edges += [(u, v, rng.choice(costs))] * rng.choice((1, 1, 2))
+        g = WeightedGraph.build(n, edges)
+        sources = rng.sample(range(n), rng.randint(1, min(3, n)))
+        want = _done_set_dijkstra(g, sources)
+        assert shortest_paths(g, sources) == want
+        dist, pred = want
+        unreachable += len(dist) < n
+        zero_pred += any(e.cost == 0 for e in pred.values())
+        tied += any(dist[e.u] + e.cost == dist[e.v] and pred[e.v] != e
+                    for e in g.edges if e.u in dist and e.v in pred)
+        fresh = replace(g)
+        s = sources[0]
+        for t in range(n):
+            part = _done_set_dijkstra(g, [s], t)
+            assert graphcore._dijkstra(g, [s], t) == part
+            assert distance(fresh, s, t) == part[0].get(t)
+            stopped += len(part[0]) < len(_done_set_dijkstra(g, [s])[0])
+    assert min(tied, zero_pred, unreachable, stopped) >= 50, (
+        tied, zero_pred, unreachable, stopped)
+
+
 @pytest.mark.parametrize("seed", range(1, 6))
 def test_tree_solve_searches_each_source_set_once(monkeypatch, seed):
     # a few searches for the bounds, which the nets and the MST closures
@@ -750,10 +884,11 @@ def test_memo_is_private_to_each_graph():
     assert shortest_paths(g, [1, 2]) == shortest_paths(g, (2, 1, 1))
     assert min_cut(g, 0, [1, 2]) == min_cut(g, 0, {2, 1})
     assert distance(g, 1, 2) == 3
-    # three results, the adjacency list both searches read and the flow
-    # network min_cut reads
+    # three results, the adjacency list both searches read, and the flow
+    # network and tree toward the root that min_cut reads
     assert sorted(fn.__name__ for fn, *_ in g._memo) == [
-        "_flow_arcs", "adjacency", "distance", "min_cut", "shortest_paths"]
+        "_flow_arcs", "_toward", "adjacency", "distance", "min_cut",
+        "shortest_paths"]
     fresh = replace(g)
     assert fresh._memo == {}
     assert fresh == g and hash(fresh) == hash(g) and repr(fresh) == repr(g)

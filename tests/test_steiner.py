@@ -431,9 +431,8 @@ def test_preprocessed_solves_search_once_and_attach_once_per_net(
     # over seeds 1-3 the tree (forest) solves once ran 111 (191) Dijkstra
     # searches, 0 (124) GW runs and 51 (93) residual phases, one per plan,
     # for 18 (31) distinct graphs and nets (day-0 purchases for the forest).
-    # The grid stops at its first empty day-0 plan, so each residual phase
-    # is asked for once, by the one plan each scaled graph builds
-    phase = "_attach" if kind == STEINERTREE else "_connect"
+    # The grid stops at its first empty day-0 plan, so each residual phase,
+    # which zeroes the day-0 edges once, runs once per graph and purchase
     runs, calls = Counter(), defaultdict(list)
     search = graphcore._dijkstra
 
@@ -452,17 +451,21 @@ def test_preprocessed_solves_search_once_and_attach_once_per_net(
 
         monkeypatch.setattr(module, name, wrapped)
 
+    def zeroed(g, ids):
+        calls["phases"].append((g, frozenset(ids)))
+        return graphcore.zero_edges(g, ids)
+
     monkeypatch.setattr(graphcore, "_dijkstra", counted)
     missed(graphcore, "_gw_forest")
-    missed(steiner, phase)
+    monkeypatch.setattr(steiner, "zero_edges", zeroed)
     for seed in range(1, 4):
         inst = gen_random(kind, 16, 48, 3, seed)
         solve_thrifty(kind, inst.payload, inst.schedule, None, True)
-    distinct = {(id(g), args) for g, args in calls[phase]}
-    assert runs[phase] == len(distinct) == len(calls[phase]), runs
+    phases = len(calls["phases"])
+    assert len({(id(g), ids) for g, ids in calls["phases"]}) == phases, runs
     bound = {STEINERTREE: (63, 0, 18), STEINERFOREST: (67, 3, 31)}[kind]
     assert all(x <= b for x, b in zip(
-        (runs["searches"], runs["_gw_forest"], runs[phase]), bound)), runs
+        (runs["searches"], runs["_gw_forest"], phases), bound)), runs
 
 
 def _pinned_copies(g):
