@@ -47,18 +47,16 @@ class EdgeSet:
         return EdgeSet(frozenset(), Fraction(0))
 
 
-_MISS = object()   # a memo miss; None is a result distance may keep
-
-
 def _memoised(fn):
     """Keep fn's results on the graph: it is immutable, so a result depends
     only on the graph and the other arguments.  An int argument keys as it
     is; any other is read once into a frozenset, which is both its key and
-    what fn receives.  Results are shared and must not be mutated.
-    peek(g, *args) returns the kept result, or None when there is none;
-    keep(g, result, *args) stores a result known to equal fn(g, *args),
-    unless one is kept already; entries(g) lists each kept (args, result),
-    found through fn itself whatever name the memoised function is under."""
+    what fn receives.  Results are shared and must not be mutated, and
+    none is None, so None marks a miss.  peek(g, *args) returns the kept
+    result, or None when there is none; keep(g, result, *args) stores a
+    result known to equal fn(g, *args), unless one is kept already;
+    entries(g) lists each kept (args, result), found through fn itself
+    whatever name the memoised function is under."""
 
     def key(args) -> tuple:
         for a in args:
@@ -70,8 +68,8 @@ def _memoised(fn):
     @functools.wraps(fn)
     def cached(g: WeightedGraph, *args):
         k = key(args)
-        got = g._memo.get(k, _MISS)
-        if got is _MISS:
+        got = g._memo.get(k)
+        if got is None:
             got = g._memo[k] = fn(g, *k[1:])
         return got
 
@@ -107,28 +105,32 @@ class WeightedGraph:
     @staticmethod
     def build(n: int, edges: Iterable, root: int | None = None,
               pairs: Iterable = ()) -> "WeightedGraph":
-        es = tuple(Edge(int(u), int(v),
-                        c if type(c) is Fraction else Fraction(c), i)
+        def fault(x) -> str | None:   # None when x is a vertex id
+            if type(x) is not int:   # a bool is not one either
+                return "is not an integer"
+            return None if 0 <= x < n else "out of range"
+
+        es = tuple(Edge(u, v, c if type(c) is Fraction else Fraction(c), i)
                    for i, (u, v, c) in enumerate(edges))
         for e in es:
-            if not (0 <= e.u < n and 0 <= e.v < n):
-                end = 1 if 0 <= e.u < n else 0
+            if fault(e.u) or fault(e.v):
+                end = 0 if fault(e.u) else 1
                 raise BadGraphField(f"edges[{e.eid}][{end}]",
-                                    f"edge {e.eid} endpoint out of range")
+                                    f"edge {e.eid} endpoint {fault(e[end])}")
             if e.u == e.v:
                 raise BadGraphField(f"edges[{e.eid}]",
                                     f"edge {e.eid} is a self-loop")
             if e.cost.numerator < 0:
                 raise BadGraphField(f"edges[{e.eid}][2]",
                                     f"edge {e.eid} has negative cost")
-        ps = tuple(Pair(int(s), int(t), i + 1) for i, (s, t) in enumerate(pairs))
+        ps = tuple(Pair(s, t, i + 1) for i, (s, t) in enumerate(pairs))
         for i, p in enumerate(ps):
-            if not (0 <= p.s < n and 0 <= p.t < n):
-                end = 1 if 0 <= p.s < n else 0
+            if fault(p.s) or fault(p.t):
+                end = 0 if fault(p.s) else 1
                 raise BadGraphField(f"pairs[{i}][{end}]",
-                                    f"pair {p.pid} endpoint out of range")
-        if root is not None and not 0 <= root < n:
-            raise BadGraphField("root", f"root {root} out of range")
+                                    f"pair {p.pid} endpoint {fault(p[end])}")
+        if root is not None and (why := fault(root)):
+            raise BadGraphField("root", f"root {root!r} {why}")
         return WeightedGraph(n, es, root, ps)
 
     def representative(self, v: int) -> int:
@@ -246,7 +248,6 @@ def shortest_paths(g: WeightedGraph, sources: Iterable[int]
     return _dijkstra(g, sources)
 
 
-@_memoised
 def distance(g: WeightedGraph, s: int, t: int) -> Fraction | None:
     """Shortest s-t distance, or None when t is unreachable: read from a
     kept shortest_paths(g, [s]), or else from a search that stops as soon

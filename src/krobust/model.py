@@ -78,8 +78,7 @@ class Schedule:
 
     @staticmethod
     def of(k: Sequence[int], lam: Sequence) -> "Schedule":
-        return Schedule(len(k) - 1, tuple(int(x) for x in k),
-                        tuple(Fraction(x) for x in lam))
+        return Schedule(len(k) - 1, tuple(k), tuple(map(Fraction, lam)))
 
     @functools.cached_property
     def priced(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
@@ -101,6 +100,8 @@ def validate_schedule(schedule: Schedule, ground_size: int) -> None:
     """Raise BadSchedule naming the first violated invariant and its field:
     T, k, lambda, k[i] or lambda[i]."""
     T, k, lam = schedule.horizon, schedule.k, schedule.lam
+    if type(T) is not int:   # nor a bool
+        raise BadSchedule("T", f"horizon must be an integer, got {T!r}")
     if T < 0:
         raise BadSchedule("T", f"horizon must be >= 0, got {T}")
     if len(k) != T + 1:
@@ -110,6 +111,8 @@ def validate_schedule(schedule: Schedule, ground_size: int) -> None:
         raise BadSchedule(
             "lambda", f"inflations must have {T + 1} entries, got {len(lam)}")
     for i, ki in enumerate(k):
+        if type(ki) is not int:
+            raise BadSchedule(f"k[{i}]", f"k[{i}] = {ki!r} is not an integer")
         if ki < 0:
             raise BadSchedule(f"k[{i}]", f"k[{i}] = {ki} is negative")
     if lam[0] != 1:
@@ -255,14 +258,9 @@ def evaluate_thrifty(plan: ThriftyPlan, schedule: Schedule,
                       conservative=plan.conservative)
 
 
-def trivial_plan(units: Iterable) -> ThriftyPlan:
-    """Empty plan used when k_T leaves nothing to pay for."""
-    return free_plan(units, (), 0, net=())
-
-
 def free_plan(units: Iterable, purchase: Iterable[int], critical_day: int,
               net: Iterable[int] | None = None) -> ThriftyPlan:
-    """Plan for instances whose full day-0 solution costs nothing."""
+    """Plan that pays nothing: a free day-0 purchase and zero residuals."""
     units = tuple(units)
     return ThriftyPlan(guess=Fraction(0), beta=Fraction(0), tau=Fraction(0),
                        critical_day=critical_day,
@@ -419,7 +417,7 @@ def solve_thrifty(kind: str, payload, schedule: Schedule, beta=None,
     scale, work = payload.integral()
     candidates: list[tuple[ThriftyPlan, PreprocessResult | None]] = []
     if schedule.k[schedule.horizon] <= spec.min_live:
-        candidates.append((trivial_plan(units), None))
+        candidates.append((free_plan(units, (), 0, net=()), None))
     elif preprocess and (floor := work.scaling_floor()) is not None:
         # each distinct cost's first id from the floor, scaled costliest first
         first = {e.cost: e.eid for e in sorted(

@@ -23,7 +23,7 @@ from typing import Iterable, Mapping
 
 from .errors import BadParameters, Infeasible, TooLarge
 from .model import (KINDS, SUBSET, ProblemInstance, Schedule, ThriftyPlan,
-                    bit_columns, require_live, scaled_to_ints)
+                    bit_columns, require_live)
 from .setcover import SetSystem
 
 _INF = float("inf")
@@ -108,11 +108,11 @@ def exact_min(kind: str, payload, units: Iterable,
         raise Infeasible(f"{sorted(alien)} name no unit of this instance")
     if spec.cover_table(payload, (), want):
         return Fraction(0)
-    actions = payload.actions()
+    scale, work = payload.integral()
+    actions = work.actions()
     # a table has 2^len(actions) bits: check before building one
     (limits or SizeLimits()).check(0, len(actions), 0)
-    scale, costs = scaled_to_ints(cost for _, cost in actions)
-    ranked = _CostOrder(costs)
+    ranked = _CostOrder(tuple(cost for _, cost in actions))
     cost, _ = ranked.completion(spec.cover_table(
         payload, tuple(aid for aid, _ in actions), want, ranked.columns), 0)
     if cost == _INF:
@@ -137,14 +137,14 @@ class TraceNode:
 class _Game:
     """Bitmask encoding of one instance for the backward-induction solver.
 
-    Money is integer: action costs are scaled by the LCM of their
-    denominators and inflations by the LCM of theirs, so every value the
-    search compares is an int in units of 1/money_scale.  The game never
-    asks which kind it plays: its one feasibility test is the kind's cover
-    table, built once per active mask in the rank order of the game's one
-    _CostOrder.  Moves, tables and supersets are pure functions of their
-    masks and are cached here, so the caches live exactly as long as the
-    game.
+    Money is integer: action costs are those of payload.integral(), times
+    L, and inflations those of schedule.priced, times D, so every value the
+    search compares is an int in units of 1/money_scale = 1/(L*D).  The
+    game never asks which kind it plays: its one feasibility test is the
+    kind's cover table, built once per active mask in the rank order of the
+    game's one _CostOrder.  Moves, tables and supersets are pure functions
+    of their masks and are cached here, so the caches live exactly as long
+    as the game.
     """
 
     def __init__(self, instance: ProblemInstance):
@@ -153,10 +153,11 @@ class _Game:
         self.units = tuple(instance.units())
         uidx = {u: i for i, u in enumerate(self.units)}
         self.schedule = instance.schedule
-        actions = instance.payload.actions()
+        cost_scale, work = instance.payload.integral()
+        actions = work.actions()
         self.action_ids = tuple(aid for aid, _ in actions)
-        cost_scale, self.costs = scaled_to_ints(cost for _, cost in actions)
-        lam_scale, self.lam = scaled_to_ints(self.schedule.lam)
+        self.costs = tuple(cost for _, cost in actions)
+        lam_scale, self.lam, _ = self.schedule.priced
         self.money_scale = cost_scale * lam_scale
         self.full_units = (1 << len(self.units)) - 1
         self.parts_mask = None

@@ -96,8 +96,8 @@ class SetSystem:
     """Universe 1..universe_size plus, per set, its members as one int
     bitmask (bit e set when the set holds element e) and its cost.
 
-    Set ids are positions in masks and costs.  minset_cost/minset_id give,
-    per element, its cheapest covering set (ties to the smallest set id).
+    Set ids are positions in masks and costs.  minset_id gives, per
+    element, its cheapest covering set (ties to the smallest set id).
     scaled is build's (L, keys): the LCM of the costs' denominators and
     each cost times L as an int.
     """
@@ -105,7 +105,6 @@ class SetSystem:
     universe_size: int
     masks: tuple[int, ...]
     costs: tuple[Fraction, ...]
-    minset_cost: Mapping
     minset_id: Mapping
     scaled: tuple[int, tuple[int, ...]] = field(repr=False, compare=False)
 
@@ -116,7 +115,6 @@ class SetSystem:
         masks = ", ".join(map(hex, self.masks)) + "," * (len(self.masks) == 1)
         return (f"SetSystem(universe_size={self.universe_size!r}, "
                 f"masks=({masks}), costs={self.costs!r}, "
-                f"minset_cost={self.minset_cost!r}, "
                 f"minset_id={self.minset_id!r})")
 
     @staticmethod
@@ -150,9 +148,8 @@ class SetSystem:
                 set(members[sid]).difference(minset_id), sid))
         if masks is None or len(minset_id) != universe_size:
             raise _first_fault(universe_size, members, keys)
-        return SetSystem(universe_size, masks, costs,
-                         {e: costs[sid] for e, sid in minset_id.items()},
-                         minset_id, (scale, keys))
+        return SetSystem(universe_size, masks, costs, minset_id,
+                         (scale, keys))
 
     def integral(self) -> tuple[int, "SetSystem"]:
         """L and a copy of the system with every cost times L as an int.
@@ -160,10 +157,8 @@ class SetSystem:
         linear in the costs, so a plan for the copy is the plan for the
         system with its money divided by L."""
         scale, keys = self.scaled
-        return scale, SetSystem(
-            self.universe_size, self.masks, keys,
-            {e: keys[sid] for e, sid in self.minset_id.items()},
-            self.minset_id, (1, keys))
+        return scale, SetSystem(self.universe_size, self.masks, keys,
+                                self.minset_id, (1, keys))
 
     @functools.cached_property
     def weights(self) -> tuple[int, ...]:
@@ -231,9 +226,9 @@ def greedy_cover(system: SetSystem, targets: Iterable[int]) -> tuple[list[int], 
 def build_net(system: SetSystem, tau: Fraction) -> frozenset[int]:
     """Elements whose cheapest covering set costs at least tau = p/q,
     compared as cost * q >= p: exact for int and Fraction costs alike."""
-    p, q = tau.numerator, tau.denominator
-    return frozenset(e for e, cost in system.minset_cost.items()
-                     if cost * q >= p)
+    p, q, costs = tau.numerator, tau.denominator, system.costs
+    return frozenset(e for e, sid in system.minset_id.items()
+                     if costs[sid] * q >= p)
 
 
 def thrifty_plan(system: SetSystem, schedule: Schedule, guess: Fraction,
@@ -257,10 +252,10 @@ def thrifty_plan(system: SetSystem, schedule: Schedule, guess: Fraction,
             residuals[e] = 0
             actions[e] = ()
         else:
-            residuals[e] = system.minset_cost[e]
-            actions[e] = (system.minset_id[e],)
+            sid = system.minset_id[e]
+            residuals[e], actions[e] = system.costs[sid], (sid,)
             if residuals[e] > 0:
-                pending.append(system.minset_id[e])
+                pending.append(sid)
     conservative = len(pending) != len(set(pending))
     return ThriftyPlan(guess=Fraction(guess), beta=Fraction(beta), tau=tau,
                        critical_day=argmin_stage(schedule), net=net,
@@ -297,7 +292,8 @@ def solve(system: SetSystem, schedule: Schedule, beta: Fraction | None = None,
 
 KINDS[SETCOVER] = Kind(
     units=SetSystem.elements,
-    lower=lambda system: max(system.minset_cost.values()),
+    lower=lambda system: max(map(system.costs.__getitem__,
+                                 system.minset_id.values())),
     cover_all=_cover_all,
     plan=lambda *args: thrifty_plan(*args),
     solve=lambda *args: solve(*args),

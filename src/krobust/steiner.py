@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .errors import Disconnected, InvariantViolation, TrivialInstance
+from .errors import InvariantViolation, TrivialInstance
 from .graphcore import (Edge, EdgeSet, WeightedGraph, diameter, distance,
                         gw_steiner_forest, mst_steiner_tree, path_edges,
                         reach_tables, shortest_paths, spanning_forest,
@@ -64,9 +64,7 @@ def thrifty_tree_plan(g: WeightedGraph, schedule: Schedule, guess: Fraction,
     day0 = mst_steiner_tree(g, net)
     dist, pred = shortest_paths(zero_edges(g, day0.ids), net)
     for v in range(g.n):
-        if v not in dist:
-            raise Disconnected(f"vertex {v} cannot reach the net")
-        if dist[v] * radius.denominator > radius.numerator:
+        if v not in dist or dist[v] * radius.denominator > radius.numerator:
             raise InvariantViolation(
                 f"vertex {v} lies beyond the net radius {radius}")
     residuals = {v: dist[v] for v in range(g.n)}
@@ -179,9 +177,7 @@ def thrifty_forest_plan(g: WeightedGraph, schedule: Schedule,
     residuals, actions = {}, {}
     for p in g.pairs:
         dist, pred = shortest_paths(zeroed, [p.s])
-        if p.t not in dist:
-            raise Disconnected(f"pair {p.pid} cannot be connected")
-        if dist[p.t] * apart.denominator > apart.numerator:
+        if p.t not in dist or dist[p.t] * apart.denominator > apart.numerator:
             raise InvariantViolation(
                 f"pair {p.pid} lies beyond 4*gamma = {apart}")
         residuals[p.pid] = dist[p.t]

@@ -45,6 +45,11 @@ def _triangle():
     ([(0, 1, -2)], {}, "negative cost"),
     ([(0, 1, 1)], {"root": 5}, "out of range"),
     ([(0, 1, 1)], {"pairs": [(0, 7)]}, "out of range"),
+    ([(0, 1.9, 1)], {}, "edge 0 endpoint is not an integer"),
+    ([(True, 2, 1)], {}, "edge 0 endpoint is not an integer"),
+    ([(0, 1, 1)], {"root": 1.5}, "root 1.5 is not an integer"),
+    ([(0, 1, 1)], {"root": True}, "root True is not an integer"),
+    ([(0, 1, 1)], {"pairs": [(0, 2.0)]}, "pair 1 endpoint is not an integer"),
 ])
 def test_build_rejects(edges, kwargs, msg):
     with pytest.raises(ValueError, match=msg):
@@ -689,7 +694,9 @@ def test_distance_reads_a_kept_search(monkeypatch):
 
 
 def test_distance_keeps_an_unreachable_target(monkeypatch):
-    # None is a result the memo keeps: the second call searches no more
+    # distance keeps nothing of its own: a fresh call runs one stopped
+    # search, and once shortest_paths(g, [0]) is kept every call reads
+    # None off it and searches no more
     g = WeightedGraph.build(4, [(0, 1, 1), (2, 3, 1)])
     searches = []
     search = graphcore._dijkstra
@@ -700,9 +707,11 @@ def test_distance_keeps_an_unreachable_target(monkeypatch):
 
     monkeypatch.setattr(graphcore, "_dijkstra", counted)
     assert distance(g, 0, 3) is None
-    assert len(searches) == 1
+    assert searches == [([0], 3)]
+    shortest_paths(g, [0])
+    assert searches == [([0], 3), (frozenset({0}),)]
     assert distance(g, 0, 3) is None and distance(g, 0, 3) is None
-    assert len(searches) == 1
+    assert len(searches) == 2
 
 
 def _done_set_dijkstra(g, sources, target=None):
@@ -884,11 +893,10 @@ def test_memo_is_private_to_each_graph():
     assert shortest_paths(g, [1, 2]) == shortest_paths(g, (2, 1, 1))
     assert min_cut(g, 0, [1, 2]) == min_cut(g, 0, {2, 1})
     assert distance(g, 1, 2) == 3
-    # three results, the adjacency list both searches read, and the flow
-    # network and tree toward the root that min_cut reads
+    # two results (distance keeps none), the adjacency list both searches
+    # read, and the flow network and tree toward the root that min_cut reads
     assert sorted(fn.__name__ for fn, *_ in g._memo) == [
-        "_flow_arcs", "_toward", "adjacency", "distance", "min_cut",
-        "shortest_paths"]
+        "_flow_arcs", "_toward", "adjacency", "min_cut", "shortest_paths"]
     fresh = replace(g)
     assert fresh._memo == {}
     assert fresh == g and hash(fresh) == hash(g) and repr(fresh) == repr(g)

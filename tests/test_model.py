@@ -40,7 +40,6 @@ from krobust.model import (
     merge_stages,
     solve_thrifty,
     threshold_tau,
-    trivial_plan,
     validate_schedule,
 )
 from krobust.oracle import _Game
@@ -72,6 +71,9 @@ def test_schedule_of_coerces():
     assert s.k == (3, 2, 1)
     assert s.lam == (F(1), F(3, 2), F(4))
     validate_schedule(s, 3)
+    # k is kept as given, so a k that int() would truncate is refused
+    with pytest.raises(BadSchedule, match=r"k\[0\] = 3\.9 is not an integer"):
+        validate_schedule(Schedule.of([3.9, 1], [1, 2]), 3)
 
 
 BAD_SCHEDULES = [
@@ -85,6 +87,10 @@ BAD_SCHEDULES = [
     (1, (3, 2), (F(1), F(2)), 4, "ground-set size", "k[0]"),
     (-1, (), (), 0, "horizon must be >= 0", "T"),
     (2, (3, 2, 1), (F(1), F(2), F(3, 2)), 3, "lam[2] < lam[1]", "lambda[2]"),
+    (1, (3.0, 1), (F(1), F(2)), 3, "k[0] = 3.0 is not an integer", "k[0]"),
+    (1, (3, True), (F(1), F(2)), 3, "k[1] = True is not an integer", "k[1]"),
+    (1.0, (3, 1), (F(1), F(2)), 3, "horizon must be an integer", "T"),
+    (True, (3, 1), (F(1), F(2)), 3, "horizon must be an integer", "T"),
 ]
 
 
@@ -249,8 +255,9 @@ def test_evaluate_thrifty_missing_residual():
 
 
 def test_trivial_and_free_plans():
-    t = trivial_plan((1, 2))
-    assert t.day0_cost == 0 and t.residuals[2] == 0
+    # the plan solve_thrifty picks when k_T leaves nothing to pay for
+    t = free_plan((1, 2), (), 0, net=())
+    assert t.day0_cost == 0 and t.residuals[2] == 0 and t.net == frozenset()
     f = free_plan((0, 1, 2), (4, 5), critical_day=1)
     assert f.day0_purchase == (4, 5)
     assert f.net == frozenset({0, 1, 2})
@@ -298,7 +305,7 @@ def _int_candidates(kind, payload, schedule, preprocess, beta=None):
     scale, work = payload.integral()
     candidates = []
     if schedule.k[schedule.horizon] <= spec.min_live:
-        candidates.append(trivial_plan(spec.units(payload)))
+        candidates.append(free_plan(spec.units(payload), (), 0, net=()))
     elif preprocess:
         seen_costs = set()
         for e in sorted(work.edges, key=lambda e: (e.cost, e.eid)):

@@ -28,9 +28,14 @@ def _system(*sets, universe=None):
     return SetSystem.build(size, sets)
 
 
+def _minset_cost(system):
+    """Per element, the cost of its cheapest covering set."""
+    return {e: system.costs[sid] for e, sid in system.minset_id.items()}
+
+
 def test_build_tracks_cheapest_set():
     sys_ = _system(({1, 2}, 2), ({2}, F(1, 2)), ({1}, 2))
-    assert sys_.minset_cost == {1: 2, 2: F(1, 2)}
+    assert _minset_cost(sys_) == {1: 2, 2: F(1, 2)}
     # the tie between sets 0 and 2 for element 1 goes to the smaller id
     assert sys_.minset_id == {1: 0, 2: 1}
     assert sys_.elements() == (1, 2)
@@ -56,8 +61,8 @@ def test_repr_prints_masks_in_hex_at_any_size():
     small = _system(({1}, 1), ({2}, 2), ({1, 2}, F(5, 2)))
     assert repr(small) == (
         "SetSystem(universe_size=2, masks=(0x2, 0x4, 0x6), costs=("
-        "Fraction(1, 1), Fraction(2, 1), Fraction(5, 2)), minset_cost="
-        "{1: Fraction(1, 1), 2: Fraction(2, 1)}, minset_id={1: 0, 2: 1})")
+        "Fraction(1, 1), Fraction(2, 1), Fraction(5, 2)), "
+        "minset_id={1: 0, 2: 1})")
     assert repr(_system(({1}, 1))).startswith(
         "SetSystem(universe_size=1, masks=(0x2,), ")
 
@@ -90,8 +95,9 @@ def test_build_cheapest_set_matches_brute_force():
         for e in sys_.elements():
             cost, sid = min((F(c), sid) for sid, (members, c) in enumerate(sets)
                             if e in members)
-            assert (sys_.minset_cost[e], sys_.minset_id[e]) == (cost, sid)
-            assert (parsed.minset_cost[e], parsed.minset_id[e]) == (cost, sid)
+            for system in (sys_, parsed):
+                got = system.minset_id[e]
+                assert (system.costs[got], got) == (cost, sid)
 
 
 class _Two(IntEnum):
@@ -265,7 +271,7 @@ def test_solve_picks_best_grid_guess():
         inst = gen_random(SETCOVER, 4, 6, 2, seed)
         sys_, sched = inst.payload, inst.schedule
         plan, report = solve(sys_, sched)
-        lb = max(sys_.minset_cost[e] for e in sys_.elements())
+        lb = max(_minset_cost(sys_)[e] for e in sys_.elements())
         _, ub = greedy_cover(sys_, sys_.elements())
         evals = [evaluate_thrifty(thrifty_plan(sys_, sched, g), sched).robcov
                  for g in guess_grid(lb, ub)]
@@ -461,8 +467,8 @@ def test_both_mask_regimes_match_the_frozenset_reference():
         assert sys_.masks == tuple(sum(1 << e for e in set(m))
                                    for m, _ in sets)
         assert set_pairs(sys_) == ref.sets
-        assert (sys_.minset_cost, sys_.minset_id) == (ref.minset_cost,
-                                                      ref.minset_id)
+        assert (_minset_cost(sys_), sys_.minset_id) == (ref.minset_cost,
+                                                        ref.minset_id)
     assert shifted >= 200 and marked >= 200
 
 
@@ -483,8 +489,8 @@ def test_bitmask_system_matches_frozenset_reference():
                         for m, _ in sets)
         ref, sys_ = _frozen_build(size, sets), SetSystem.build(size, sets)
         assert set_pairs(sys_) == ref.sets
-        assert (sys_.minset_cost, sys_.minset_id) == (ref.minset_cost,
-                                                      ref.minset_id)
+        assert (_minset_cost(sys_), sys_.minset_id) == (ref.minset_cost,
+                                                        ref.minset_id)
         for _ in range(5):
             ids = rng.sample(range(len(sets)), rng.randint(0, len(sets)))
             units = rng.sample(range(1, size + 1), rng.randint(0, size))

@@ -13,6 +13,7 @@ from krobust import graphcore
 from krobust.fixtures import gen_random
 from krobust.model import (KINDS, MINCUT, PROBLEM_KINDS, SETCOVER,
                            STEINERFOREST, STEINERTREE, solve_thrifty)
+from krobust.oracle import _Game
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "krobust"
 
@@ -210,3 +211,20 @@ def test_solver_modules_leave_cost_scaling_to_the_driver():
                  getattr(node, "id", None), getattr(node, "attr", None),
                  getattr(node, "name", None))]
     assert names == [], names
+
+
+def test_oracle_money_scaling_has_one_owner(tiny_batches):
+    # the game prices in the ints the driver ranks on: action costs of the
+    # payload's integral() and inflations of schedule.priced, scaled nowhere
+    # else
+    names = [f"oracle:{node.lineno}"
+             for node in ast.walk(ast.parse(
+                 (PACKAGE / "oracle.py").read_text()))
+             if "scaled_to_ints" in (getattr(node, "id", None),
+                                     getattr(node, "attr", None))]
+    assert names == [], names
+    for insts in tiny_batches.values():
+        for inst in insts:
+            game, (scale, work) = _Game(inst), inst.payload.integral()
+            assert game.costs == tuple(cost for _, cost in work.actions())
+            assert game.money_scale == scale * inst.schedule.priced[0]

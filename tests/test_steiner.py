@@ -101,6 +101,10 @@ def test_tree_plan_radius_invariant_at_the_radius(monkeypatch):
         for radius in _at_and_beside(F(29, 6)):
             # radius = 4 T tau and tau = guess / 3 at beta = 1
             guess = radius * scale * 3 / 4
+            # without edge 1-2, vertex 2 lies beyond every radius
+            with pytest.raises(InvariantViolation, match="vertex 2"):
+                thrifty_tree_plan(replace(h, edges=h.edges[:1]), sched, guess,
+                                  F(1))
             if radius < F(29, 6):
                 with pytest.raises(InvariantViolation):
                     thrifty_tree_plan(h, sched, guess, F(1))
@@ -140,6 +144,10 @@ def test_forest_plan_radius_invariant_at_four_gamma(monkeypatch):
         for apart in _at_and_beside(F(29, 6)):
             # 4 gamma = 8 T tau and tau = guess at beta = 1
             guess = apart * scale / 8
+            # without edge 1-2, the pair lies beyond every 4 gamma
+            with pytest.raises(InvariantViolation, match="pair 1"):
+                thrifty_forest_plan(replace(h, edges=h.edges[:1]), sched,
+                                    guess, F(1))
             if apart < F(29, 6):
                 with pytest.raises(InvariantViolation):
                     thrifty_forest_plan(h, sched, guess, F(1))
