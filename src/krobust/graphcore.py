@@ -110,6 +110,8 @@ class WeightedGraph:
                 return "is not an integer"
             return None if 0 <= x < n else "out of range"
 
+        if type(n) is not int:   # nor a bool
+            raise BadGraphField("n", f"vertex count {n!r} is not an integer")
         es = tuple(Edge(u, v, c if type(c) is Fraction else Fraction(c), i)
                    for i, (u, v, c) in enumerate(edges))
         for e in es:

@@ -115,6 +115,10 @@ def validate_schedule(schedule: Schedule, ground_size: int) -> None:
             raise BadSchedule(f"k[{i}]", f"k[{i}] = {ki!r} is not an integer")
         if ki < 0:
             raise BadSchedule(f"k[{i}]", f"k[{i}] = {ki} is negative")
+    for i, li in enumerate(lam):
+        if type(li) not in (int, Fraction):   # nor a bool
+            raise BadSchedule(f"lambda[{i}]", f"lam[{i}] = {li!r} is not "
+                              "an integer or a Fraction")
     if lam[0] != 1:
         raise BadSchedule("lambda[0]", f"lam[0] must be 1, got {lam[0]}")
     for i, li in enumerate(lam):

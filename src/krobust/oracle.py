@@ -65,10 +65,13 @@ class _CostOrder:
         sup = {0: full}
 
         def price(record: tuple, owned: int) -> tuple:
-            """(rate * cost, mask if cost > floor else 0) for owned's
-            cheapest completion mask, of total cost; (_INF, 0) if none, or
-            if rate is None and mask is not 0.  A closure: faster to call."""
-            table, rate, floor = record
+            """(rate * cost, mask) for the cheapest completion mask of
+            owned | pad, pad a set of free actions, of total cost: mask is
+            that completion, or 0 if pad is None; (_INF, 0) if none, or if
+            rate is None and owned is no cover.  A closure: faster to call."""
+            table, rate, pad = record
+            if pad:
+                owned |= pad
             got = sup.get(owned)
             if got is None:
                 got, rest = full, owned
@@ -83,7 +86,7 @@ class _CostOrder:
             if rate is None:
                 return (0 if top == owned else _INF), 0
             cost = totals[top] - totals[owned]
-            return rate * cost, (top ^ owned if cost > floor else 0)
+            return rate * cost, (0 if pad is None else top ^ owned)
 
         self.totals, self.order, self.columns = totals, order, (full, columns)
         self.price = price
@@ -91,7 +94,7 @@ class _CostOrder:
     def completion(self, table: int, owned: int) -> tuple:
         """(cost, mask) of owned's cheapest completion to a cover in the
         rank-ordered table, ties to the smaller mask; (_INF, 0) if none."""
-        return self.price((table, 1, -1), owned)
+        return self.price((table, 1, 0), owned)
 
 
 def exact_min(kind: str, payload, units: Iterable,
@@ -257,10 +260,26 @@ def minimax_opt(instance: ProblemInstance, limits: SizeLimits | None = None,
     best play buys the cheapest completion of owned on the cheapest open
     day.  Such a state is answered from that completion alone, without
     searching: buy it today, or buy nothing if a later open day costs no
-    more, since the search would reach the empty purchase first.  Each
+    more, since the search would reach the empty purchase first.  If a
+    later open day costs more, today buys the cheapest completion of owned
+    and every free action, which holds only priced actions: the search
+    reaches that smaller mask first, and the free actions can wait.  Each
     (day, active) has one leaf record: None if it is not settled, else the
     cover table and the price rule of its states, which one lowest-set-bit
     lookup answers.
+
+    A day e >= 1 with k[e] == k[e-1] reveals nothing in the cardinality
+    model with maximal moves: every day e-1 active set has k[e-1] units, so
+    the move into day e keeps it whole.  If day e-1 is open and
+    lam[e-1] < lam[e], a priced mask bought on day e could have been bought
+    on day e-1 with it, reaching the same state for strictly less.  So a
+    day e state that a first best day e-1 mask leads to is answered first
+    by a free mask (total cost 0), and the day's states scan only the free
+    prefix of the rank order: values elsewhere can only rise, the winning
+    masks' do not, so values, traces and ties stay those of the full scan.
+    On tied inflations a day e purchase can win its tie, and under the
+    subset model or the full adversary a day e state is also reached by a
+    move that revealed something, so every mask is scanned there.
 
     The search is windowed (alpha-beta with an upper bound only: the root
     is a min node).  value(day, active, owned, bound) returns the state's
@@ -284,10 +303,20 @@ def minimax_opt(instance: ProblemInstance, limits: SizeLimits | None = None,
     n_units, span = len(game.units), T + 1
     totals, order, settle = (game.ranked.totals, game.ranked.order,
                              game.ranked.price)
+    # the masks each day's states scan: mask 0 on an inactive day, the free
+    # prefix of the rank order on a day that reveals nothing, else all
+    zero_cost = sum(1 << i for i, cost in enumerate(game.costs) if not cost)
+    k, free = game.schedule.k, order[:1 << zero_cost.bit_count()]
+    maximal = game.parts_mask is None and not full_adversary
+    scans = [(0,) if day in forbidden
+             else free if (maximal and day and k[day] == k[day - 1]
+                           and day - 1 not in forbidden
+                           and lam[day - 1] < lam[day])
+             else order for day in range(T + 1)]
 
     def leaf(day: int, active: int):
         """None unless the adversary must keep all of active on every day
-        after day, else the record (table, rate, floor): settle(record,
+        after day, else the record (table, rate, pad): settle(record,
         owned) is the memo entry of the state (day, active, owned)."""
         key = active * span + day
         if key in leaves:
@@ -300,14 +329,14 @@ def minimax_opt(instance: ProblemInstance, limits: SizeLimits | None = None,
             # first
             later, today = least_later[day], lam[day]
             if day in forbidden:
-                rate, floor = later, _INF
+                rate, pad = later, None
             elif later is None:       # the last open day: buy now
-                rate, floor = today, -1
+                rate, pad = today, 0
             elif later <= today:      # a later open day costs no more
-                rate, floor = later, _INF
-            else:                     # a free completion can still wait
-                rate, floor = today, 0
-            got = game.table(active), rate, floor
+                rate, pad = later, None
+            else:                     # the free actions can still wait
+                rate, pad = today, zero_cost
+            got = game.table(active), rate, pad
         leaves[key] = got
         return got
 
@@ -323,7 +352,7 @@ def minimax_opt(instance: ProblemInstance, limits: SizeLimits | None = None,
             return got
         cap, best_mask = bound, None   # cap: min(bound, best so far)
         moves, rate = game.moves(day + 1, active, full_adversary), lam[day]
-        for mask in (0,) if day in forbidden else order:
+        for mask in scans[day]:
             if mask & owned:
                 continue
             spend = rate * totals[mask]

@@ -9,7 +9,8 @@ from math import lcm
 import pytest
 
 from krobust import graphcore, mincut, steiner
-from krobust.errors import Disconnected, Infeasible, UnknownEdge
+from krobust.errors import (BadGraphField, Disconnected, Infeasible,
+                             UnknownEdge)
 from krobust.fixtures import gen_random
 from krobust.graphcore import (
     EdgeSet,
@@ -54,6 +55,16 @@ def _triangle():
 def test_build_rejects(edges, kwargs, msg):
     with pytest.raises(ValueError, match=msg):
         WeightedGraph.build(3, edges, **kwargs)
+
+
+@pytest.mark.parametrize("n", [3.0, True, "3"])
+def test_build_rejects_a_vertex_count_that_is_not_an_int(n):
+    # refused by field before any edge is read: a float n would fail in a
+    # later range(n), and True would pass as 1
+    with pytest.raises(BadGraphField) as exc:
+        WeightedGraph.build(n, [(0, 1, 1)])
+    assert exc.value.field == "n"
+    assert f"vertex count {n!r} is not an integer" in str(exc.value)
 
 
 def test_build_assigns_ids():

@@ -91,6 +91,10 @@ BAD_SCHEDULES = [
     (1, (3, True), (F(1), F(2)), 3, "k[1] = True is not an integer", "k[1]"),
     (1.0, (3, 1), (F(1), F(2)), 3, "horizon must be an integer", "T"),
     (True, (3, 1), (F(1), F(2)), 3, "horizon must be an integer", "T"),
+    (1, (3, 1), (F(1), 2.5), 3, "lam[1] = 2.5 is not an integer", "lambda[1]"),
+    (1, (3, 1), (1.0, F(2)), 3, "lam[0] = 1.0 is not an integer", "lambda[0]"),
+    (1, (3, 1), (F(1), True), 3, "lam[1] = True is not an integer",
+     "lambda[1]"),
 ]
 
 
@@ -104,6 +108,15 @@ def test_validate_schedule_rejects(horizon, k, lam, ground, msg, field):
         validate_schedule(sched, ground)
     assert msg in str(exc.value)
     assert exc.value.field == field
+
+
+def test_solve_refuses_an_inflation_that_is_not_exact():
+    # a Schedule built directly keeps a float lam; the solver refuses it by
+    # field instead of failing inside its int pricing
+    cut = WeightedGraph.build(3, [(0, 1, 1), (1, 2, 1), (0, 2, 2)], root=0)
+    with pytest.raises(BadSchedule) as exc:
+        solve_thrifty(MINCUT, cut, Schedule(1, (2, 1), (1, 2.5)))
+    assert exc.value.field == "lambda[1]"
 
 
 def test_argmin_stage_breaks_ties_low():

@@ -351,12 +351,16 @@ def _settled_variants(inst):
 def test_settled_states_match_the_plain_search(tiny_batches):
     # the closed-form answer for states the adversary can no longer change
     # gives the plain search's value and trace, purchases and ties included;
-    # the last instance has a free cover, which waits for a later open day
+    # the last two instances have free sets, which wait for a later open day
     free = ProblemInstance(SETCOVER, SetSystem.build(
         3, [({1, 2}, 0), ({3}, 0), ({1, 2, 3}, 1)]),
         Schedule.of([3, 2, 1], [1, 2, 4]))
+    # a cover of a priced and a free set: day 0 buys the priced one alone,
+    # and the free one waits, as in the plain search
+    mixed = ProblemInstance(SETCOVER, SetSystem.build(
+        2, [({1}, 1), ({2}, 0)]), Schedule.of([2, 2, 2], [1, 2, 4]))
     for inst in [inst for kind in PROBLEM_KINDS
-                 for inst in tiny_batches[kind][::13]] + [free]:
+                 for inst in tiny_batches[kind][::13]] + [free, mixed]:
         for case, full, days in _settled_variants(inst):
             want = _backward_induction(case, full, days)
             got = minimax_opt(case, full_adversary=full, inactive_days=days)
@@ -426,6 +430,102 @@ def test_windowed_search_matches_the_plain_search(kind):
             assert all(a < b for a, b in zip(bounds, bounds[1:])), bounds
             again += len(bounds) - 1
     assert again > 0
+
+
+# costs and inflation steps of the quiet-day games: free actions, and a x1
+# step on which a quiet day ties the day before it
+_QUIET_COSTS = (0, F(1, 2), 1, 2, 3)
+_QUIET_STEPS = (1, F(3, 2), 2, 3)
+
+
+def _recosted(payload, rng):
+    """The payload with each action's cost drawn from _QUIET_COSTS."""
+    if isinstance(payload, SetSystem):
+        return SetSystem.build(payload.universe_size, [
+            (members, rng.choice(_QUIET_COSTS))
+            for members, _ in set_pairs(payload)])
+    return WeightedGraph.build(
+        payload.n, [(e.u, e.v, rng.choice(_QUIET_COSTS))
+                    for e in payload.edges],
+        root=payload.root, pairs=[(p.s, p.t) for p in payload.pairs])
+
+
+def _quiet_day_games(count):
+    """(instance, e) for seeded games of every kind with a quiet day e, one
+    with k[e] == k[e-1], ahead of a later day on which k drops; costs from
+    _QUIET_COSTS and inflations stepping by _QUIET_STEPS."""
+    for seed in range(count):
+        rng = random.Random(seed)
+        kind = PROBLEM_KINDS[seed % len(PROBLEM_KINDS)]
+        n = 4 + seed // len(PROBLEM_KINDS) % 2
+        inst = gen_random(kind, n, n + 2, 1, seed)
+        payload = _recosted(inst.payload, rng)
+        k0, low = inst.schedule.k[0], KINDS[kind].min_live + 1
+        while True:
+            k = [k0]
+            for _ in range(rng.choice((2, 3))):
+                k.append(rng.randint(low, k[-1]))
+            quiet = [e for e in range(1, len(k) - 1)
+                     if k[e] == k[e - 1] and k[-1] < k[e]]
+            if quiet:
+                break
+        lam = [F(1)]
+        for _ in k[1:]:
+            lam.append(lam[-1] * rng.choice(_QUIET_STEPS))
+        yield (ProblemInstance(kind, payload, Schedule.of(k, lam)),
+               rng.choice(quiet))
+
+
+def test_quiet_days_match_the_plain_search():
+    # a quiet day's states scan only the free masks, which changes no
+    # value, purchase or tie: with free actions, on tied inflations (where
+    # every mask is scanned), with the day before it or after it inactive,
+    # and under the full adversary (where every mask is scanned)
+    for inst, e in _quiet_day_games(64):
+        for full, days in ((False, ()), (False, (e - 1,)),
+                           (False, (e + 1,)), (True, ())):
+            want = _backward_induction(inst, full, days)
+            got = minimax_opt(inst, full_adversary=full, inactive_days=days)
+            assert (got[0], repr(got[1])) == (want[0], repr(want[1])), (
+                inst, full, days)
+
+
+def _scanned_masks(inst):
+    """minimax_opt's value, and per day the masks its searched states
+    tried.  A tried mask asks at least one child, so a profile hook reads
+    the mask from the frame of value that makes the call."""
+    scanned = defaultdict(set)
+
+    def hook(frame, event, arg):
+        parent = frame.f_back
+        if (event == "call" and frame.f_code.co_name == "value"
+                and frame.f_globals is minimax_opt.__globals__
+                and parent.f_code is frame.f_code):
+            scanned[parent.f_locals["day"]].add(parent.f_locals["mask"])
+
+    before = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        opt = minimax_opt(inst, with_trace=False)[0]
+    finally:
+        sys.setprofile(before)
+    return opt, scanned
+
+
+def test_quiet_days_scan_only_free_masks():
+    # tiny_batch's cut game 8, which perfbench's compare-tiny runs, has
+    # k = (2, 2, 2, 1): days 1 and 2 reveal nothing, so their states try
+    # only the free masks (mask 0 alone, as no edge is free); day 0 tries
+    # priced ones too
+    inst = gen_random(MINCUT, 3, 7, 3, 8)
+    assert inst.schedule.k == (2, 2, 2, 1)
+    assert len(set(inst.schedule.lam)) == 4
+    totals = _Game(inst).ranked.totals
+    opt, scanned = _scanned_masks(inst)
+    assert opt == _backward_induction(inst)[0]
+    assert scanned[1] and scanned[2]
+    assert all(totals[mask] == 0 for day in (1, 2) for mask in scanned[day])
+    assert any(totals[mask] for mask in scanned[0])
 
 
 @pytest.mark.parametrize("inst,kwargs,error", [
