@@ -19,7 +19,8 @@ from typing import Iterable, NamedTuple
 
 from .errors import (BadGraphField, Disconnected, InvariantViolation,
                      UnknownEdge)
-from .model import Schedule, bit_columns, scaled_to_ints
+from .model import (Schedule, bit_columns, read_fraction, scaled_to_ints,
+                    validate_schedule)
 
 
 class Edge(NamedTuple):
@@ -112,7 +113,8 @@ class WeightedGraph:
 
         if type(n) is not int:   # nor a bool
             raise BadGraphField("n", f"vertex count {n!r} is not an integer")
-        es = tuple(Edge(u, v, c if type(c) is Fraction else Fraction(c), i)
+        es = tuple(Edge(u, v, c if type(c) is Fraction else read_fraction(
+            c, f"edges[{i}][2]", BadGraphField), i)
                    for i, (u, v, c) in enumerate(edges))
         for e in es:
             if fault(e.u) or fault(e.v):
@@ -715,6 +717,7 @@ def preprocess_cost_scaling(g: WeightedGraph, schedule: Schedule,
     (distance, id) order, each pred first at its distance.  Kruskal's
     (cost, id) order is a prefix, and each GW round's argmin survives.
     """
+    validate_schedule(schedule, None)
     cf = g.edge_by_id(f_guess).cost
     n2 = g.n * g.n
     mode = "delete" if g.root is None else "contract"

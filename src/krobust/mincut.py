@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import KRobustError
+from .errors import BadGraphField, KRobustError
 from .graphcore import WeightedGraph, delete_or_contract, min_cut, reach_tables
 from .model import (KINDS, MINCUT, CostReport, Kind, Schedule, ThriftyPlan,
                     argmin_stage, solve_thrifty, threshold_tau)
@@ -23,7 +23,7 @@ BETA = Fraction(50)
 
 def _require_root(g: WeightedGraph) -> int:
     if g.root is None:
-        raise ValueError("min-cut instance needs a root vertex")
+        raise BadGraphField("root", "min-cut instance needs a root vertex")
     return g.root
 
 

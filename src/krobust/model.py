@@ -63,6 +63,15 @@ def bit_columns(m: int, order=None) -> tuple[int, tuple[int, ...]]:
         int(masks[i // 8::8].translate(_DIGITS[i % 8]), 2) for i in range(m))
 
 
+def read_fraction(value, field: str, error: type) -> Fraction:
+    """Fraction(value); a FieldError of type error at field if Fraction
+    cannot read value."""
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, OverflowError):
+        raise error(field, f"{field} = {value!r} is not a number") from None
+
+
 def harmonic(n: int) -> Fraction:
     """Exact n-th harmonic number."""
     return sum((Fraction(1, i) for i in range(1, n + 1)), Fraction(0))
@@ -96,9 +105,10 @@ class Schedule:
         return memo[horizon, r]
 
 
-def validate_schedule(schedule: Schedule, ground_size: int) -> None:
+def validate_schedule(schedule: Schedule, ground_size: int | None) -> None:
     """Raise BadSchedule naming the first violated invariant and its field:
-    T, k, lambda, k[i] or lambda[i]."""
+    T, k, lambda, k[i] or lambda[i].  A ground_size of None skips k[0]'s
+    rule, for a caller that has not listed the units."""
     T, k, lam = schedule.horizon, schedule.k, schedule.lam
     if type(T) is not int:   # nor a bool
         raise BadSchedule("T", f"horizon must be an integer, got {T!r}")
@@ -119,20 +129,23 @@ def validate_schedule(schedule: Schedule, ground_size: int) -> None:
         if type(li) not in (int, Fraction):   # nor a bool
             raise BadSchedule(f"lambda[{i}]", f"lam[{i}] = {li!r} is not "
                               "an integer or a Fraction")
-    if lam[0] != 1:
+    # the rest is read on the priced ints, which keep each sign, order and
+    # tie, so no Fraction is compared
+    scale, ints, _ = schedule.priced
+    if ints[0] != scale:
         raise BadSchedule("lambda[0]", f"lam[0] must be 1, got {lam[0]}")
-    for i, li in enumerate(lam):
-        if li <= 0:
+    for i, x in enumerate(ints):
+        if x <= 0:
             raise BadSchedule(f"lambda[{i}]",
-                              f"lam[{i}] = {li} is not positive")
+                              f"lam[{i}] = {lam[i]} is not positive")
     for i in range(1, T + 1):
-        if lam[i] < lam[i - 1]:
+        if ints[i] < ints[i - 1]:
             raise BadSchedule(f"lambda[{i}]", "inflations must be "
                               f"nondecreasing, lam[{i}] < lam[{i - 1}]")
         if k[i] > k[i - 1]:
             raise BadSchedule(f"k[{i}]", "cardinalities must be "
                               f"nonincreasing, k[{i}] > k[{i - 1}]")
-    if k[0] != ground_size:
+    if ground_size is not None and k[0] != ground_size:
         raise BadSchedule("k[0]", f"k[0] = {k[0]} must equal the ground-set "
                           f"size {ground_size}")
 
@@ -196,6 +209,8 @@ class UncertaintySpec:
                 "parts", "subset model needs one part per day 1..T")
         ground = set(units)
         for i, part in enumerate(self.parts):
+            if not isinstance(part, (set, frozenset)):
+                raise BadSchedule(f"parts[{i}]", f"part {i + 1} is not a set")
             if not part <= ground:
                 raise BadSchedule(
                     f"parts[{i}]", f"part {i + 1} is not inside the ground set")

@@ -23,7 +23,7 @@ from typing import Iterable, Mapping
 
 from .errors import BadParameters, Infeasible, TooLarge
 from .model import (KINDS, SUBSET, ProblemInstance, Schedule, ThriftyPlan,
-                    bit_columns, require_live)
+                    bit_columns, require_live, validate_schedule)
 from .setcover import SetSystem
 
 _INF = float("inf")
@@ -156,6 +156,7 @@ class _Game:
         self.units = tuple(instance.units())
         uidx = {u: i for i, u in enumerate(self.units)}
         self.schedule = instance.schedule
+        instance.uncertainty.validate(self.schedule, self.units)
         cost_scale, work = instance.payload.integral()
         actions = work.actions()
         self.action_ids = tuple(aid for aid, _ in actions)
@@ -174,9 +175,12 @@ class _Game:
     @classmethod
     def within(cls, instance: ProblemInstance,
                limits: SizeLimits | None) -> "_Game":
-        """The game for an instance within the limits; k[0], which
-        validate_schedule pins to the unit count, is checked first."""
+        """The game for an instance within the limits.  The schedule's
+        rules but k[0]'s are checked first, then k[0], which
+        validate_schedule pins to the unit count, against the limits before
+        any unit is listed."""
         limits = limits or SizeLimits()
+        validate_schedule(instance.schedule, None)
         limits.check(instance.schedule.k[0], 0, 0)
         game = cls(instance)
         limits.check(len(game.units), len(game.action_ids),
@@ -289,6 +293,12 @@ def minimax_opt(instance: ProblemInstance, limits: SizeLimits | None = None,
     asked with cap - spend: failing that puts the mask at or above cap.
     Masks are taken only below cap, so ties stay on the first.  Settled
     states are exact; the root and the trace ask with an infinite bound.
+
+    A searched (day, active) keeps one child record per move, built once:
+    (move, leaf(day + 1, move), the child's memo key less its owned part).
+    The move loop prices a settled child (record not None) itself, from
+    its memo entry or, on a miss, settle(record, child), which it stores;
+    only unsettled children enter value.
     """
     game = _Game.within(instance, limits)
     T = game.schedule.horizon
@@ -300,6 +310,7 @@ def minimax_opt(instance: ProblemInstance, limits: SizeLimits | None = None,
                    for day in range(T + 1)]
     memo: dict = {}   # state key -> (value, mask) or (lower bound, None)
     leaves: dict = {}
+    children: dict = {}   # active * span + day -> its child records
     n_units, span = len(game.units), T + 1
     totals, order, settle = (game.ranked.totals, game.ranked.order,
                              game.ranked.price)
@@ -352,6 +363,11 @@ def minimax_opt(instance: ProblemInstance, limits: SizeLimits | None = None,
             return got
         cap, best_mask = bound, None   # cap: min(bound, best so far)
         moves, rate = game.moves(day + 1, active, full_adversary), lam[day]
+        kids = children.get(active * span + day)
+        if kids is None:
+            kids = children[active * span + day] = tuple(
+                (move, leaf(day + 1, move), move * span + day + 1)
+                for move in moves)
         for mask in scans[day]:
             if mask & owned:
                 continue
@@ -359,8 +375,15 @@ def minimax_opt(instance: ProblemInstance, limits: SizeLimits | None = None,
             if spend >= cap:
                 break
             child, worst = owned | mask, 0
-            for move in moves:
-                got = value(day + 1, move, child, cap - spend)[0]
+            base = (child << n_units) * span
+            for move, record, offset in kids:
+                if record is None:
+                    got = value(day + 1, move, child, cap - spend)[0]
+                else:   # a settled child: its memo entry, priced on a miss
+                    got = memo.get(base + offset)
+                    if got is None:
+                        got = memo[base + offset] = settle(record, child)
+                    got = got[0]
                 if got > worst:
                     worst = got
                     if spend + worst >= cap:
@@ -432,6 +455,7 @@ def opt_bounds(instance: ProblemInstance) -> tuple[Fraction, Fraction]:
     """Grid endpoints, which the solver prices only as far as it needs
     them: a proven lower bound on the adaptive optimum (Kind.lower) and the
     cost of a feasible day-0-only solution (Kind.cover_all)."""
+    validate_schedule(instance.schedule, None)
     require_live(instance.kind, instance.schedule)
     scale, payload = instance.payload.integral()
     spec = KINDS[instance.kind]

@@ -20,7 +20,8 @@ from typing import Iterable, Mapping
 from .errors import BadSetField, Infeasible
 from .model import (KINDS, SETCOVER, CostReport, Kind, Schedule, ThriftyPlan,
                     argmin_stage, bit_columns, harmonic, ln_upper,
-                    scaled_to_ints, solve_thrifty, threshold_tau)
+                    read_fraction, scaled_to_ints, solve_thrifty,
+                    threshold_tau)
 
 _BITS = bytes.maketrans(b"01", b"\0\1")
 
@@ -121,16 +122,21 @@ class SetSystem:
     def build(universe_size: int, sets: Iterable) -> "SetSystem":
         """sets holds (members, cost) pairs, members a list, set or
         frozenset of element ids, which a list may repeat.  Raises
-        BadSetField naming the first fault in set order: sets[i].cost for a
-        negative cost, sets[i].members[j] (j in the order members lists
+        BadSetField at universe_size if it is not an int, then at the first
+        sets[i].cost that Fraction cannot read, then naming the first fault
+        in set order: sets[i].cost for a negative cost, sets[i].members[j] (j in the order members lists
         them) for a member that is not an int in 1..universe_size, or sets
         for an element that no set covers.  Each set's checks, mask
         (_masks) and cheapest-set pass cost its own length, and a dense
         set's digit string is at most one byte longer than the document."""
+        if type(universe_size) is not int:   # nor a bool
+            raise BadSetField("universe_size", f"universe size "
+                              f"{universe_size!r} is not an integer")
         sets = tuple(sets)
         members = [m for m, _ in sets]
-        costs = tuple(cost if isinstance(cost, Fraction) else Fraction(cost)
-                      for _, cost in sets)
+        costs = tuple(cost if isinstance(cost, Fraction) else
+                      read_fraction(cost, f"sets[{i}].cost", BadSetField)
+                      for i, (_, cost) in enumerate(sets))
         # the scale is positive, so the int keys keep every cost's sign,
         # order and tie
         scale, keys = scaled_to_ints(costs)

@@ -492,16 +492,23 @@ def test_quiet_days_match_the_plain_search():
 
 def _scanned_masks(inst):
     """minimax_opt's value, and per day the masks its searched states
-    tried.  A tried mask asks at least one child, so a profile hook reads
-    the mask from the frame of value that makes the call."""
+    tried.  A tried mask asks at least one child, a settled one from the
+    memo or an unsettled one through value, so a profile hook reads the
+    mask from value's frame at each call it makes once child is owned |
+    mask."""
     scanned = defaultdict(set)
 
     def hook(frame, event, arg):
-        parent = frame.f_back
-        if (event == "call" and frame.f_code.co_name == "value"
-                and frame.f_globals is minimax_opt.__globals__
-                and parent.f_code is frame.f_code):
-            scanned[parent.f_locals["day"]].add(parent.f_locals["mask"])
+        if event == "call":   # a Python call: value is the caller's frame
+            frame = frame.f_back
+        elif event != "c_call":   # a C call runs in value's own frame
+            return
+        if (frame.f_code.co_name == "value"
+                and frame.f_globals is minimax_opt.__globals__):
+            local = frame.f_locals
+            if "child" in local and local["child"] == (local["owned"]
+                                                       | local["mask"]):
+                scanned[local["day"]].add(local["mask"])
 
     before = sys.getprofile()
     sys.setprofile(hook)
@@ -526,6 +533,36 @@ def test_quiet_days_scan_only_free_masks():
     assert scanned[1] and scanned[2]
     assert all(totals[mask] == 0 for day in (1, 2) for mask in scanned[day])
     assert any(totals[mask] for mask in scanned[0])
+
+
+@pytest.mark.parametrize("args,k,entered", [
+    # compare-tiny's cut game 4: every state below the root is settled
+    ((3, 9, 2, 4), (2, 1, 1), {0: 1}),
+    # cut game 10: day 1's states are not settled, day 2's (day T) are
+    ((5, 9, 2, 10), (4, 3, 1), {0: 1, 1: 252}),
+])
+def test_settled_children_are_priced_in_the_move_loop(args, k, entered):
+    # value is entered only for the root and unsettled states: the move
+    # loop prices each settled child itself, from the memo or its leaf
+    # record.  Calling value for each settled probe entered it 914 times
+    # on game 4 and 5,032 times on game 10
+    inst = gen_random(MINCUT, *args)
+    assert inst.schedule.k == k
+    days = Counter()
+
+    def hook(frame, event, arg):
+        if (event == "call" and frame.f_code.co_name == "value"
+                and frame.f_globals is minimax_opt.__globals__):
+            days[frame.f_locals["day"]] += 1
+
+    before = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        opt = minimax_opt(inst, with_trace=False)[0]
+    finally:
+        sys.setprofile(before)
+    assert days == entered
+    assert opt == _backward_induction(inst)[0]
 
 
 @pytest.mark.parametrize("inst,kwargs,error", [
